@@ -134,14 +134,10 @@ def cmd_complex(group_spec, ring_spec, dualize, twist_spec, euler, homology_fiel
 @click.option("--max-word", required=True, type=int)
 @click.option("--coeff-bound", default=1, type=int, show_default=True)
 @click.option("--csv", "as_csv", is_flag=True, help="Emit CSV instead of JSON.")
-@click.option("--threads", default=1, type=int, show_default=True,
-              help="Upper bound on workers; the sweep runs serially.")
 @click.option("--output", default=None, type=click.Path())
 @_handle_errors
-def cmd_fill(group_spec, ring_spec, radius, max_word, coeff_bound, as_csv, threads, output):
+def cmd_fill(group_spec, ring_spec, radius, max_word, coeff_bound, as_csv, output):
     """Minimal fillings of all closed words up to a length cap in a window."""
-    if threads < 1:
-        raise BudgetError("--threads must be >= 1")
     group = make_group(group_spec)
     parse_ring(ring_spec)  # fillings are integral; the spec is validated only
     report = isoperimetric_sweep(

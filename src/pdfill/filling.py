@@ -603,36 +603,47 @@ def _closed_cycles(complex_, cap):
     """Distinct nonzero cycles of closed non-backtracking walks at the center.
 
     Depth-first over the window's adjacency, moves ordered by generator
-    index then sign, so discovery order is deterministic.
+    index then sign, so discovery order is deterministic.  A move is
+    skipped when its target lies farther from the center than the moves
+    left, since no walk from there closes within the cap.  The walk keeps
+    the edge of each move, so a closed walk's signed edge coefficients
+    are summed without retracing it through the group.
     """
     center = complex_.center_index()
+    neighbors = complex_.neighbors
+    distances = complex_.distances
+    edge_index = complex_.edge_index
     found: dict = {}
-    order: list = []
     walk: list = []
+    path: list = []      # edge index of each move in the walk
 
     def visit(vertex, last_move):
         if walk and vertex == center:
-            word = tuple(walk)
-            try:
-                cycle = word_cycle(complex_, word)
-            except (NotACycleError, OutOfWindowError):
-                cycle = None
-            if cycle is not None and cycle.coefficients:
-                key = cycle.key()
-                if key not in found:
-                    found[key] = (word, cycle)
-                    order.append(key)
-        if len(walk) == cap:
+            coefficients: dict = {}
+            for move, e in zip(walk, path):
+                coefficients[e] = coefficients.get(e, 0) + (1 if move > 0 else -1)
+            key = tuple(sorted((e, c) for e, c in coefficients.items() if c))
+            if key and key not in found:
+                found[key] = (tuple(walk), OneCycle(complex_, coefficients))
+        left = cap - len(walk) - 1     # moves left after the next one
+        if left < 0:
             return
-        for move, target in complex_.neighbors[vertex]:
+        for move, target in neighbors[vertex]:
             if last_move is not None and move == -last_move:
                 continue
+            if distances[target] > left:
+                continue
             walk.append(move)
+            # the edge of a^-1 from v is the a-edge from its target into v
+            path.append(
+                edge_index[(vertex, move)] if move > 0 else edge_index[(target, -move)]
+            )
             visit(target, move)
             walk.pop()
+            path.pop()
 
     visit(center, None)
-    return [found[key] for key in order]
+    return list(found.values())
 
 
 def transfer_constant(kappa, norm_x: int, norm_z: int, norm_h: int) -> Fraction:

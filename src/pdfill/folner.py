@@ -161,10 +161,16 @@ def _connected_series(oracle, size_max, budget):
 
     Boundary ratios are invariant under left translation, so every
     connected set is represented by a translate through the identity.
-    Enumeration uses the exclusive-neighbor scheme: a connected set is
-    grown one Cayley-neighbor at a time, and each extension may only add
-    vertices that were not already eligible, so every connected set
-    appears exactly once.  The boundary count is maintained incrementally.
+    Enumeration follows Redelmeier (*Counting polyominoes: yet another
+    attack*, Discrete Math. 36, 1981): a connected set is grown one
+    Cayley-neighbor at a time from an untried list, and a vertex is
+    *reached* once it is in the set or adjacent to it.  When v joins, its
+    only new candidates are its unreached neighbors; they are flagged,
+    appended to the untried list for the recursion, and unflagged on
+    backtrack.  A vertex popped from the untried list stays reached, so
+    later siblings never add it again and every connected set appears
+    exactly once.  The boundary count is maintained incrementally, and
+    the minimum boundary per size does not depend on enumeration order.
     """
     if size_max < 1:
         raise SpecParseError("size_max must be >= 1")
@@ -191,11 +197,13 @@ def _connected_series(oracle, size_max, budget):
     neighbors = [sorted(set(ns)) for ns in neighbors]
 
     in_set = [False] * n
+    reached = [False] * n    # in the set or adjacent to it
     missing = [0] * n        # per member: how many of its test points are absent
-    state = {"interior": 0, "count": 0}
-    best_boundary_by_size: dict = {}
+    # size + 1 stays only for sizes no connected set reaches (finite groups)
+    best_boundary = [size + 1 for size in range(size_max + 1)]
 
-    def add(v):
+    def grow(v, untried, size, interior):
+        """Add v as the size-th member, record the set, extend it; count sets."""
         in_set[v] = True
         miss = 0
         for t in test_nbrs[v]:
@@ -203,64 +211,40 @@ def _connected_series(oracle, size_max, budget):
                 miss += 1
         missing[v] = miss
         if miss == 0:
-            state["interior"] += 1
+            interior += 1
         for w in rev_test[v]:
             if in_set[w]:
                 missing[w] -= 1
                 if missing[w] == 0:
-                    state["interior"] += 1
-
-    def remove(v):
-        if missing[v] == 0:
-            state["interior"] -= 1
+                    interior += 1
+        if size - interior < best_boundary[size]:
+            best_boundary[size] = size - interior
+        count = 1
+        if size < size_max:
+            new = [u for u in neighbors[v] if not reached[u]]
+            for u in new:
+                reached[u] = True
+            untried = untried + new
+            while untried:
+                count += grow(untried.pop(), untried, size + 1, interior)
+            for u in new:
+                reached[u] = False
         for w in rev_test[v]:
             if in_set[w]:
-                if missing[w] == 0:
-                    state["interior"] -= 1
                 missing[w] += 1
         in_set[v] = False
-
-    current: list = []
-
-    def emit():
-        state["count"] += 1
-        size = len(current)
-        boundary = size - state["interior"]
-        if size not in best_boundary_by_size or boundary < best_boundary_by_size[size]:
-            best_boundary_by_size[size] = boundary
-
-    def extend(extension):
-        emit()
-        if len(current) == size_max:
-            return
-        ext = list(extension)
-        while ext:
-            v = ext.pop()
-            exclusive = [
-                u
-                for u in neighbors[v]
-                if not in_set[u]
-                and u != v
-                and not any(in_set[w] for w in neighbors[u])
-            ]
-            current.append(v)
-            add(v)
-            extend(ext + [u for u in exclusive if u not in ext])
-            remove(v)
-            current.pop()
+        return count
 
     root = index_of[oracle.identity()]
-    current.append(root)
-    add(root)
-    extend(sorted(neighbors[root], reverse=True))
-    remove(root)
-    current.pop()
+    reached[root] = True
+    count = grow(root, [], 1, 0)
 
     series = [
-        (size, Fraction(best_boundary_by_size[size], size))
-        for size in sorted(best_boundary_by_size)
+        (size, Fraction(best_boundary[size], size))
+        for size in range(1, size_max + 1)
+        if best_boundary[size] <= size
     ]
-    return series, state["count"]
+    return series, count
 
 
 def boundary_differential(

@@ -35,13 +35,6 @@ def invert_word(word) -> Word:
     return tuple(-letter for letter in reversed(word))
 
 
-def cyclically_reduce(word) -> Word:
-    word = list(free_reduce(word))
-    while len(word) >= 2 and word[0] == -word[-1]:
-        word = word[1:-1]
-    return tuple(word)
-
-
 def commutator_word(i: int, j: int) -> Word:
     return (i, j, -i, -j)
 

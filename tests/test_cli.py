@@ -51,6 +51,9 @@ def test_usage_errors_exit_2(runner):
     assert invoke(runner, ["complex", "F2", "H", "--twist", "a:1,b:1"]).exit_code == 2
     assert invoke(runner, ["complex", "Klein", "Z/5", "--twist", "a:2,b:1"]).exit_code == 2
     assert invoke(runner, ["complex", "F2", "Z", "--homology", "Z/4"]).exit_code == 2
+    # the sweep is serial and takes no worker count
+    args = ["fill", "Z^2", "Z", "--radius", "2", "--max-word", "4", "--threads", "1"]
+    assert invoke(runner, args).exit_code == 2
 
 
 def test_budget_errors_exit_3(runner):

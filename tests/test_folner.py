@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -21,9 +22,45 @@ from pdfill.errors import BudgetError, SpecParseError
 from pdfill.group_ring import GroupRingElement
 from pdfill.groups import ball
 
-# connected subsets of the 4-regular tree containing the root, by size:
-# (4 / (3k + 4)) * C(3k + 4, k) rooted subtrees with k + 1 vertices
-TREE_SUBSET_COUNTS = {7: 16580, 10: 3138807}
+# connected subsets of the 4-regular tree containing the root, of size at
+# most K: there are (4 / (3k + 4)) * C(3k + 4, k) rooted subtrees with
+# k + 1 vertices
+TREE_SUBSET_COUNTS = {7: 16580, 9: 537507, 10: 3138807}
+
+# fixed polyominoes with n cells (OEIS A001168); each has n translates
+# with a cell at the origin
+FIXED_POLYOMINOES = [1, 2, 6, 19, 63, 216, 760, 2725]
+
+
+def naive_connected_series(oracle, size_max):
+    """(size, minimum boundary ratio) series and set count, by closure.
+
+    Connected sets through 1 are closed under adjoining a Cayley neighbor,
+    and every one of size k + 1 arises from one of size k, so growing
+    {1} one neighbor at a time, layer by layer, finds each exactly once
+    per layer.
+    """
+    letters = [x for i in range(1, oracle.generator_count + 1) for x in (i, -i)]
+    tests = [oracle.letter(-i) for i in range(1, oracle.generator_count + 1)]
+    layer = {frozenset([oracle.identity()])}
+    series, count = [], 0
+    for size in range(1, size_max + 1):
+        if not layer:
+            break
+        count += len(layer)
+        best = min(
+            sum(any(oracle.multiply(g, t) not in s for t in tests) for g in s)
+            for s in layer
+        )
+        series.append((size, Fraction(best, size)))
+        layer = {
+            s | {h}
+            for s in layer
+            for g in s
+            for h in (oracle.multiply(g, oracle.letter(x)) for x in letters)
+            if h not in s
+        }
+    return series, count
 
 
 def test_boundary_of_boxes():
@@ -76,6 +113,36 @@ def test_sweep_connected_f2_exhaustive():
     assert report.verdict == "ratio-bounded-below"
     assert report.epsilon_hat > 0
     assert report.kappa_hat * report.epsilon_hat == 1
+    assert folner_sweep(free_group(2), "connected:9").sets_examined == (
+        TREE_SUBSET_COUNTS[9]
+    )
+
+
+def test_tree_subset_counts_match_formula():
+    for size_max, count in TREE_SUBSET_COUNTS.items():
+        assert count == sum(
+            Fraction(4, 3 * k + 4) * math.comb(3 * k + 4, k) for k in range(size_max)
+        )
+
+
+def test_connected_count_z2_rooted_polyominoes():
+    report = folner_sweep(free_abelian(2), "connected:8")
+    rooted = sum(n * a for n, a in enumerate(FIXED_POLYOMINOES, start=1))
+    assert report.sets_examined == rooted == 28830
+
+
+@pytest.mark.parametrize(
+    "spec, size_max", [("Z^2", 6), ("F3", 5), ("Sigma2", 4), ("C6", 6), ("C6", 8)]
+)
+def test_connected_series_matches_naive_closure(spec, size_max):
+    if spec == "C6":
+        oracle = finite_table(cyclic_table(6), generators=[1], name="C6")
+    else:
+        oracle = make_group(spec)
+    report = folner_sweep(oracle, f"connected:{size_max}")
+    assert (report.series, report.sets_examined) == naive_connected_series(
+        oracle, size_max
+    )
 
 
 def test_sweep_connected_finite_group_reaches_zero():
