@@ -65,7 +65,6 @@ from .slimness import (
     SlimnessConstants,
     SlimnessReport,
     all_geodesics,
-    geodesic_in_window,
     lex_geodesic,
     slimness_constants,
     slimness_sweep,

@@ -7,6 +7,12 @@ ball, and one 2-cell per (vertex, relator) whose whole attaching path
 stays in the ball.  Boundary matrices are integer sparse matrices with
 the usual signed incidence.
 
+The group is consulted once, through ``groups.cayley_steps``, to build the
+window's step table; after that every walk in the window (attaching paths,
+``word_cycle``, the closed-walk enumeration) is a table lookup through one
+tracer, ``_trace``, which also sums the walk's signed edge coefficients.
+Each face's boundary is summed once, when the face is traced.
+
 ``minimal_filling`` finds a 2-chain of minimal support with a prescribed
 boundary, by exhaustive branch and bound over face coefficients in
 [-bound, bound] when the face count is small, and by a greedy residual
@@ -30,7 +36,7 @@ from .errors import (
     OutOfWindowError,
     SpecParseError,
 )
-from .groups import DEFAULT_BALL_BUDGET, GroupOracle, ball
+from .groups import DEFAULT_BALL_BUDGET, GroupOracle, ball, cayley_steps
 from .rings import INTEGERS, Ring, frac_str
 from .words import word_to_string
 
@@ -46,31 +52,22 @@ class CayleyBallComplex:
     radius: int
     vertices: list
     distances: list
+    neighbors: list      # per vertex: {signed letter: index of vertex * letter}
     edges: list          # (source index, generator index, target index)
+    edge_index: dict     # (source index, generator index) -> edge index
     faces: list          # (base vertex index, relator index)
+    face_boundaries: list  # per face: {edge index: nonzero coefficient}
     boundary1: sparse.csr_matrix   # edges x vertices
     boundary2: sparse.csr_matrix   # faces x edges
-    face_edges: list     # per face: ordered list of (edge index, +-1 step)
     max_face_length: int
 
     def __post_init__(self):
         self.vertex_index = {g: i for i, g in enumerate(self.vertices)}
-        self.edge_index = {(s, g): i for i, (s, g, _) in enumerate(self.edges)}
         edge_faces: dict = {}
-        for f, steps in enumerate(self.face_edges):
-            coeffs: dict = {}
-            for e, step in steps:
-                coeffs[e] = coeffs.get(e, 0) + step
-            for e, c in coeffs.items():
-                if c:
-                    edge_faces.setdefault(e, []).append((f, c))
+        for f, boundary in enumerate(self.face_boundaries):
+            for e, c in boundary.items():
+                edge_faces.setdefault(e, []).append((f, c))
         self.edge_faces = edge_faces
-        self.neighbors = [[] for _ in self.vertices]
-        for s, g, t in self.edges:
-            self.neighbors[s].append((g, t))
-            self.neighbors[t].append((-g, s))
-        for lst in self.neighbors:
-            lst.sort(key=lambda pair: (abs(pair[0]), pair[0] < 0))
 
     @property
     def vertex_count(self):
@@ -100,14 +97,13 @@ def build_ball_complex(
     elements = ball(group, radius, budget=budget)
     vertices = [g for g, _ in elements]
     distances = [d for _, d in elements]
-    vertex_index = {g: i for i, g in enumerate(vertices)}
+    neighbors = cayley_steps(group, vertices)
 
     edges = []
     edge_index = {}
-    for i, g in enumerate(vertices):
+    for i, step in enumerate(neighbors):
         for gen in range(1, group.generator_count + 1):
-            target = group.multiply(g, group.letter(gen))
-            j = vertex_index.get(target)
+            j = step.get(gen)
             if j is not None:
                 edge_index[(i, gen)] = len(edges)
                 edges.append((i, gen, j))
@@ -124,24 +120,24 @@ def build_ball_complex(
     )
 
     faces = []
-    face_edges = []
+    face_boundaries = []
     for i in range(len(vertices)):
         for r, relator in enumerate(presentation.relators):
-            steps = _trace_attaching_path(group, vertices, vertex_index, edge_index, i, relator)
-            if steps is not None:
-                faces.append((i, r))
-                face_edges.append(steps)
+            traced = _trace(neighbors, edge_index, i, relator)
+            if traced is None:
+                continue
+            end, boundary = traced
+            if end != i:
+                raise InvariantError("attaching path of a relator did not close up")
+            faces.append((i, r))
+            face_boundaries.append(boundary)
 
     rows, cols, vals = [], [], []
-    for f, steps in enumerate(face_edges):
-        coeffs: dict = {}
-        for e, step in steps:
-            coeffs[e] = coeffs.get(e, 0) + step
-        for e, c in sorted(coeffs.items()):
-            if c:
-                rows.append(f)
-                cols.append(e)
-                vals.append(c)
+    for f, boundary in enumerate(face_boundaries):
+        for e, c in boundary.items():
+            rows.append(f)
+            cols.append(e)
+            vals.append(c)
     boundary2 = sparse.csr_matrix(
         (vals, (rows, cols)), shape=(len(faces), len(edges)), dtype=np.int64
     )
@@ -157,40 +153,38 @@ def build_ball_complex(
         radius=radius,
         vertices=vertices,
         distances=distances,
+        neighbors=neighbors,
         edges=edges,
+        edge_index=edge_index,
         faces=faces,
+        face_boundaries=face_boundaries,
         boundary1=boundary1,
         boundary2=boundary2,
-        face_edges=face_edges,
         max_face_length=max_face_length,
     )
 
 
-def _trace_attaching_path(group, vertices, vertex_index, edge_index, start, relator):
-    """Signed edge steps of a relator read from a base vertex, or None if it leaves."""
-    steps = []
+def _trace(neighbors, edge_index, start, word):
+    """Read a word from a start vertex through the step table.
+
+    Returns (end vertex, {edge index: nonzero coefficient}), where a letter
+    s adds +1 on the s-edge it crosses forwards and s^-1 adds -1 on the
+    s-edge it crosses backwards; None when the path leaves the window.
+    """
     current = start
-    for letter in relator:
-        gen = abs(letter)
+    coefficients: dict = {}
+    for letter in word:
+        target = neighbors[current].get(letter)
+        if target is None:
+            return None
         if letter > 0:
-            e = edge_index.get((current, gen))
-            if e is None:
-                return None
-            steps.append((e, 1))
-            current = vertex_index[group.multiply(vertices[current], group.letter(gen))]
+            e = edge_index[(current, letter)]
+            coefficients[e] = coefficients.get(e, 0) + 1
         else:
-            previous = group.multiply(vertices[current], group.letter(letter))
-            p = vertex_index.get(previous)
-            if p is None:
-                return None
-            e = edge_index.get((p, gen))
-            if e is None:
-                return None
-            steps.append((e, -1))
-            current = p
-    if current != start:
-        raise InvariantError("attaching path of a relator did not close up")
-    return steps
+            e = edge_index[(target, -letter)]
+            coefficients[e] = coefficients.get(e, 0) - 1
+        current = target
+    return current, {e: c for e, c in coefficients.items() if c}
 
 
 @dataclass
@@ -206,8 +200,13 @@ class OneCycle:
             raise NotACycleError("chain is not in the kernel of the boundary")
 
     def is_cycle(self) -> bool:
-        vec = self.to_vector()
-        return not (vec @ self.complex.boundary1).any()
+        edges = self.complex.edges
+        net: dict = {}
+        for e, c in self.coefficients.items():
+            s, _, t = edges[e]
+            net[t] = net.get(t, 0) + c
+            net[s] = net.get(s, 0) - c
+        return not any(net.values())
 
     def to_vector(self) -> np.ndarray:
         vec = np.zeros(self.complex.edge_count, dtype=np.int64)
@@ -224,38 +223,15 @@ class OneCycle:
 
 def word_cycle(complex_: CayleyBallComplex, word) -> OneCycle:
     """The signed edge-indicator of a closed word traced from the identity."""
-    group = complex_.group
-    current = complex_.center_index()
-    coefficients: dict = {}
     for letter in word:
-        gen = abs(letter)
-        if letter > 0:
-            e = complex_.edge_index.get((current, gen))
-            if e is None:
-                raise OutOfWindowError(
-                    f"path leaves the radius-{complex_.radius} window"
-                )
-            coefficients[e] = coefficients.get(e, 0) + 1
-            current = complex_.vertex_index[
-                group.multiply(complex_.vertices[current], group.letter(gen))
-            ]
-        else:
-            previous = group.multiply(
-                complex_.vertices[current], group.letter(letter)
-            )
-            p = complex_.vertex_index.get(previous)
-            if p is None:
-                raise OutOfWindowError(
-                    f"path leaves the radius-{complex_.radius} window"
-                )
-            e = complex_.edge_index.get((p, gen))
-            if e is None:
-                raise OutOfWindowError(
-                    f"path leaves the radius-{complex_.radius} window"
-                )
-            coefficients[e] = coefficients.get(e, 0) - 1
-            current = p
-    if current != complex_.center_index():
+        if not 1 <= abs(letter) <= complex_.group.generator_count:
+            raise SpecParseError(f"letter {letter} out of range")
+    center = complex_.center_index()
+    traced = _trace(complex_.neighbors, complex_.edge_index, center, word)
+    if traced is None:
+        raise OutOfWindowError(f"path leaves the radius-{complex_.radius} window")
+    end, coefficients = traced
+    if end != center:
         raise NotACycleError("word does not evaluate to the identity")
     return OneCycle(complex_, coefficients)
 
@@ -329,11 +305,11 @@ def minimal_filling(
 
 
 def _verify_filler(complex_, cycle, filler):
-    vec = np.zeros(complex_.face_count, dtype=np.int64)
+    boundary: dict = {}
     for f, c in filler.items():
-        vec[f] = c
-    boundary = vec @ complex_.boundary2
-    if not np.array_equal(boundary, cycle.to_vector()):
+        for e, b in complex_.face_boundaries[f].items():
+            boundary[e] = boundary.get(e, 0) + c * b
+    if {e: c for e, c in boundary.items() if c} != cycle.coefficients:
         raise InvariantError("filler boundary does not match the cycle")
 
 
@@ -348,12 +324,7 @@ def _exact_search(complex_, cycle, bound):
     n_faces = complex_.face_count
     max_len = max(complex_.max_face_length, 1)
     edge_faces = complex_.edge_faces
-    face_boundaries = []
-    for steps in complex_.face_edges:
-        coeffs: dict = {}
-        for e, step in steps:
-            coeffs[e] = coeffs.get(e, 0) + step
-        face_boundaries.append({e: c for e, c in coeffs.items() if c})
+    face_boundaries = complex_.face_boundaries
 
     residual = dict(cycle.coefficients)
     assigned = [None] * n_faces
@@ -452,7 +423,7 @@ def _greedy_cover(complex_, cycle, bound):
     so progress is measured against the face supply, not the support size.
     """
     residual = dict(cycle.coefficients)
-    face_boundaries: dict = {}
+    face_boundaries = complex_.face_boundaries
     filler: dict = {}
     nodes = 0
     while residual:
@@ -464,11 +435,6 @@ def _greedy_cover(complex_, cycle, bound):
                     candidates.add(f)
         best_choice = None
         for f in sorted(candidates):
-            if f not in face_boundaries:
-                coeffs: dict = {}
-                for e, step in complex_.face_edges[f]:
-                    coeffs[e] = coeffs.get(e, 0) + step
-                face_boundaries[f] = {e: c for e, c in coeffs.items() if c}
             for value in [v for k in range(1, bound + 1) for v in (k, -k)]:
                 cancelled = 0
                 introduced = 0
@@ -602,12 +568,10 @@ def isoperimetric_sweep(
 def _closed_cycles(complex_, cap):
     """Distinct nonzero cycles of closed non-backtracking walks at the center.
 
-    Depth-first over the window's adjacency, moves ordered by generator
+    Depth-first over the window's step table, moves ordered by generator
     index then sign, so discovery order is deterministic.  A move is
     skipped when its target lies farther from the center than the moves
-    left, since no walk from there closes within the cap.  The walk keeps
-    the edge of each move, so a closed walk's signed edge coefficients
-    are summed without retracing it through the group.
+    left, since no walk from there closes within the cap.
     """
     center = complex_.center_index()
     neighbors = complex_.neighbors
@@ -615,32 +579,24 @@ def _closed_cycles(complex_, cap):
     edge_index = complex_.edge_index
     found: dict = {}
     walk: list = []
-    path: list = []      # edge index of each move in the walk
 
     def visit(vertex, last_move):
         if walk and vertex == center:
-            coefficients: dict = {}
-            for move, e in zip(walk, path):
-                coefficients[e] = coefficients.get(e, 0) + (1 if move > 0 else -1)
-            key = tuple(sorted((e, c) for e, c in coefficients.items() if c))
+            _, coefficients = _trace(neighbors, edge_index, center, walk)
+            key = tuple(sorted(coefficients.items()))
             if key and key not in found:
                 found[key] = (tuple(walk), OneCycle(complex_, coefficients))
         left = cap - len(walk) - 1     # moves left after the next one
         if left < 0:
             return
-        for move, target in neighbors[vertex]:
+        for move, target in neighbors[vertex].items():
             if last_move is not None and move == -last_move:
                 continue
             if distances[target] > left:
                 continue
             walk.append(move)
-            # the edge of a^-1 from v is the a-edge from its target into v
-            path.append(
-                edge_index[(vertex, move)] if move > 0 else edge_index[(target, -move)]
-            )
             visit(target, move)
             walk.pop()
-            path.pop()
 
     visit(center, None)
     return list(found.values())

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import BudgetError, SpecParseError
 from .group_ring import GroupRingElement
-from .groups import DEFAULT_BALL_BUDGET, FreeAbelianOracle, GroupOracle, ball
+from .groups import DEFAULT_BALL_BUDGET, FreeAbelianOracle, GroupOracle, ball, cayley_steps
 from .rings import Ring, frac_str
 
 DEFAULT_VANISHING_THRESHOLD = Fraction(1, 10)
@@ -174,27 +174,22 @@ def _connected_series(oracle, size_max, budget):
     """
     if size_max < 1:
         raise SpecParseError("size_max must be >= 1")
-    elements = ball(oracle, size_max - 1, budget=budget)
-    index_of = {g: i for i, (g, _) in enumerate(elements)}
-    n = len(elements)
-    m = oracle.generator_count
+    steps = cayley_steps(oracle, [g for g, _ in ball(oracle, size_max - 1, budget=budget)])
+    n = len(steps)
+    inverse_letters = range(-1, -oracle.generator_count - 1, -1)
 
     # graph adjacency (both directions) and one-directional boundary tests
-    neighbors = [[] for _ in range(n)]
-    test_nbrs = [[] for _ in range(n)]      # indices of g s_i^-1, -1 if outside
+    neighbors = [None] * n
+    test_nbrs = [None] * n                  # indices of g s_i^-1, -1 if outside
     rev_test = [[] for _ in range(n)]       # vertices whose test points here
-    for i, (g, _) in enumerate(elements):
-        for gen in range(1, m + 1):
-            for letter in (gen, -gen):
-                h = oracle.multiply(g, oracle.letter(letter))
-                j = index_of.get(h)
-                if j is not None and j != i:
-                    neighbors[i].append(j)
-            inv = index_of.get(oracle.multiply(g, oracle.letter(-gen)), -1)
-            test_nbrs[i].append(inv)
+    for i in range(n):
+        step = steps[i]
+        steps[i] = None     # drop each dict once derived; both tables never coexist
+        neighbors[i] = sorted({j for j in step.values() if j != i})
+        test_nbrs[i] = [step.get(letter, -1) for letter in inverse_letters]
+        for inv in test_nbrs[i]:
             if inv >= 0 and inv != i:
                 rev_test[inv].append(i)
-    neighbors = [sorted(set(ns)) for ns in neighbors]
 
     in_set = [False] * n
     reached = [False] * n    # in the set or adjacent to it
@@ -235,7 +230,7 @@ def _connected_series(oracle, size_max, budget):
         in_set[v] = False
         return count
 
-    root = index_of[oracle.identity()]
+    root = 0     # ball() lists the identity first
     reached[root] = True
     count = grow(root, [], 1, 0)
 

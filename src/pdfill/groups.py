@@ -528,6 +528,32 @@ def ball(oracle: GroupOracle, radius: int, budget: int = DEFAULT_BALL_BUDGET):
     return out
 
 
+def cayley_steps(oracle: GroupOracle, vertices) -> list:
+    """Per vertex, ``{signed letter: index of vertex * letter}`` inside the list.
+
+    One ``multiply`` per vertex and generator gives the forward steps.  The
+    inverse steps cost none: h = g s exactly when g = h s^-1, so the step
+    from h along s^-1 is the g whose s-step lands on h.  Every product
+    g s^-1 inside the list is therefore found, and the table is complete.
+    Keys run 1, -1, 2, -2, ..., so iteration follows generator index, then
+    sign.
+    """
+    index = {g: i for i, g in enumerate(vertices)}
+    steps = [{} for _ in vertices]
+    for gen in range(1, oracle.generator_count + 1):
+        s = oracle.letter(gen)
+        arrivals = []
+        for i, g in enumerate(vertices):
+            j = index.get(oracle.multiply(g, s))
+            if j is not None:
+                steps[i][gen] = j
+                arrivals.append((j, i))
+        # after all s-steps, so each dict lists s before s^-1
+        for j, i in arrivals:
+            steps[j][-gen] = i
+    return steps
+
+
 def surface_relator(genus: int) -> Word:
     word = []
     for i in range(genus):

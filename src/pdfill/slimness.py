@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass
 
 from .errors import SpecParseError
-from .filling import CayleyBallComplex
 from .groups import DEFAULT_BALL_BUDGET, FreeAbelianOracle, FreeGroupOracle, GroupOracle, Presentation, ball
 from .words import word_to_string
 
@@ -68,42 +67,6 @@ def all_geodesics(oracle: GroupOracle, start, end) -> list:
 
     descend(start, oracle.distance(start, end))
     return out
-
-
-def geodesic_in_window(complex_: CayleyBallComplex, u: int, v: int):
-    """Breadth-first geodesic between two ball vertices, lexicographic ties.
-
-    Returns (vertex index path, window_safe flag); the flag is False when
-    either endpoint is further than radius/2 from the center, in which
-    case the window may not realise the true distance.
-    """
-    safe = (
-        complex_.distances[u] <= complex_.radius // 2
-        and complex_.distances[v] <= complex_.radius // 2
-    )
-    if u == v:
-        return [u], safe
-    dist = {v: 0}
-    frontier = [v]
-    while frontier and u not in dist:
-        nxt = []
-        for w in frontier:
-            for _, t in complex_.neighbors[w]:
-                if t not in dist:
-                    dist[t] = dist[w] + 1
-                    nxt.append(t)
-        frontier = nxt
-    if u not in dist:
-        raise SpecParseError("vertices are not connected inside the window")
-    path = [u]
-    current = u
-    while current != v:
-        for _, t in complex_.neighbors[current]:
-            if dist.get(t, -1) == dist[current] - 1:
-                current = t
-                break
-        path.append(current)
-    return path, safe
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -165,3 +166,28 @@ def test_byte_identical_reruns(runner, args):
     second = invoke(runner, args)
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
+
+
+# sha256 of stdout: a refactor of the fill or folner layers must leave
+# these bytes unchanged
+GOLDEN_STDOUT = [
+    (["fill", "Z^2", "Z", "--radius", "6", "--max-word", "10"],
+     "ba375924703bae7ca15c7c0e14935e2b12a6ebaf2c9266a0e0a37a66c25761c1"),
+    (["fill", "Sigma2", "Z", "--radius", "4", "--max-word", "8"],
+     "4120023c5cc2b6796980f79f46fcdce310f09df8d6469f2182a981aa461a349a"),
+    (["fill", "Klein", "Z", "--radius", "4", "--max-word", "8"],
+     "1595faff3dd1ebaec7e6081e26950d7305fb0afd5d75163fbc698e55acf32d1b"),
+    (["folner", "Sigma2", "--family", "connected:5"],
+     "b552a6ee866399d64543636d39251d6de2d973be0d389081f78baf53e11bb864"),
+    (["folner", "F2", "--family", "connected:7"],
+     "d31d701a0cb3dbb18e7be271284edbe759e52779b97050087510814b22052a39"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest", GOLDEN_STDOUT, ids=[a[0] + ":" + "-".join(a[1:3]) for a, _ in GOLDEN_STDOUT]
+)
+def test_golden_stdout(runner, args, digest):
+    result = invoke(runner, args)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest

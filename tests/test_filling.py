@@ -16,11 +16,13 @@ from pdfill import (
     word_cycle,
 )
 from pdfill.errors import (
+    InvariantError,
     NoFillingError,
     NotACycleError,
     OutOfWindowError,
     SpecParseError,
 )
+from pdfill.filling import OneCycle, _verify_filler
 
 
 def square_word(n):
@@ -53,6 +55,42 @@ def test_build_examples():
     assert s2.vertex_count == 9 and s2.face_count == 0
 
 
+def walked_face_boundaries(complex_):
+    """Faces and their edge coefficients, found by reading every relator from
+    every vertex with the group's own multiplication."""
+    group = complex_.group
+    vertex_index = complex_.vertex_index
+    faces, boundaries = [], []
+    for start, base in enumerate(complex_.vertices):
+        for r, relator in enumerate(group.presentation.relators):
+            g, coefficients = base, {}
+            for letter in relator:
+                h = group.multiply(g, group.letter(letter))
+                if h not in vertex_index:
+                    break
+                gen = abs(letter)
+                s, t = (g, h) if letter > 0 else (h, g)
+                e = complex_.edge_index[(vertex_index[s], gen)]
+                assert complex_.edges[e] == (vertex_index[s], gen, vertex_index[t])
+                coefficients[e] = coefficients.get(e, 0) + (1 if letter > 0 else -1)
+                g = h
+            else:
+                assert g == base
+                faces.append((start, r))
+                boundaries.append({e: c for e, c in coefficients.items() if c})
+    return faces, boundaries
+
+
+@pytest.mark.parametrize(
+    "spec, radius", [("Z^2", 4), ("Sigma2", 3), ("Sigma2", 4), ("Klein", 4), ("T11b:3", 3)]
+)
+def test_face_boundaries_match_relator_walks(spec, radius):
+    complex_ = build_ball_complex(make_group(spec), radius)
+    faces, boundaries = walked_face_boundaries(complex_)
+    assert faces == complex_.faces
+    assert boundaries == complex_.face_boundaries
+
+
 def test_boundary_matrices_shape_and_composition():
     for spec, radius in (("Z^2", 3), ("Sigma2", 3), ("Klein", 3)):
         x = build_ball_complex(make_group(spec), radius)
@@ -72,6 +110,11 @@ def test_word_cycle_examples():
     assert relator.support_norm() == 8
     with pytest.raises(NotACycleError):
         word_cycle(z2, (1,))
+    with pytest.raises(NotACycleError):
+        OneCycle(z2, {0: 1})
+    for word in ((3, -3), (-3, 3), (0,)):
+        with pytest.raises(SpecParseError):
+            word_cycle(z2, word)
     with pytest.raises(OutOfWindowError):
         word_cycle(z2, (1, 1, 1, 1, -1, -1, -1, -1))
 
@@ -97,6 +140,17 @@ def test_minimal_filling_brute_force_cross_check(n):
     cycle = word_cycle(z2, square_word(n))
     result = minimal_filling(z2, cycle)
     assert result.filler_norm == brute_force_min_support(z2, cycle) == n * n
+
+
+def test_verify_filler_rejects_a_wrong_boundary():
+    z2 = build_ball_complex(free_abelian(2), 4)
+    cycle = word_cycle(z2, square_word(2))
+    filler = minimal_filling(z2, cycle).filler
+    _verify_filler(z2, cycle, filler)
+    face = min(filler)
+    for wrong in ({**filler, face: -filler[face]}, {f: c for f, c in filler.items() if f != face}):
+        with pytest.raises(InvariantError):
+            _verify_filler(z2, cycle, wrong)
 
 
 def test_relator_cycle_fills_with_one_face():

@@ -16,7 +16,7 @@ from pdfill import (
     surface_group,
 )
 from pdfill.errors import BudgetError, SpecParseError
-from pdfill.groups import Presentation
+from pdfill.groups import Presentation, cayley_steps
 from pdfill.words import free_reduce, invert_word, word_from_string
 
 
@@ -202,3 +202,26 @@ def test_word_length_is_a_metric_at_desk_scale(spec):
     oracle = make_group(spec)
     for g, d in ball(oracle, 3):
         assert oracle.word_length(g) == d
+
+
+@pytest.mark.parametrize("spec", builtin_group_specs() + ["C6"])
+def test_cayley_steps_match_multiplication(spec):
+    if spec == "C6":
+        oracle, radius = finite_table(cyclic_table(6)), 2
+    else:
+        oracle, radius = make_group(spec), 3
+    vertices = [g for g, _ in ball(oracle, radius)]
+    index = {g: i for i, g in enumerate(vertices)}
+    steps = cayley_steps(oracle, vertices)
+    assert len(steps) == len(vertices)
+    m = oracle.generator_count
+    letters = [letter for gen in range(1, m + 1) for letter in (gen, -gen)]
+    for i, g in enumerate(vertices):
+        expected = {}
+        for letter in letters:
+            j = index.get(oracle.multiply(g, oracle.letter(letter)))
+            assert steps[i].get(letter) == j
+            if j is not None:
+                expected[letter] = j
+        # no stray keys, and iteration runs 1, -1, 2, -2, ...
+        assert list(steps[i].items()) == list(expected.items())

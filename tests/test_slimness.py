@@ -1,7 +1,6 @@
 import pytest
 
 from pdfill import (
-    build_ball_complex,
     free_abelian,
     free_group,
     lex_geodesic,
@@ -13,7 +12,7 @@ from pdfill import (
 )
 from pdfill.errors import SpecParseError
 from pdfill.groups import Presentation
-from pdfill.slimness import SlimnessConstants, all_geodesics, geodesic_in_window
+from pdfill.slimness import SlimnessConstants, all_geodesics
 
 
 def test_lex_geodesic_trivial_and_tree():
@@ -32,21 +31,6 @@ def test_lex_geodesic_plane_tie_break():
     # the first generator moves first on ties
     assert path == [(0, 0), (1, 0), (1, 1)]
     assert len(all_geodesics(z2, (0, 0), (1, 1))) == 2
-
-
-def test_geodesic_in_window_agrees_with_metric_descent():
-    z2 = free_abelian(2)
-    window = build_ball_complex(z2, 4)
-    for target in ((1, 1), (2, 0), (1, -1), (0, 2)):
-        u = window.vertex_index[(0, 0)]
-        v = window.vertex_index[target]
-        path, safe = geodesic_in_window(window, u, v)
-        assert safe
-        vertices = [window.vertices[i] for i in path]
-        assert vertices == lex_geodesic(z2, (0, 0), target)
-    far = window.vertex_index[(4, 0)]
-    _, safe = geodesic_in_window(window, window.vertex_index[(0, 0)], far)
-    assert not safe
 
 
 def test_triangle_slimness_degenerate():
