@@ -9,15 +9,16 @@ characteristic.
 """
 
 from pdfill import INTEGERS, RATIONALS, Character, make_group
-from pdfill.complexes import fox_derivative, presentation_complex
+from pdfill.complexes import fox_derivatives_all, presentation_complex
 
 
 def main():
     print("== free derivatives ==")
     f2 = make_group("F2")
     word = (1, 2, -1, -2)   # a b a^-1 b^-1
-    for gen, name in ((1, "a"), (2, "b")):
-        print(f"d(aba^-1b^-1)/d{name} =", fox_derivative(INTEGERS, f2, word, gen).format())
+    derivatives = fox_derivatives_all(INTEGERS, f2, word)
+    for name, derivative in zip("ab", derivatives):
+        print(f"d(aba^-1b^-1)/d{name} =", derivative.format())
 
     print()
     print("== presentation complexes ==")

@@ -2,7 +2,12 @@
 isoperimetric probes (fillings, boundary ratios, slim triangles) on
 finite windows of Cayley 2-complexes."""
 
-from .complexes import ChainComplex, fox_derivative, fox_jacobian, presentation_complex
+from .complexes import (
+    ChainComplex,
+    fox_derivatives_all,
+    fox_jacobian,
+    presentation_complex,
+)
 from .errors import (
     BudgetError,
     GroupMismatchError,

@@ -98,35 +98,13 @@ class ChainComplex:
         }
 
 
-def fox_derivative(
-    ring: Ring, group: GroupOracle, word, generator: int
-) -> GroupRingElement:
-    """The free derivative of a word with respect to one generator.
+def fox_derivatives_all(ring: Ring, group: GroupOracle, word) -> list:
+    """All free derivatives of a word in one prefix walk, one per generator.
 
-    Follows the product rule d(uv) = du + u.dv with d(s)/d(s) = 1 and
+    Entry j - 1 is the derivative with respect to generator j.  Follows the
+    product rule d(uv) = du + u.dv with d(s)/d(s) = 1 and
     d(s^-1)/d(s) = -s^-1, the prefixes evaluated in the group.
     """
-    if not 1 <= generator <= group.generator_count:
-        raise SpecParseError(f"generator {generator} out of range")
-    terms = []
-    prefix = group.identity()
-    one = ring.one
-    for letter in word:
-        if abs(letter) > group.generator_count:
-            raise SpecParseError(f"letter {letter} out of range in {word!r}")
-        if letter > 0:
-            if letter == generator:
-                terms.append((prefix, one))
-            prefix = group.multiply(prefix, group.letter(letter))
-        else:
-            prefix = group.multiply(prefix, group.letter(letter))
-            if -letter == generator:
-                terms.append((prefix, -one))
-    return GroupRingElement(ring, group, terms)
-
-
-def fox_derivatives_all(ring: Ring, group: GroupOracle, word) -> list:
-    """All free derivatives of a word in one prefix walk, one per generator."""
     terms = [[] for _ in range(group.generator_count)]
     prefix = group.identity()
     one = ring.one

@@ -4,8 +4,12 @@ The complex is the radius-r window of the universal cover of a
 presentation 2-complex: vertices are group elements of the ball, there is
 one directed edge per (vertex, generator) whose endpoint stays in the
 ball, and one 2-cell per (vertex, relator) whose whole attaching path
-stays in the ball.  Boundary matrices are integer sparse matrices with
-the usual signed incidence.
+stays in the ball.  The boundary matrices ``boundary1`` and ``boundary2``
+(integer sparse matrices with the usual signed incidence) are built on
+demand from ``edges`` and ``face_boundaries``; they, and
+``OneCycle.to_vector``, are the only places numpy and scipy are used, so
+importing this module loads neither.  Every solver and check works on the
+edge and face dicts instead.
 
 The group is consulted once, through ``groups.cayley_steps``, to build the
 window's step table; after that every walk in the window (attaching paths,
@@ -25,9 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
-from scipy import sparse
 
 from .errors import (
     InvariantError,
@@ -57,8 +58,6 @@ class CayleyBallComplex:
     edge_index: dict     # (source index, generator index) -> edge index
     faces: list          # (base vertex index, relator index)
     face_boundaries: list  # per face: {edge index: nonzero coefficient}
-    boundary1: sparse.csr_matrix   # edges x vertices
-    boundary2: sparse.csr_matrix   # faces x edges
     max_face_length: int
 
     def __post_init__(self):
@@ -84,6 +83,43 @@ class CayleyBallComplex:
     def center_index(self) -> int:
         return self.vertex_index[self.group.identity()]
 
+    @property
+    def boundary1(self):
+        """The edges x vertices incidence matrix (self-loops give zero rows)."""
+        import numpy as np
+        from scipy import sparse
+
+        rows, cols, vals = [], [], []
+        for e, (s, _, t) in enumerate(self.edges):
+            if s == t:
+                continue
+            rows.extend([e, e])
+            cols.extend([t, s])
+            vals.extend([1, -1])
+        return sparse.csr_matrix(
+            (vals, (rows, cols)),
+            shape=(self.edge_count, self.vertex_count),
+            dtype=np.int64,
+        )
+
+    @property
+    def boundary2(self):
+        """The faces x edges matrix whose rows are ``face_boundaries``."""
+        import numpy as np
+        from scipy import sparse
+
+        rows, cols, vals = [], [], []
+        for f, boundary in enumerate(self.face_boundaries):
+            for e, c in boundary.items():
+                rows.append(f)
+                cols.append(e)
+                vals.append(c)
+        return sparse.csr_matrix(
+            (vals, (rows, cols)),
+            shape=(self.face_count, self.edge_count),
+            dtype=np.int64,
+        )
+
 
 def build_ball_complex(
     group: GroupOracle,
@@ -108,17 +144,6 @@ def build_ball_complex(
                 edge_index[(i, gen)] = len(edges)
                 edges.append((i, gen, j))
 
-    rows, cols, vals = [], [], []
-    for e, (s, _, t) in enumerate(edges):
-        if s == t:
-            continue
-        rows.extend([e, e])
-        cols.extend([t, s])
-        vals.extend([1, -1])
-    boundary1 = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(len(edges), len(vertices)), dtype=np.int64
-    )
-
     faces = []
     face_boundaries = []
     for i in range(len(vertices)):
@@ -132,18 +157,7 @@ def build_ball_complex(
             faces.append((i, r))
             face_boundaries.append(boundary)
 
-    rows, cols, vals = [], [], []
-    for f, boundary in enumerate(face_boundaries):
-        for e, c in boundary.items():
-            rows.append(f)
-            cols.append(e)
-            vals.append(c)
-    boundary2 = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(len(faces), len(edges)), dtype=np.int64
-    )
-
-    composite = boundary2 @ boundary1
-    if composite.count_nonzero():
+    if not all(_is_cycle(edges, boundary) for boundary in face_boundaries):
         raise InvariantError("face boundaries are not cycles: d1 o d2 != 0")
 
     max_face_length = max((len(rel) for rel in presentation.relators), default=0)
@@ -158,8 +172,6 @@ def build_ball_complex(
         edge_index=edge_index,
         faces=faces,
         face_boundaries=face_boundaries,
-        boundary1=boundary1,
-        boundary2=boundary2,
         max_face_length=max_face_length,
     )
 
@@ -187,6 +199,20 @@ def _trace(neighbors, edge_index, start, word):
     return current, {e: c for e, c in coefficients.items() if c}
 
 
+def _is_cycle(edges, coefficients) -> bool:
+    """Whether a 1-chain {edge index: coefficient} has zero boundary.
+
+    Each edge adds +c at its target and -c at its source, so a self-loop
+    nets to zero at its one vertex.
+    """
+    net: dict = {}
+    for e, c in coefficients.items():
+        s, _, t = edges[e]
+        net[t] = net.get(t, 0) + c
+        net[s] = net.get(s, 0) - c
+    return not any(net.values())
+
+
 @dataclass
 class OneCycle:
     """An integer 1-chain in the kernel of the edge boundary."""
@@ -200,15 +226,11 @@ class OneCycle:
             raise NotACycleError("chain is not in the kernel of the boundary")
 
     def is_cycle(self) -> bool:
-        edges = self.complex.edges
-        net: dict = {}
-        for e, c in self.coefficients.items():
-            s, _, t = edges[e]
-            net[t] = net.get(t, 0) + c
-            net[s] = net.get(s, 0) - c
-        return not any(net.values())
+        return _is_cycle(self.complex.edges, self.coefficients)
 
-    def to_vector(self) -> np.ndarray:
+    def to_vector(self):
+        import numpy as np
+
         vec = np.zeros(self.complex.edge_count, dtype=np.int64)
         for e, c in self.coefficients.items():
             vec[e] = c

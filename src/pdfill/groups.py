@@ -272,8 +272,15 @@ class SquaresPairOracle(TwistedPairOracle):
 
     def word_length(self, g):
         # the squares generators couple the two coordinates, so the metric
-        # is not |m| + |n|; grow a breadth-first distance table on demand
+        # is not |m| + |n|; grow a breadth-first distance table on demand,
+        # one whole sphere at a time, up to the ball budget
         while g not in self._dist:
+            if len(self._dist) > DEFAULT_BALL_BUDGET:
+                raise BudgetError(
+                    f"distance table of {self.name} exceeded budget "
+                    f"{DEFAULT_BALL_BUDGET} at radius {self._dist_radius}",
+                    attained_radius=self._dist_radius,
+                )
             self._dist_radius += 1
             nxt = []
             for h in self._dist_frontier:

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import pdfill
 from pdfill.cli import main
 
 
@@ -191,3 +196,35 @@ def test_golden_stdout(runner, args, digest):
     result = invoke(runner, args)
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+# numpy and scipy back only the on-demand boundary matrices; no command
+# builds those, so no command should pay for importing them
+NO_NUMPY_PROBE = """
+import contextlib, io, sys
+import pdfill, pdfill.cli
+commands = [
+    ["fill", "Z^2", "Z", "--radius", "3", "--max-word", "6"],
+    ["slim", "Z^2", "--radius", "4"],
+    ["folner", "F2", "--family", "connected:4"],
+    ["complex", "Sigma2", "Z", "--euler", "--homology", "Q"],
+    ["constants", "Sigma2", "--kappa", "1"],
+    ["transfer", "--kappa", "1", "--norm-x", "1", "--norm-z", "1", "--norm-h", "1"],
+]
+for args in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        pdfill.cli.main(args, standalone_mode=False)
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+"""
+
+
+def test_commands_load_no_numpy_or_scipy():
+    src = str(Path(pdfill.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    result = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_PROBE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

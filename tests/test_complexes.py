@@ -14,11 +14,7 @@ from pdfill import (
     make_group,
     residue_ring,
 )
-from pdfill.complexes import (
-    fox_derivative,
-    fox_derivatives_all,
-    presentation_complex,
-)
+from pdfill.complexes import fox_derivatives_all, presentation_complex
 from pdfill.errors import NotAFieldError, SpecParseError
 
 RINGS = [INTEGERS, RATIONALS, residue_ring(2), residue_ring(5)]
@@ -31,28 +27,18 @@ def monomial(group, word, ring=INTEGERS):
 def test_fox_derivative_base_cases():
     f2 = free_group(2)
     one = GroupRingElement.one(INTEGERS, f2)
-    assert fox_derivative(INTEGERS, f2, (1,), 1) == one
-    assert fox_derivative(INTEGERS, f2, (2,), 1).is_zero()
-    assert fox_derivative(INTEGERS, f2, (-1,), 1) == -monomial(f2, (-1,))
+    assert fox_derivatives_all(INTEGERS, f2, (1,))[0] == one
+    assert fox_derivatives_all(INTEGERS, f2, (2,))[0].is_zero()
+    assert fox_derivatives_all(INTEGERS, f2, (-1,))[0] == -monomial(f2, (-1,))
 
 
 def test_fox_derivative_commutator():
     f2 = free_group(2)
     one = GroupRingElement.one(INTEGERS, f2)
     # d(a b a^-1 b^-1)/da = 1 - a b a^-1
-    assert fox_derivative(INTEGERS, f2, (1, 2, -1, -2), 1) == one - monomial(
+    assert fox_derivatives_all(INTEGERS, f2, (1, 2, -1, -2))[0] == one - monomial(
         f2, (1, 2, -1)
     )
-
-
-def test_fox_derivatives_all_matches_single():
-    rng = random.Random(0)
-    f2 = free_group(2)
-    for _ in range(50):
-        word = tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 10)))
-        alls = fox_derivatives_all(INTEGERS, f2, word)
-        for j in (1, 2):
-            assert alls[j - 1] == fox_derivative(INTEGERS, f2, word, j)
 
 
 @pytest.mark.parametrize("spec", builtin_group_specs())

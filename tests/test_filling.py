@@ -22,7 +22,8 @@ from pdfill.errors import (
     OutOfWindowError,
     SpecParseError,
 )
-from pdfill.filling import OneCycle, _verify_filler
+from pdfill import filling
+from pdfill.filling import OneCycle, _is_cycle, _verify_filler
 
 
 def square_word(n):
@@ -92,11 +93,52 @@ def test_face_boundaries_match_relator_walks(spec, radius):
 
 
 def test_boundary_matrices_shape_and_composition():
-    for spec, radius in (("Z^2", 3), ("Sigma2", 3), ("Klein", 3)):
+    # Sigma2 radius 3 holds no face; radius 4 is the smallest window with one
+    for spec, radius in (("Z^2", 3), ("Sigma2", 3), ("Klein", 3), ("Sigma2", 4)):
         x = build_ball_complex(make_group(spec), radius)
-        assert x.boundary1.shape == (x.edge_count, x.vertex_count)
-        assert x.boundary2.shape == (x.face_count, x.edge_count)
-        assert (x.boundary2 @ x.boundary1).count_nonzero() == 0
+        boundary1, boundary2 = x.boundary1, x.boundary2
+        assert boundary1.shape == (x.edge_count, x.vertex_count)
+        assert boundary2.shape == (x.face_count, x.edge_count)
+        assert boundary1.dtype == boundary2.dtype == np.int64
+        assert (boundary2 @ boundary1).count_nonzero() == 0
+        # entry by entry against dense arrays read off the edge and face
+        # lists; boundary1 goes in row blocks to keep the dense copies small
+        for lo in range(0, x.edge_count, 512):
+            block = x.edges[lo:lo + 512]
+            expected = np.zeros((len(block), x.vertex_count), dtype=np.int64)
+            for row, (s, _, t) in enumerate(block):
+                expected[row, t] += 1
+                expected[row, s] -= 1
+            assert np.array_equal(boundary1[lo:lo + len(block)].toarray(), expected)
+        expected = np.zeros((x.face_count, x.edge_count), dtype=np.int64)
+        for f, boundary in enumerate(x.face_boundaries):
+            for e, c in boundary.items():
+                expected[f, e] = c
+        assert np.array_equal(boundary2.toarray(), expected)
+        # the net-boundary routine accepts every face and rejects a face
+        # with one coefficient flipped
+        for boundary in x.face_boundaries:
+            assert _is_cycle(x.edges, boundary)
+            e = next(iter(boundary))
+            assert not _is_cycle(x.edges, {**boundary, e: -boundary[e]})
+    assert x.face_count == 8   # the Sigma2 radius-4 window
+
+
+def test_build_rejects_face_boundaries_that_are_not_cycles(monkeypatch):
+    # flip one coefficient of every traced face: the d1 o d2 check must trip
+    real_trace = filling._trace
+
+    def flipped_trace(neighbors, edge_index, start, word):
+        traced = real_trace(neighbors, edge_index, start, word)
+        if traced is None:
+            return None
+        end, boundary = traced
+        first = next(iter(boundary))
+        return end, {**boundary, first: -boundary[first]}
+
+    monkeypatch.setattr(filling, "_trace", flipped_trace)
+    with pytest.raises(InvariantError, match="d1 o d2"):
+        build_ball_complex(free_abelian(2), 2)
 
 
 def test_word_cycle_examples():

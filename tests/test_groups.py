@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -16,7 +17,7 @@ from pdfill import (
     surface_group,
 )
 from pdfill.errors import BudgetError, SpecParseError
-from pdfill.groups import Presentation, cayley_steps
+from pdfill.groups import DEFAULT_BALL_BUDGET, Presentation, cayley_steps
 from pdfill.words import free_reduce, invert_word, word_from_string
 
 
@@ -79,6 +80,23 @@ def test_ball_sizes():
     assert len(ball(z2, 2)) == 13
     s2 = surface_group(2)
     assert len(ball(s2, 1)) == 9
+
+
+# Cannon's growth series for closed surface groups (Floyd-Plotnick 1987)
+CANNON_SPHERE_SIZES = {
+    "Sigma2": [1, 8, 56, 392, 2736, 19096],
+    "T11a:3": [1, 12, 132, 1452, 15972],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CANNON_SPHERE_SIZES))
+def test_sphere_sizes_match_cannon_growth_series(spec):
+    expected = CANNON_SPHERE_SIZES[spec]
+    elements = ball(make_group(spec), len(expected) - 1)
+    sizes = [0] * len(expected)
+    for _, d in elements:
+        sizes[d] += 1
+    assert sizes == expected
 
 
 def test_free_sphere_sizes_formula():
@@ -167,6 +185,23 @@ def test_squares_model_matches_presentation():
     for _ in range(200):
         g = random_element(t, rng)
         assert t.evaluate(t.as_word(g)) == g
+
+
+def test_squares_distance_table_is_bounded():
+    t = nonorientable_type(2)
+    assert t.word_length((3, 4)) == 6
+    # (400, 0) lies at radius 800, past the radius-316 sphere where the
+    # table passes the budget; unbounded, the table would reach 1.28M entries
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as err:
+        t.word_length((400, 0))
+    assert time.perf_counter() - start < 10
+    radius = err.value.attained_radius
+    assert radius is not None and f"radius {radius}" in str(err.value)
+    assert DEFAULT_BALL_BUDGET < len(t._dist) <= DEFAULT_BALL_BUDGET + 8 * (radius + 1)
+    # the table stays whole: distances inside it still answer
+    assert t.word_length((100, 0)) == 200
+    assert t.word_length((3, 4)) == 6
 
 
 def test_finite_table_oracle():
