@@ -20,7 +20,13 @@ import sys
 import click
 
 from .complexes import presentation_complex
-from .errors import BudgetError, InvalidCharacterError, InvariantError, PdfillError
+from .errors import (
+    BudgetError,
+    InvalidCharacterError,
+    InvariantError,
+    PdfillError,
+    SpecParseError,
+)
 from .filling import isoperimetric_sweep, transfer_constant
 from .folner import folner_sweep
 from .group_ring import Character
@@ -202,7 +208,7 @@ def cmd_constants(group_spec, kappa, output):
     """Corridor constants derived from the longest relator."""
     group = make_group(group_spec)
     if group.presentation is None:
-        raise BudgetError(f"group {group.name} has no presentation")
+        raise SpecParseError(f"group {group.name} has no presentation")
     constants = slimness_constants(group.presentation, kappa)
     _emit_json(constants.to_json_dict(), output)
 

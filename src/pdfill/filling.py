@@ -19,8 +19,8 @@ Each face's boundary is summed once, when the face is traced.
 
 ``minimal_filling`` finds a 2-chain of minimal support with a prescribed
 boundary, by exhaustive branch and bound over face coefficients in
-[-bound, bound] when the face count is small, and by a greedy residual
-cover (flagged non-optimal) otherwise.  All searches are deterministic:
+[-bound, bound] on every window; the search is capped at
+``MAX_SEARCH_NODES`` nodes per cycle.  All searches are deterministic:
 faces and edges are ordered by construction and ties break by index.
 """
 
@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
+    BudgetError,
     InvariantError,
     NoFillingError,
     NotACycleError,
@@ -41,7 +42,7 @@ from .groups import DEFAULT_BALL_BUDGET, GroupOracle, ball, cayley_steps
 from .rings import INTEGERS, Ring, frac_str
 from .words import word_to_string
 
-DEFAULT_EXACT_FACE_BUDGET = 64
+MAX_SEARCH_NODES = 1_000_000
 
 
 @dataclass
@@ -61,11 +62,10 @@ class CayleyBallComplex:
     max_face_length: int
 
     def __post_init__(self):
-        self.vertex_index = {g: i for i, g in enumerate(self.vertices)}
         edge_faces: dict = {}
         for f, boundary in enumerate(self.face_boundaries):
-            for e, c in boundary.items():
-                edge_faces.setdefault(e, []).append((f, c))
+            for e in boundary:
+                edge_faces.setdefault(e, []).append(f)
         self.edge_faces = edge_faces
 
     @property
@@ -81,7 +81,7 @@ class CayleyBallComplex:
         return len(self.faces)
 
     def center_index(self) -> int:
-        return self.vertex_index[self.group.identity()]
+        return 0   # ``ball`` lists the identity first
 
     @property
     def boundary1(self):
@@ -269,30 +269,19 @@ class FillingResult:
     optimal: bool
     coefficient_bound: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "cycle_norm": self.cycle_norm,
-            "filler_norm": self.filler_norm,
-            "ratio": frac_str(self.ratio),
-            "nodes_explored": self.nodes_explored,
-            "optimal": self.optimal,
-            "coefficient_bound": self.coefficient_bound,
-        }
-
 
 def minimal_filling(
     complex_: CayleyBallComplex,
     cycle: OneCycle,
     coefficient_bound: int = 1,
-    exact_face_budget: int = DEFAULT_EXACT_FACE_BUDGET,
 ) -> FillingResult:
     """A minimal-support 2-chain whose boundary is the given cycle.
 
-    Exhaustive over face coefficients in [-bound, bound] when the window
-    has at most ``exact_face_budget`` faces; greedy (and flagged
-    non-optimal) otherwise.  Raises ``NoFillingError`` when nothing in the
-    window at this bound has the right boundary; that never distinguishes
-    a small window from a non-bounding cycle.
+    Exhaustive over face coefficients in [-bound, bound], so every result
+    is optimal.  Raises ``NoFillingError`` when nothing in the window at
+    this bound has the right boundary; that never distinguishes a small
+    window from a non-bounding cycle.  Raises ``BudgetError`` when the
+    search passes ``MAX_SEARCH_NODES`` nodes.
     """
     if coefficient_bound < 1:
         raise SpecParseError("coefficient bound must be >= 1")
@@ -305,12 +294,7 @@ def minimal_filling(
             "no faces in the window: cycle does not bound here "
             "(window may be too small)"
         )
-    if complex_.face_count <= exact_face_budget:
-        filler, nodes = _exact_search(complex_, cycle, coefficient_bound)
-        optimal = True
-    else:
-        filler, nodes = _greedy_cover(complex_, cycle, coefficient_bound)
-        optimal = False
+    filler, nodes = _exact_search(complex_, cycle, coefficient_bound)
     _verify_filler(complex_, cycle, filler)
     filler_norm = len(filler)
     cycle_norm = cycle.support_norm()
@@ -321,7 +305,7 @@ def minimal_filling(
         filler_norm,
         Fraction(filler_norm, cycle_norm),
         nodes,
-        optimal,
+        True,
         coefficient_bound,
     )
 
@@ -340,8 +324,11 @@ def _exact_search(complex_, cycle, bound):
 
     A residual edge with the fewest unassigned incident faces is chosen;
     one of those faces must be nonzero, and branching on which face is the
-    first nonzero one partitions the space.  The lower bound is
-    ceil(residual support / max face length).
+    first nonzero one partitions the space whatever order the faces are
+    tried in.  They are tried best-first: by the smallest residual support
+    any allowed value leaves, then by index.  The lower bound is
+    ceil(residual support / max face length).  Raises ``BudgetError`` past
+    ``MAX_SEARCH_NODES`` nodes.
     """
     n_faces = complex_.face_count
     max_len = max(complex_.max_face_length, 1)
@@ -366,7 +353,7 @@ def _exact_search(complex_, cycle, bound):
         best_edge, best_free = None, None
         for e in residual:
             free = 0
-            for f, _ in edge_faces.get(e, ()):
+            for f in edge_faces.get(e, ()):
                 if assigned[f] is None:
                     free += 1
             if best_free is None or free < best_free or (
@@ -377,9 +364,22 @@ def _exact_search(complex_, cycle, bound):
                     break
         return best_edge, best_free
 
+    def ranked(face):
+        """(smallest support left, face, values in the order to try them)."""
+        order = sorted(
+            (_support_after(residual, face_boundaries[face], v), v < 0, abs(v), v)
+            for v in values
+        )
+        return order[0][0], face, [v for *_, v in order]
+
     def recurse(nonzero_count):
         nonlocal nodes
         nodes += 1
+        if nodes > MAX_SEARCH_NODES:
+            raise BudgetError(
+                f"filling search exceeded {MAX_SEARCH_NODES} nodes on a cycle "
+                f"of norm {cycle.support_norm()}"
+            )
         if not residual:
             if nonzero_count < best["support"]:
                 best["support"] = nonzero_count
@@ -393,27 +393,20 @@ def _exact_search(complex_, cycle, bound):
         edge, free = choose_edge()
         if free == 0:
             return
-        candidates = [f for f, _ in edge_faces[edge] if assigned[f] is None]
-        candidates.sort()
-        for pos, face in enumerate(candidates):
+        candidates = sorted(
+            ranked(f) for f in edge_faces[edge] if assigned[f] is None
+        )
+        for pos, (_, face, ordered) in enumerate(candidates):
             # faces before position pos stay zero on this branch
-            for earlier in candidates[:pos]:
+            for _, earlier, _ in candidates[:pos]:
                 assigned[earlier] = 0
-            ordered = sorted(
-                values,
-                key=lambda v: (
-                    _support_after(residual, face_boundaries[face], v),
-                    v < 0,
-                    abs(v),
-                ),
-            )
             for value in ordered:
                 assigned[face] = value
                 apply(face, value)
                 recurse(nonzero_count + 1)
                 apply(face, -value)
                 assigned[face] = None
-            for earlier in candidates[:pos]:
+            for _, earlier, _ in candidates[:pos]:
                 assigned[earlier] = None
 
     recurse(0)
@@ -437,55 +430,6 @@ def _support_after(residual, boundary, value):
     return support
 
 
-def _greedy_cover(complex_, cycle, bound):
-    """Repeatedly add the unused face cancelling the most residual edges.
-
-    Cancelled means the edge's residual coefficient drops to zero; the
-    choice may introduce new residual edges elsewhere (ties prefer fewer),
-    so progress is measured against the face supply, not the support size.
-    """
-    residual = dict(cycle.coefficients)
-    face_boundaries = complex_.face_boundaries
-    filler: dict = {}
-    nodes = 0
-    while residual:
-        nodes += 1
-        candidates = set()
-        for e in residual:
-            for f, _ in complex_.edge_faces.get(e, ()):
-                if f not in filler:
-                    candidates.add(f)
-        best_choice = None
-        for f in sorted(candidates):
-            for value in [v for k in range(1, bound + 1) for v in (k, -k)]:
-                cancelled = 0
-                introduced = 0
-                for e, c in face_boundaries[f].items():
-                    old = residual.get(e, 0)
-                    new = old - value * c
-                    if old and not new:
-                        cancelled += 1
-                    elif not old and new:
-                        introduced += 1
-                key = (-cancelled, introduced, f, value < 0, abs(value))
-                if best_choice is None or key < best_choice[0]:
-                    best_choice = (key, f, value)
-        if best_choice is None or best_choice[0][0] == 0:
-            raise NoFillingError(
-                "greedy search stalled: no unused face cancels a residual edge "
-                "(window may be too small)"
-            )
-        _, face, value = best_choice
-        filler[face] = value
-        for e, c in face_boundaries[face].items():
-            new = residual.get(e, 0) - value * c
-            if new:
-                residual[e] = new
-            else:
-                residual.pop(e, None)
-    return filler, nodes
-
-
 @dataclass
 class SweepReport:
     group: str
@@ -496,7 +440,6 @@ class SweepReport:
     filled: int
     unfilled: int
     max_ratio: Fraction
-    kappa_hat: Fraction
     per_cycle: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
@@ -509,7 +452,7 @@ class SweepReport:
             "filled": self.filled,
             "unfilled": self.unfilled,
             "max_ratio": frac_str(self.max_ratio),
-            "kappa_hat": frac_str(self.kappa_hat),
+            "kappa_hat": frac_str(self.max_ratio),
             "per_cycle": self.per_cycle,
         }
 
@@ -531,7 +474,6 @@ def isoperimetric_sweep(
     radius: int,
     word_length_cap: int,
     coefficient_bound: int = 1,
-    exact_face_budget: int = DEFAULT_EXACT_FACE_BUDGET,
     budget: int = DEFAULT_BALL_BUDGET,
     complex_: CayleyBallComplex | None = None,
 ) -> SweepReport:
@@ -557,9 +499,7 @@ def isoperimetric_sweep(
             "cycle_norm": cycle.support_norm(),
         }
         try:
-            result = minimal_filling(
-                complex_, cycle, coefficient_bound, exact_face_budget
-            )
+            result = minimal_filling(complex_, cycle, coefficient_bound)
         except NoFillingError as err:
             entry["status"] = "unfilled"
             entry["reason"] = str(err)
@@ -582,7 +522,6 @@ def isoperimetric_sweep(
         filled=filled,
         unfilled=unfilled,
         max_ratio=max_ratio,
-        kappa_hat=max_ratio,
         per_cycle=per_cycle,
     )
 

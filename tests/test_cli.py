@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import pdfill
+from pdfill import cli, cyclic_table, filling, finite_table
 from pdfill.cli import main
 
 
@@ -62,6 +63,13 @@ def test_usage_errors_exit_2(runner):
     assert invoke(runner, args).exit_code == 2
 
 
+def test_constants_without_presentation_exit_2(runner, monkeypatch):
+    monkeypatch.setattr(cli, "make_group", lambda spec: finite_table(cyclic_table(6)))
+    result = invoke(runner, ["constants", "C6", "--kappa", "1"])
+    assert result.exit_code == 2
+    assert "no presentation" in result.output
+
+
 def test_budget_errors_exit_3(runner):
     result = invoke(
         runner,
@@ -71,6 +79,14 @@ def test_budget_errors_exit_3(runner):
     assert result.exit_code == 3
     result = invoke(runner, ["folner", "F2", "--family", "connected:13"])
     assert result.exit_code == 3
+
+
+def test_filling_search_bound_exit_3(runner, monkeypatch):
+    monkeypatch.setattr(filling, "MAX_SEARCH_NODES", 2)
+    args = ["fill", "Z^2", "Z", "--radius", "3", "--max-word", "4"]
+    result = invoke(runner, args)
+    assert result.exit_code == 3
+    assert "filling search exceeded 2 nodes" in result.output
 
 
 def test_fill_report(runner):

@@ -16,6 +16,7 @@ from pdfill import (
     word_cycle,
 )
 from pdfill.errors import (
+    BudgetError,
     InvariantError,
     NoFillingError,
     NotACycleError,
@@ -60,7 +61,7 @@ def walked_face_boundaries(complex_):
     """Faces and their edge coefficients, found by reading every relator from
     every vertex with the group's own multiplication."""
     group = complex_.group
-    vertex_index = complex_.vertex_index
+    vertex_index = {g: i for i, g in enumerate(complex_.vertices)}
     faces, boundaries = [], []
     for start, base in enumerate(complex_.vertices):
         for r, relator in enumerate(group.presentation.relators):
@@ -242,16 +243,73 @@ def test_relator_path_out_of_small_window():
         word_cycle(s1, s1.group.presentation.relators[0])
 
 
-def test_greedy_fallback_flagged_and_correct():
-    z2 = build_ball_complex(free_abelian(2), 4)
-    cycle = word_cycle(z2, square_word(2))
-    result = minimal_filling(z2, cycle, exact_face_budget=3)   # force greedy
-    assert not result.optimal
-    assert result.filler_norm >= 4   # never better than the optimum
-    vec = np.zeros(z2.face_count, dtype=np.int64)
-    for f, c in result.filler.items():
-        vec[f] = c
-    assert np.array_equal(vec @ z2.boundary2, cycle.to_vector())
+def plane_word(text):
+    """The letters of a word in a, b printed as a^2*b^-1*..."""
+    word = []
+    for part in text.split("*"):
+        name, _, power = part.partition("^")
+        power = int(power) if power else 1
+        letter = "ab".index(name) + 1
+        word.extend([letter if power > 0 else -letter] * abs(power))
+    return tuple(word)
+
+
+def winding_numbers(word):
+    """{unit square (x, y): winding number of the lattice path around its
+    centre}, counted by the horizontal steps crossing the upward ray from
+    the centre: a leftward step above it counts +1, a rightward one -1."""
+    x = y = 0
+    winding: dict = {}
+    for letter in word:
+        if abs(letter) == 1:
+            column = x if letter == 1 else x - 1
+            for below in range(-len(word), y):
+                winding[(column, below)] = winding.get((column, below), 0) - letter
+            x += letter
+        else:
+            y += 1 if letter == 2 else -1
+    assert (x, y) == (0, 0)
+    return {square: w for square, w in winding.items() if w}
+
+
+def test_exact_on_the_radius_12_plane_window():
+    z2 = build_ball_complex(free_abelian(2), 12)
+    assert z2.face_count == 264
+    for n in range(1, 7):
+        result = minimal_filling(z2, word_cycle(z2, square_word(n)))
+        assert result.filler_norm == n * n
+        assert result.optimal
+    word = plane_word("a^2*b^2*a^-1*b^-1*a^-1*b*a^-1*b^-2*a")
+    assert minimal_filling(z2, word_cycle(z2, word)).filler_norm == 5
+
+
+def test_sweep_matches_winding_numbers_above_64_faces():
+    # The filling in the plane is unique: each square's coefficient is the
+    # winding number around it.  A closed word of length <= 8 has a bounding
+    # box of half-perimeter <= 4 around the origin, so every square it
+    # encloses is a face of the radius-8 window.
+    z2 = free_abelian(2)
+    complex_ = build_ball_complex(z2, 8)
+    assert complex_.face_count == 112
+    report = isoperimetric_sweep(z2, 8, 8, complex_=complex_)
+    assert report.corpus_size > 0 and report.unfilled > 0
+    for entry in report.per_cycle:
+        winding = winding_numbers(plane_word(entry["word"]))
+        if max(abs(w) for w in winding.values()) > 1:
+            assert entry["status"] == "unfilled"
+        else:
+            assert entry["status"] == "filled"
+            assert entry["filler_norm"] == len(winding)
+            assert entry["optimal"] is True
+
+
+def test_exact_search_node_bound(monkeypatch):
+    z2 = build_ball_complex(free_abelian(2), 6)
+    cycle = word_cycle(z2, square_word(3))
+    assert minimal_filling(z2, cycle).nodes_explored > 5
+    monkeypatch.setattr(filling, "MAX_SEARCH_NODES", 5)
+    with pytest.raises(BudgetError, match="5 nodes"):
+        minimal_filling(z2, cycle)
 
 
 def test_exact_search_matches_brute_force_on_sweep_corpus():
@@ -269,7 +327,7 @@ def test_exact_search_matches_brute_force_on_sweep_corpus():
 def test_sweep_free_group_empty_corpus():
     report = isoperimetric_sweep(free_group(2), 3, 6)
     assert report.corpus_size == 0
-    assert report.kappa_hat == 0
+    assert report.max_ratio == 0
 
 
 def test_sweep_square_ladder():
