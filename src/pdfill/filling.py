@@ -4,12 +4,8 @@ The complex is the radius-r window of the universal cover of a
 presentation 2-complex: vertices are group elements of the ball, there is
 one directed edge per (vertex, generator) whose endpoint stays in the
 ball, and one 2-cell per (vertex, relator) whose whole attaching path
-stays in the ball.  The boundary matrices ``boundary1`` and ``boundary2``
-(integer sparse matrices with the usual signed incidence) are built on
-demand from ``edges`` and ``face_boundaries``; they, and
-``OneCycle.to_vector``, are the only places numpy and scipy are used, so
-importing this module loads neither.  Every solver and check works on the
-edge and face dicts instead.
+stays in the ball.  Every solver and check works on the edge list and the
+per-face boundary dicts (``face_boundaries``); no matrix is built.
 
 The group is consulted once, through ``groups.cayley_steps``, to build the
 window's step table; after that every walk in the window (attaching paths,
@@ -79,46 +75,6 @@ class CayleyBallComplex:
     @property
     def face_count(self):
         return len(self.faces)
-
-    def center_index(self) -> int:
-        return 0   # ``ball`` lists the identity first
-
-    @property
-    def boundary1(self):
-        """The edges x vertices incidence matrix (self-loops give zero rows)."""
-        import numpy as np
-        from scipy import sparse
-
-        rows, cols, vals = [], [], []
-        for e, (s, _, t) in enumerate(self.edges):
-            if s == t:
-                continue
-            rows.extend([e, e])
-            cols.extend([t, s])
-            vals.extend([1, -1])
-        return sparse.csr_matrix(
-            (vals, (rows, cols)),
-            shape=(self.edge_count, self.vertex_count),
-            dtype=np.int64,
-        )
-
-    @property
-    def boundary2(self):
-        """The faces x edges matrix whose rows are ``face_boundaries``."""
-        import numpy as np
-        from scipy import sparse
-
-        rows, cols, vals = [], [], []
-        for f, boundary in enumerate(self.face_boundaries):
-            for e, c in boundary.items():
-                rows.append(f)
-                cols.append(e)
-                vals.append(c)
-        return sparse.csr_matrix(
-            (vals, (rows, cols)),
-            shape=(self.face_count, self.edge_count),
-            dtype=np.int64,
-        )
 
 
 def build_ball_complex(
@@ -228,14 +184,6 @@ class OneCycle:
     def is_cycle(self) -> bool:
         return _is_cycle(self.complex.edges, self.coefficients)
 
-    def to_vector(self):
-        import numpy as np
-
-        vec = np.zeros(self.complex.edge_count, dtype=np.int64)
-        for e, c in self.coefficients.items():
-            vec[e] = c
-        return vec
-
     def support_norm(self) -> int:
         return len(self.coefficients)
 
@@ -248,7 +196,7 @@ def word_cycle(complex_: CayleyBallComplex, word) -> OneCycle:
     for letter in word:
         if not 1 <= abs(letter) <= complex_.group.generator_count:
             raise SpecParseError(f"letter {letter} out of range")
-    center = complex_.center_index()
+    center = 0   # ``ball`` lists the identity first
     traced = _trace(complex_.neighbors, complex_.edge_index, center, word)
     if traced is None:
         raise OutOfWindowError(f"path leaves the radius-{complex_.radius} window")
@@ -266,7 +214,6 @@ class FillingResult:
     filler_norm: int
     ratio: Fraction
     nodes_explored: int
-    optimal: bool
     coefficient_bound: int
 
 
@@ -287,7 +234,7 @@ def minimal_filling(
         raise SpecParseError("coefficient bound must be >= 1")
     if not cycle.coefficients:
         return FillingResult(
-            cycle, {}, 0, 0, Fraction(0), 0, True, coefficient_bound
+            cycle, {}, 0, 0, Fraction(0), 0, coefficient_bound
         )
     if complex_.face_count == 0:
         raise NoFillingError(
@@ -305,7 +252,6 @@ def minimal_filling(
         filler_norm,
         Fraction(filler_norm, cycle_norm),
         nodes,
-        True,
         coefficient_bound,
     )
 
@@ -508,7 +454,7 @@ def isoperimetric_sweep(
             entry["status"] = "filled"
             entry["filler_norm"] = result.filler_norm
             entry["ratio"] = frac_str(result.ratio)
-            entry["optimal"] = result.optimal
+            entry["optimal"] = True   # the search is exhaustive
             filled += 1
             if result.ratio > max_ratio:
                 max_ratio = result.ratio
@@ -534,7 +480,7 @@ def _closed_cycles(complex_, cap):
     skipped when its target lies farther from the center than the moves
     left, since no walk from there closes within the cap.
     """
-    center = complex_.center_index()
+    center = 0   # ``ball`` lists the identity first
     neighbors = complex_.neighbors
     distances = complex_.distances
     edge_index = complex_.edge_index

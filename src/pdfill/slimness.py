@@ -9,33 +9,73 @@ stabilise.  Reports are window-relative estimates, never certificates.
 Distances use the exact word metric of the group (canonical forms are
 geodesic words), which agrees with ball-graph distances without window
 distortion.  Geodesic sides are built by steepest descent with moves
-ordered by generator index, matching a breadth-first search with
-lexicographic tie-breaking.
+ordered by generator index, then sign (1, -1, 2, -2, ...), matching a
+breadth-first search with lexicographic tie-breaking.  The descent spells
+the lexicographically least geodesic word from one corner to the other.
+
+Free groups and Dehn presentations skip the descent: their elements are
+their own shortlex-least geodesic words, in the same letter order
+(``words.letter_key``), and every prefix of a lex-least geodesic word is
+itself lex-least.  So the side from a to b is a times the prefixes of
+a^-1 b, exactly the path the descent would take.
+
+One sweep asks for the same distance and the same side many times over:
+a corner sits in many triangles, and a side vertex is measured against
+many other sides.  ``slimness_sweep`` keeps a memo of both and drops it
+when it returns: per side vertex, a dict of its distances filled on first
+lookup, and the sides keyed by the ordered corner pair (the side from a
+to b need not be the side from b to a reversed).  Corner triples are
+drawn from an indexable view of ``itertools.combinations``, so the list
+of every triple is never built.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
+import operator
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import SpecParseError
-from .groups import DEFAULT_BALL_BUDGET, FreeAbelianOracle, FreeGroupOracle, GroupOracle, Presentation, ball
+from .groups import (
+    DEFAULT_BALL_BUDGET,
+    DehnOracle,
+    FreeAbelianOracle,
+    FreeGroupOracle,
+    GroupOracle,
+    Presentation,
+    ball,
+)
 from .words import word_to_string
 
 DEFAULT_TRIPLE_BUDGET = 20_000
 
 
-def lex_geodesic(oracle: GroupOracle, start, end) -> list:
-    """One geodesic vertex path, smallest generator move first on ties."""
+def lex_geodesic(oracle: GroupOracle, start, end, distance=None) -> list:
+    """One geodesic vertex path, smallest generator move first on ties.
+
+    ``distance(x, y)`` defaults to ``oracle.distance``; a sweep passes its
+    memoised one.  Free and Dehn oracles read the path off the canonical
+    word of start^-1 end (see the module docstring).
+    """
+    if isinstance(oracle, (DehnOracle, FreeGroupOracle)):
+        path = [start]
+        for letter in oracle.multiply(oracle.invert(start), end):
+            path.append(oracle.multiply(path[-1], oracle.letter(letter)))
+        return path
+    if distance is None:
+        distance = oracle.distance
     path = [start]
     current = start
-    remaining = oracle.distance(current, end)
+    remaining = distance(current, end)
     while remaining > 0:
         for index in range(1, oracle.generator_count + 1):
             for letter in (index, -index):
                 candidate = oracle.multiply(current, oracle.letter(letter))
-                if oracle.distance(candidate, end) == remaining - 1:
+                if distance(candidate, end) == remaining - 1:
                     current = candidate
                     break
             else:
@@ -69,6 +109,50 @@ def all_geodesics(oracle: GroupOracle, start, end) -> list:
     return out
 
 
+class _Combinations(Sequence):
+    """``itertools.combinations(items, r)`` as a sequence, without the list.
+
+    Index i is the i-th combination in lexicographic order, found by
+    unranking, so ``random.Random.sample`` draws from it exactly what it
+    draws from the list.
+    """
+
+    def __init__(self, items, r: int):
+        self._items = tuple(items)
+        self._r = r
+        self._len = math.comb(len(self._items), r)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return itertools.combinations(self._items, self._r)
+
+    def __getitem__(self, index) -> tuple:
+        index = operator.index(index)
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("combination index out of range")
+        n = len(self._items)
+        out = []
+        lo = 0
+        for left in range(self._r, 0, -1):
+            # the combinations left in this block whose next item lies below
+            # c number total - comb(n - c, left); take the last c with at
+            # most ``index`` of them
+            total = math.comb(n - lo, left)
+
+            def below(c):
+                return total - math.comb(n - c, left)
+
+            c = bisect.bisect_right(range(lo, n - left + 1), index, key=below) - 1 + lo
+            index -= below(c)
+            out.append(self._items[c])
+            lo = c + 1
+        return tuple(out)
+
+
 @dataclass
 class SlimnessReport:
     group: str
@@ -93,19 +177,64 @@ class SlimnessReport:
         }
 
 
-def triangle_slimness(oracle: GroupOracle, corners) -> int:
-    """Minimal d such that the lex-geodesic triangle on the corners is d-slim."""
+class _DistanceRow(dict):
+    """Distances from one element, each computed on first lookup."""
+
+    def __init__(self, oracle: GroupOracle, origin):
+        super().__init__()
+        self.oracle = oracle
+        self.origin = origin
+
+    def __missing__(self, target) -> int:
+        value = self[target] = self.oracle.distance(self.origin, target)
+        return value
+
+
+class _SweepMetric:
+    """Distances and lex-geodesic sides, each computed once per sweep.
+
+    Both are keyed by the ordered pair: distances as ``row(x)[y]``, sides
+    as ``side(a, b)``.
+    """
+
+    def __init__(self, oracle: GroupOracle):
+        self.oracle = oracle
+        self._rows: dict = {}
+        self._sides: dict = {}
+
+    def row(self, x) -> _DistanceRow:
+        row = self._rows.get(x)
+        if row is None:
+            row = self._rows[x] = _DistanceRow(self.oracle, x)
+        return row
+
+    def distance(self, x, y) -> int:
+        return self.row(x)[y]
+
+    def side(self, a, b) -> list:
+        key = (a, b)
+        path = self._sides.get(key)
+        if path is None:
+            path = self._sides[key] = lex_geodesic(self.oracle, a, b, self.distance)
+        return path
+
+
+def triangle_slimness(oracle: GroupOracle, corners, metric: _SweepMetric | None = None) -> int:
+    """Minimal d such that the lex-geodesic triangle on the corners is d-slim.
+
+    ``metric`` is the memo of the sweep this triangle belongs to; without
+    one, the triangle gets a memo of its own.
+    """
+    if metric is None:
+        metric = _SweepMetric(oracle)
+    row = metric.row
     a, b, c = corners
-    sides = [
-        lex_geodesic(oracle, a, b),
-        lex_geodesic(oracle, b, c),
-        lex_geodesic(oracle, c, a),
-    ]
+    sides = [metric.side(a, b), metric.side(b, c), metric.side(c, a)]
     worst = 0
     for i in range(3):
         others = sides[(i + 1) % 3] + sides[(i + 2) % 3]
         for x in sides[i]:
-            nearest = min(oracle.distance(x, y) for y in others)
+            nearest = min(map(row(x).__getitem__, others))
             if nearest > worst:
                 worst = nearest
     return worst
@@ -161,7 +290,7 @@ def slimness_sweep(
     sphere_radius = radius // 2
     elements = ball(oracle, sphere_radius, budget=budget)
     corners = [g for g, d in elements if d == sphere_radius]
-    triples = list(itertools.combinations(corners, 3))
+    triples = _Combinations(corners, 3)
     limit = triple_budget if sample is None else sample
     sampled = len(triples) > limit
     if sampled:
@@ -173,10 +302,11 @@ def slimness_sweep(
             and len(triples) <= 200
         )
 
+    metric = _SweepMetric(oracle)
     delta_hat = 0
     witness = None
     for triple in triples:
-        value = triangle_slimness(oracle, triple)
+        value = triangle_slimness(oracle, triple, metric)
         if value > delta_hat:
             delta_hat = value
             witness = triple

@@ -1,0 +1,46 @@
+"""Sparse boundary matrices of a Cayley window, built from its edge list and
+face boundaries.  Only the tests read them, as a linear-algebra reference
+for the dict-based solver and checks; numpy and scipy are test dependencies.
+"""
+
+import numpy as np
+from scipy import sparse
+
+
+def boundary1(complex_):
+    """The edges x vertices incidence matrix (self-loops give zero rows)."""
+    rows, cols, vals = [], [], []
+    for e, (s, _, t) in enumerate(complex_.edges):
+        if s == t:
+            continue
+        rows.extend([e, e])
+        cols.extend([t, s])
+        vals.extend([1, -1])
+    return sparse.csr_matrix(
+        (vals, (rows, cols)),
+        shape=(complex_.edge_count, complex_.vertex_count),
+        dtype=np.int64,
+    )
+
+
+def boundary2(complex_):
+    """The faces x edges matrix whose rows are ``face_boundaries``."""
+    rows, cols, vals = [], [], []
+    for f, boundary in enumerate(complex_.face_boundaries):
+        for e, c in boundary.items():
+            rows.append(f)
+            cols.append(e)
+            vals.append(c)
+    return sparse.csr_matrix(
+        (vals, (rows, cols)),
+        shape=(complex_.face_count, complex_.edge_count),
+        dtype=np.int64,
+    )
+
+
+def cycle_vector(cycle):
+    """The cycle's coefficients as a dense vector indexed by edge."""
+    vec = np.zeros(cycle.complex.edge_count, dtype=np.int64)
+    for e, c in cycle.coefficients.items():
+        vec[e] = c
+    return vec

@@ -189,8 +189,8 @@ def test_byte_identical_reruns(runner, args):
     assert first.output == second.output
 
 
-# sha256 of stdout: a refactor of the fill or folner layers must leave
-# these bytes unchanged
+# sha256 of stdout: a refactor of the fill, folner or slim layers must
+# leave these bytes unchanged
 GOLDEN_STDOUT = [
     (["fill", "Z^2", "Z", "--radius", "6", "--max-word", "10"],
      "ba375924703bae7ca15c7c0e14935e2b12a6ebaf2c9266a0e0a37a66c25761c1"),
@@ -202,6 +202,16 @@ GOLDEN_STDOUT = [
      "b552a6ee866399d64543636d39251d6de2d973be0d389081f78baf53e11bb864"),
     (["folner", "F2", "--family", "connected:7"],
      "d31d701a0cb3dbb18e7be271284edbe759e52779b97050087510814b22052a39"),
+    (["slim", "Sigma2", "--radius", "4", "--samples", "2000", "--seed", "1"],
+     "02110bb5099d4a4109f6c9e6c8ececc6191132a23eeb89b5d3ce196449f0c312"),
+    (["slim", "T11b:3", "--radius", "4"],
+     "326e44422e8bb8a96582c9ec72fd8ed786c9a617ebebddfbf825cdd20845f907"),
+    (["slim", "Z^2", "--radius", "6"],
+     "83353236487fe79c971156aa11499e457b1c62f8fa8bc65e420d438869ac2568"),
+    (["slim", "Klein", "--radius", "6"],
+     "5a8d2e986ee14393d0359147778514471b0165d1fe441711b1c2157bf8e496b2"),
+    (["slim", "F2", "--radius", "4"],
+     "4faf81938a724a3910739d2040b9aa90d09dcfe418d87251cbf41f2e8b08f35e"),
 ]
 
 
@@ -214,8 +224,8 @@ def test_golden_stdout(runner, args, digest):
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
 
-# numpy and scipy back only the on-demand boundary matrices; no command
-# builds those, so no command should pay for importing them
+# numpy and scipy are test dependencies only (the reference boundary
+# matrices in tests/boundary_matrices.py); no command may import them
 NO_NUMPY_PROBE = """
 import contextlib, io, sys
 import pdfill, pdfill.cli

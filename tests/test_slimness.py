@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from pdfill import (
@@ -11,8 +14,8 @@ from pdfill import (
     triangle_slimness,
 )
 from pdfill.errors import SpecParseError
-from pdfill.groups import Presentation
-from pdfill.slimness import SlimnessConstants, all_geodesics
+from pdfill.groups import Presentation, ball
+from pdfill.slimness import SlimnessConstants, _Combinations, _SweepMetric, all_geodesics
 
 
 def test_lex_geodesic_trivial_and_tree():
@@ -116,3 +119,99 @@ def test_constants_validation():
         slimness_constants(Presentation(2, ()), 1)
     with pytest.raises(SpecParseError):
         SlimnessConstants(N=8, kappa=1, k=64, m=8)
+
+
+def sphere_words(oracle, radius):
+    """Element -> a geodesic word, for every element at distance radius,
+    found breadth-first with the oracle's multiplication alone."""
+    words = {oracle.identity(): ()}
+    frontier = [oracle.identity()]
+    for _ in range(radius):
+        nxt = []
+        for g in frontier:
+            for index in range(1, oracle.generator_count + 1):
+                for letter in (index, -index):
+                    h = oracle.multiply(g, oracle.letter(letter))
+                    if h not in words:
+                        words[h] = words[g] + (letter,)
+                        nxt.append(h)
+        frontier = nxt
+    return {g: words[g] for g in frontier}
+
+
+def naive_lex_geodesic(oracle, start, start_word, end):
+    """Greedy descent over oracle.multiply, oracle.letter and
+    oracle.word_length only: from each vertex take the first letter in the
+    order 1, -1, 2, -2, ... that brings the end one step closer."""
+    inverse = oracle.identity()
+    for letter in reversed(start_word):
+        inverse = oracle.multiply(inverse, oracle.letter(-letter))
+    rest = oracle.multiply(inverse, end)     # current^-1 * end
+    path = [start]
+    remaining = oracle.word_length(rest)
+    while remaining:
+        for letter in (s for i in range(1, oracle.generator_count + 1) for s in (i, -i)):
+            shorter = oracle.multiply(oracle.letter(-letter), rest)
+            if oracle.word_length(shorter) == remaining - 1:
+                path.append(oracle.multiply(path[-1], oracle.letter(letter)))
+                rest, remaining = shorter, remaining - 1
+                break
+        else:
+            raise AssertionError("no letter shortens the rest of the path")
+    return path
+
+
+@pytest.mark.parametrize("spec", ["Sigma2", "T11a:3", "T11b:3", "T11b:4", "F2"])
+def test_lex_geodesic_matches_naive_descent(spec):
+    # free and Dehn oracles read sides off canonical words; the sides must
+    # be the ones the greedy descent takes
+    oracle = make_group(spec)
+    corners = {**sphere_words(oracle, 1), **sphere_words(oracle, 2)}
+    pairs = [(a, b) for a in corners for b in corners if a != b]
+    if len(pairs) > 3000:
+        pairs = random.Random(0).sample(pairs, 3000)
+    for a, b in pairs:
+        assert lex_geodesic(oracle, a, b) == naive_lex_geodesic(oracle, a, corners[a], b)
+
+
+@pytest.mark.parametrize("spec, sphere_radius", [("Sigma2", 2), ("T11b:3", 2), ("Z^2", 3)])
+def test_shared_memo_matches_fresh_triangles(spec, sphere_radius):
+    # one memo across many triangles must give each triangle the slimness
+    # it has on its own; the side from b to a is not the side from a to b
+    # reversed, so sides are keyed by the ordered pair
+    oracle = make_group(spec)
+    corners = [g for g, d in ball(oracle, sphere_radius) if d == sphere_radius]
+    triples = list(combinations(corners, 3))
+    if len(triples) > 300:
+        triples = random.Random(0).sample(triples, 300)
+    shared = _SweepMetric(oracle)
+    values = [triangle_slimness(oracle, t, shared) for t in triples]
+    assert values == [triangle_slimness(oracle, t) for t in triples]
+    assert len(set(values)) > 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12])
+def test_combinations_view_matches_itertools(n):
+    for r in range(5):
+        view = _Combinations(range(n), r)
+        expected = list(combinations(range(n), r))
+        assert len(view) == len(expected)
+        assert [view[i] for i in range(len(view))] == expected
+        assert list(view) == expected
+        assert [view[-i] for i in range(1, len(view) + 1)] == expected[::-1]
+        with pytest.raises(IndexError):
+            view[len(view)]
+        with pytest.raises(IndexError):
+            view[-len(view) - 1]
+
+
+@pytest.mark.parametrize("n", [12, 20, 30, 56])
+def test_sampling_the_view_matches_sampling_the_list(n):
+    # the sweep samples triples from the view; the draws must be those of
+    # the list it replaces, in both of random.sample's strategies
+    view = _Combinations(range(n), 3)
+    triples = list(combinations(range(n), 3))
+    for k in (1, 17, 300, 2000, 20000):
+        k = min(k, len(triples))
+        for seed in (0, 5):
+            assert random.Random(seed).sample(view, k) == random.Random(seed).sample(triples, k)
