@@ -24,9 +24,9 @@ a corner sits in many triangles, and a side vertex is measured against
 many other sides.  ``slimness_sweep`` keeps a memo of both and drops it
 when it returns: per side vertex, a dict of its distances filled on first
 lookup, and the sides keyed by the ordered corner pair (the side from a
-to b need not be the side from b to a reversed).  Corner triples are
-drawn from an indexable view of ``itertools.combinations``, so the list
-of every triple is never built.
+to b need not be the side from b to a reversed).  A sampled sweep draws
+triple indices and unranks them, so the list of every triple is never
+built.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import SpecParseError
@@ -54,28 +52,25 @@ from .words import word_to_string
 DEFAULT_TRIPLE_BUDGET = 20_000
 
 
-def lex_geodesic(oracle: GroupOracle, start, end, distance=None) -> list:
+def lex_geodesic(oracle: GroupOracle, start, end) -> list:
     """One geodesic vertex path, smallest generator move first on ties.
 
-    ``distance(x, y)`` defaults to ``oracle.distance``; a sweep passes its
-    memoised one.  Free and Dehn oracles read the path off the canonical
-    word of start^-1 end (see the module docstring).
+    Free and Dehn oracles read the path off the canonical word of
+    start^-1 end (see the module docstring).
     """
     if isinstance(oracle, (DehnOracle, FreeGroupOracle)):
         path = [start]
         for letter in oracle.multiply(oracle.invert(start), end):
             path.append(oracle.multiply(path[-1], oracle.letter(letter)))
         return path
-    if distance is None:
-        distance = oracle.distance
     path = [start]
     current = start
-    remaining = distance(current, end)
+    remaining = oracle.distance(current, end)
     while remaining > 0:
         for index in range(1, oracle.generator_count + 1):
             for letter in (index, -index):
                 candidate = oracle.multiply(current, oracle.letter(letter))
-                if distance(candidate, end) == remaining - 1:
+                if oracle.distance(candidate, end) == remaining - 1:
                     current = candidate
                     break
             else:
@@ -109,48 +104,25 @@ def all_geodesics(oracle: GroupOracle, start, end) -> list:
     return out
 
 
-class _Combinations(Sequence):
-    """``itertools.combinations(items, r)`` as a sequence, without the list.
+def _unrank(items, r: int, index: int) -> tuple:
+    """The index-th entry of ``itertools.combinations(items, r)``."""
+    n = len(items)
+    out = []
+    lo = 0
+    for left in range(r, 0, -1):
+        # the combinations left in this block whose next item lies below c
+        # number total - comb(n - c, left); take the last c with at most
+        # ``index`` of them
+        total = math.comb(n - lo, left)
 
-    Index i is the i-th combination in lexicographic order, found by
-    unranking, so ``random.Random.sample`` draws from it exactly what it
-    draws from the list.
-    """
+        def below(c):
+            return total - math.comb(n - c, left)
 
-    def __init__(self, items, r: int):
-        self._items = tuple(items)
-        self._r = r
-        self._len = math.comb(len(self._items), r)
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __iter__(self):
-        return itertools.combinations(self._items, self._r)
-
-    def __getitem__(self, index) -> tuple:
-        index = operator.index(index)
-        if index < 0:
-            index += self._len
-        if not 0 <= index < self._len:
-            raise IndexError("combination index out of range")
-        n = len(self._items)
-        out = []
-        lo = 0
-        for left in range(self._r, 0, -1):
-            # the combinations left in this block whose next item lies below
-            # c number total - comb(n - c, left); take the last c with at
-            # most ``index`` of them
-            total = math.comb(n - lo, left)
-
-            def below(c):
-                return total - math.comb(n - c, left)
-
-            c = bisect.bisect_right(range(lo, n - left + 1), index, key=below) - 1 + lo
-            index -= below(c)
-            out.append(self._items[c])
-            lo = c + 1
-        return tuple(out)
+        c = bisect.bisect_right(range(lo, n - left + 1), index, key=below) - 1 + lo
+        index -= below(c)
+        out.append(items[c])
+        lo = c + 1
+    return tuple(out)
 
 
 @dataclass
@@ -208,14 +180,11 @@ class _SweepMetric:
             row = self._rows[x] = _DistanceRow(self.oracle, x)
         return row
 
-    def distance(self, x, y) -> int:
-        return self.row(x)[y]
-
     def side(self, a, b) -> list:
         key = (a, b)
         path = self._sides.get(key)
         if path is None:
-            path = self._sides[key] = lex_geodesic(self.oracle, a, b, self.distance)
+            path = self._sides[key] = lex_geodesic(self.oracle, a, b)
         return path
 
 
@@ -290,12 +259,16 @@ def slimness_sweep(
     sphere_radius = radius // 2
     elements = ball(oracle, sphere_radius, budget=budget)
     corners = [g for g, d in elements if d == sphere_radius]
-    triples = _Combinations(corners, 3)
     limit = triple_budget if sample is None else sample
-    sampled = len(triples) > limit
+    count = math.comb(len(corners), 3)
+    sampled = count > limit
     if sampled:
-        rng = random.Random(seed)
-        triples = rng.sample(triples, limit)
+        # random.sample reads population[j] only at the indices it draws,
+        # so these are the triples it would draw from the full list
+        indices = random.Random(seed).sample(range(count), limit)
+        triples = [_unrank(corners, 3, j) for j in indices]
+    else:
+        triples = list(itertools.combinations(corners, 3))
     if cross_check is None:
         cross_check = (
             isinstance(oracle, (FreeGroupOracle, FreeAbelianOracle))

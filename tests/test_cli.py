@@ -212,6 +212,8 @@ GOLDEN_STDOUT = [
      "5a8d2e986ee14393d0359147778514471b0165d1fe441711b1c2157bf8e496b2"),
     (["slim", "F2", "--radius", "4"],
      "4faf81938a724a3910739d2040b9aa90d09dcfe418d87251cbf41f2e8b08f35e"),
+    (["slim", "Sigma2", "--radius", "6", "--samples", "300", "--seed", "5"],
+     "541332549eeb7f3b7d7c8a7ad3e2f60b041ef4980fbfccccf89631f815a00674"),
 ]
 
 

@@ -15,7 +15,7 @@ from pdfill import (
 )
 from pdfill.errors import SpecParseError
 from pdfill.groups import Presentation, ball
-from pdfill.slimness import SlimnessConstants, _Combinations, _SweepMetric, all_geodesics
+from pdfill.slimness import SlimnessConstants, _SweepMetric, _unrank, all_geodesics
 
 
 def test_lex_geodesic_trivial_and_tree():
@@ -161,15 +161,34 @@ def naive_lex_geodesic(oracle, start, start_word, end):
     return path
 
 
-@pytest.mark.parametrize("spec", ["Sigma2", "T11a:3", "T11b:3", "T11b:4", "F2"])
-def test_lex_geodesic_matches_naive_descent(spec):
+@pytest.mark.parametrize(
+    "spec, radii",
+    [
+        ("Sigma2", (1, 2)),
+        ("T11a:3", (1, 2)),
+        ("T11b:3", (1, 2)),
+        ("T11b:4", (1, 2)),
+        ("F2", (1, 2)),
+        # sides up to 8 letters: long enough for geodesic bigons of more
+        # than one relator cell, where a canonical form that is not the
+        # lex-least geodesic would part from the descent
+        ("Sigma2", (3, 4)),
+        ("T11b:3", (3, 4)),
+    ],
+)
+def test_lex_geodesic_matches_naive_descent(spec, radii):
     # free and Dehn oracles read sides off canonical words; the sides must
     # be the ones the greedy descent takes
     oracle = make_group(spec)
-    corners = {**sphere_words(oracle, 1), **sphere_words(oracle, 2)}
-    pairs = [(a, b) for a in corners for b in corners if a != b]
-    if len(pairs) > 3000:
-        pairs = random.Random(0).sample(pairs, 3000)
+    corners = {}
+    for radius in radii:
+        corners.update(sphere_words(oracle, radius))
+    elements = list(corners)
+    if len(elements) ** 2 > 3000:
+        rng = random.Random(0)
+        pairs = [tuple(rng.sample(elements, 2)) for _ in range(3000)]
+    else:
+        pairs = [(a, b) for a in elements for b in elements if a != b]
     for a, b in pairs:
         assert lex_geodesic(oracle, a, b) == naive_lex_geodesic(oracle, a, corners[a], b)
 
@@ -191,27 +210,22 @@ def test_shared_memo_matches_fresh_triangles(spec, sphere_radius):
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12])
-def test_combinations_view_matches_itertools(n):
+def test_unrank_matches_itertools(n):
+    items = [f"c{i}" for i in range(n)]
     for r in range(5):
-        view = _Combinations(range(n), r)
-        expected = list(combinations(range(n), r))
-        assert len(view) == len(expected)
-        assert [view[i] for i in range(len(view))] == expected
-        assert list(view) == expected
-        assert [view[-i] for i in range(1, len(view) + 1)] == expected[::-1]
-        with pytest.raises(IndexError):
-            view[len(view)]
-        with pytest.raises(IndexError):
-            view[-len(view) - 1]
+        expected = list(combinations(items, r))
+        assert [_unrank(items, r, i) for i in range(len(expected))] == expected
 
 
 @pytest.mark.parametrize("n", [12, 20, 30, 56])
-def test_sampling_the_view_matches_sampling_the_list(n):
-    # the sweep samples triples from the view; the draws must be those of
-    # the list it replaces, in both of random.sample's strategies
-    view = _Combinations(range(n), 3)
-    triples = list(combinations(range(n), 3))
+def test_sampled_indices_match_sampling_the_list(n):
+    # the sweep samples triple indices and unranks them; the draws must be
+    # those of sampling the list of every triple, in both of
+    # random.sample's strategies
+    items = list(range(n))
+    triples = list(combinations(items, 3))
     for k in (1, 17, 300, 2000, 20000):
         k = min(k, len(triples))
         for seed in (0, 5):
-            assert random.Random(seed).sample(view, k) == random.Random(seed).sample(triples, k)
+            drawn = random.Random(seed).sample(range(len(triples)), k)
+            assert [_unrank(items, 3, j) for j in drawn] == random.Random(seed).sample(triples, k)
