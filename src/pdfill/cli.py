@@ -143,9 +143,14 @@ def cmd_complex(group_spec, ring_spec, dualize, twist_spec, euler, homology_fiel
 @click.option("--output", default=None, type=click.Path())
 @_handle_errors
 def cmd_fill(group_spec, ring_spec, radius, max_word, coeff_bound, as_csv, output):
-    """Minimal fillings of all closed words up to a length cap in a window."""
+    """Minimal fillings of all closed words up to a length cap in a window.
+
+    Fillings are integral: RING must be Z.
+    """
     group = make_group(group_spec)
-    parse_ring(ring_spec)  # fillings are integral; the spec is validated only
+    ring = parse_ring(ring_spec)
+    if ring.name != "Z":
+        raise SpecParseError(f"fill works over Z only, got {ring.name}")
     report = isoperimetric_sweep(
         group, radius, max_word, coefficient_bound=coeff_bound, budget=_budget()
     )

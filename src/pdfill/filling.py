@@ -35,7 +35,7 @@ from .errors import (
     SpecParseError,
 )
 from .groups import DEFAULT_BALL_BUDGET, GroupOracle, ball, cayley_steps
-from .rings import INTEGERS, Ring, frac_str
+from .rings import frac_str
 from .words import word_to_string
 
 MAX_SEARCH_NODES = 1_000_000
@@ -46,7 +46,6 @@ class CayleyBallComplex:
     """A finite window of the Cayley 2-complex of a presentation."""
 
     group: GroupOracle
-    ring: Ring
     radius: int
     vertices: list
     distances: list
@@ -80,7 +79,6 @@ class CayleyBallComplex:
 def build_ball_complex(
     group: GroupOracle,
     radius: int,
-    ring: Ring = INTEGERS,
     budget: int = DEFAULT_BALL_BUDGET,
 ) -> CayleyBallComplex:
     presentation = group.presentation
@@ -119,7 +117,6 @@ def build_ball_complex(
     max_face_length = max((len(rel) for rel in presentation.relators), default=0)
     return CayleyBallComplex(
         group=group,
-        ring=ring,
         radius=radius,
         vertices=vertices,
         distances=distances,

@@ -293,9 +293,6 @@ class GroupRingMatrix:
         sample = rows[0][0]
         return cls(sample.ring, sample.group, rows)
 
-    def entry(self, i, j) -> GroupRingElement:
-        return self.entries[i][j]
-
     def support_norm(self) -> int:
         """Sum of the support norms of all entries."""
         return sum(e.support_norm() for row in self.entries for e in row)
@@ -452,7 +449,3 @@ class Character:
         return ",".join(
             f"{gen_name(i + 1)}:{v.format()}" for i, v in enumerate(self.values)
         )
-
-
-def validate_character(character: Character, presentation: Presentation) -> bool:
-    return character.is_valid_on(presentation)

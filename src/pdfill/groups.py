@@ -8,14 +8,19 @@ form, so equality is ``==`` and deduplication is dict membership:
 * the two flat one-relator groups (``Klein`` and ``T11b:2``): pairs (m, n)
   in the twisted-pair normal form a^m b^n with b a b^-1 = a^-1,
 * hyperbolic surface-type one-relator presentations: the shortlex-least
-  geodesic word, reached by Dehn reduction followed by a closure over
-  length-preserving half-relator swaps,
+  geodesic word, reached by a closure over half-relator swaps that
+  restarts whenever a swap shortens the word,
 * finite groups: the row index of an explicit multiplication table.
 
-Dehn reduction is valid for the presentations we instantiate it on: one
-relator whose cyclic conjugates (and their inverses) overlap in single
-letters only, of length at least 6, so every nontrivial word representing
-the identity contains more than half of a relator conjugate.
+The closure alone solves the word problem on the presentations we
+instantiate it on: one relator whose cyclic conjugates (and their
+inverses) overlap in single letters only, of length at least 6.  There
+every nontrivial word representing the identity contains more than half
+of a relator conjugate (Dehn, 1912).  Swapping the first half of that
+conjugate lets free reduction cancel a letter pair, so the closure finds
+every such shortening, and the identity always ends at the empty word.
+That the surviving words are geodesic is checked against Cannon's growth
+series in the tests.
 """
 
 from __future__ import annotations
@@ -28,11 +33,9 @@ from .words import (
     Word,
     commutator_word,
     free_reduce,
-    gen_name,
     invert_word,
     shortlex_key,
     word_from_string,
-    word_to_string,
 )
 
 DEFAULT_BALL_BUDGET = 200_000
@@ -56,9 +59,6 @@ class Presentation:
             for letter in rel:
                 if not 1 <= abs(letter) <= self.generator_count:
                     raise SpecParseError(f"letter {letter} out of range in {rel!r}")
-
-    def relator_strings(self):
-        return [word_to_string(rel) for rel in self.relators]
 
 
 class GroupOracle:
@@ -111,15 +111,6 @@ class GroupOracle:
 
     def sort_key(self, g):
         return g
-
-    def element_string(self, g) -> str:
-        return word_to_string(self.as_word(g))
-
-    def check_same(self, other: "GroupOracle"):
-        if other is not self:
-            raise GroupMismatchError(
-                f"elements of {self.name} combined with {getattr(other, 'name', other)!r}"
-            )
 
     def distance(self, g, h) -> int:
         return self.word_length(self.multiply(self.invert(g), h))
@@ -295,12 +286,16 @@ class SquaresPairOracle(TwistedPairOracle):
 
 
 class DehnOracle(GroupOracle):
-    """Word problem by Dehn reduction, canonical form by half-swap closure.
+    """Word problem and canonical form by one half-swap closure.
 
-    Elements are geodesic words in shortlex-least form.  Reduction replaces
-    any subword that covers more than half of a relator conjugate with the
-    shorter complement; the closure then walks all length-preserving
-    half-for-half swaps and keeps the shortlex-least geodesic.
+    Elements are geodesic words in shortlex-least form.  A half-swap
+    replaces the first half of a relator conjugate r with the inverse of
+    its second half.  The closure walks all swaps of the freely reduced
+    word; a swap that comes out shorter restarts it from that word, and a
+    closure with none yields its shortlex-least member.  No separate
+    shortening pass is needed: when a word holds r[:h+k] with h = |r|/2 and
+    k >= 1, swapping r[:h] puts r[h]^-1 next to r[h], and free reduction
+    cancels them.
     """
 
     def __init__(self, name, presentation):
@@ -319,17 +314,12 @@ class DehnOracle(GroupOracle):
                 for shift in range(len(base)):
                     rotations.append(base[shift:] + base[:shift])
         self._rotations = tuple(dict.fromkeys(rotations))
-        self._half = {rot: len(rot) // 2 for rot in self._rotations}
-        # probe tables: a subword of length half (or half+1) pins down the
-        # rotations it can start, so reduction scans are dict lookups
-        self._shorten_probe: dict = {}
+        # probe table: a subword of half a relator's length pins down the
+        # rotations it can start, so swap scans are dict lookups
         self._swap_probe: dict = {}
-        self._shorten_lengths = sorted({h + 1 for h in self._half.values()})
-        self._swap_lengths = sorted(set(self._half.values()))
         for rot in self._rotations:
-            half = self._half[rot]
-            self._shorten_probe.setdefault(rot[: half + 1], []).append(rot)
-            self._swap_probe.setdefault(rot[:half], []).append(rot)
+            self._swap_probe.setdefault(rot[: len(rot) // 2], []).append(rot)
+        self._swap_lengths = sorted({len(key) for key in self._swap_probe})
         self._canonical_cache: dict = {}
 
     def identity(self):
@@ -358,46 +348,31 @@ class DehnOracle(GroupOracle):
     def sort_key(self, g):
         return shortlex_key(g)
 
-    def _match_length(self, word, start, rotation):
-        length = 0
-        limit = min(len(word) - start, len(rotation))
-        while length < limit and word[start + length] == rotation[length]:
-            length += 1
-        return length
-
-    def _find_shortening(self, word):
-        """A (start, rotation, matched) triple covering more than half, or None."""
-        n = len(word)
-        for start in range(n):
-            for probe_len in self._shorten_lengths:
-                if start + probe_len > n:
-                    continue
-                for rotation in self._shorten_probe.get(
-                    word[start : start + probe_len], ()
-                ):
-                    matched = self._match_length(word, start, rotation)
-                    if matched > self._half[rotation]:
-                        return start, rotation, matched
-        return None
-
-    def _dehn_reduce(self, word):
-        word = free_reduce(word)
-        while True:
-            hit = self._find_shortening(word)
-            if hit is None:
-                return word
-            start, rotation, matched = hit
-            complement = invert_word(rotation[matched:])
-            word = free_reduce(word[:start] + complement + word[start + matched:])
-
     def canonical(self, word) -> Word:
         word = free_reduce(word)
-        cached = self._canonical_cache.get(word)
-        if cached is not None:
-            return cached
-        geodesic = self._dehn_reduce(word)
-        seen = {geodesic}
-        queue = [geodesic]
+        current = word
+        while True:
+            result = self._canonical_cache.get(current)
+            if result is not None:
+                break
+            seen, shorter = self._swap_closure(current)
+            if shorter is None:
+                result = min(seen, key=shortlex_key)
+                for member in seen:
+                    self._canonical_cache[member] = result
+                break
+            current = shorter
+        self._canonical_cache[word] = result
+        return result
+
+    def _swap_closure(self, start_word):
+        """All words reached by half-swaps, or a strictly shorter one.
+
+        Returns (seen, None) when every swap keeps the length, and
+        (None, shorter) as soon as one swap shortens the word.
+        """
+        seen = {start_word}
+        queue = [start_word]
         while queue:
             current = queue.pop()
             n = len(current)
@@ -413,19 +388,12 @@ class DehnOracle(GroupOracle):
                             + invert_word(rotation[half:])
                             + current[start + half:]
                         )
-                        if len(swapped) < len(current):
-                            # the geodesic assumption failed; restart shorter
-                            result = self.canonical(swapped)
-                            self._canonical_cache[word] = result
-                            return result
+                        if len(swapped) < n:
+                            return None, swapped
                         if swapped not in seen:
                             seen.add(swapped)
                             queue.append(swapped)
-        result = min(seen, key=shortlex_key)
-        for member in seen:
-            self._canonical_cache[member] = result
-        self._canonical_cache[word] = result
-        return result
+        return seen, None
 
 
 class FiniteTableOracle(GroupOracle):

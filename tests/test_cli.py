@@ -63,6 +63,16 @@ def test_usage_errors_exit_2(runner):
     assert invoke(runner, args).exit_code == 2
 
 
+def test_fill_rejects_rings_other_than_z(runner):
+    for ring in ("Q", "Z/5", "H"):
+        args = ["fill", "Z^2", ring, "--radius", "2", "--max-word", "4"]
+        result = invoke(runner, args)
+        assert result.exit_code == 2
+        assert "over Z only" in result.output
+    args = ["fill", "Z^2", "GF9", "--radius", "2", "--max-word", "4"]
+    assert invoke(runner, args).exit_code == 2
+
+
 def test_constants_without_presentation_exit_2(runner, monkeypatch):
     monkeypatch.setattr(cli, "make_group", lambda spec: finite_table(cyclic_table(6)))
     result = invoke(runner, ["constants", "C6", "--kappa", "1"])

@@ -26,6 +26,7 @@ from pdfill.errors import (
 )
 from pdfill import filling
 from pdfill.filling import OneCycle, _is_cycle, _verify_filler
+from pdfill.words import word_from_string
 
 
 def square_word(n):
@@ -300,6 +301,30 @@ def test_sweep_matches_winding_numbers_above_64_faces():
             assert entry["status"] == "filled"
             assert entry["filler_norm"] == len(winding)
             assert entry["optimal"] is True
+
+
+def test_doubled_square_tries_every_coefficient_of_a_face():
+    # the unit square traced twice is twice one face.  At bound 1 the face
+    # cannot take 2, so the filling is the square minus the boundary of a
+    # unit cube: the square plus the cube's other five faces.  Trying only
+    # the first-ranked coefficient of each face finds 10 faces instead.
+    z3 = build_ball_complex(free_abelian(3), 3)
+    assert z3.face_count == 60
+    cycle = word_cycle(z3, word_from_string("a*b^-1*a^-1*b*a*b^-1*a^-1*b"))
+    assert sorted(cycle.coefficients.values()) == [-2, -2, 2, 2]
+    once = minimal_filling(z3, cycle, coefficient_bound=1)
+    assert once.filler_norm == 6
+    corners = {
+        z3.vertices[v]
+        for f in once.filler
+        for e in z3.face_boundaries[f]
+        for v in (z3.edges[e][0], z3.edges[e][2])
+    }
+    spans = [sorted({corner[k] for corner in corners}) for k in range(3)]
+    assert len(corners) == 8 and all(hi - lo == 1 for lo, hi in spans)
+    twice = minimal_filling(z3, cycle, coefficient_bound=2)
+    assert twice.filler_norm == 1
+    assert list(twice.filler.values()) in ([2], [-2])
 
 
 def test_exact_search_node_bound(monkeypatch):

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -143,12 +144,42 @@ def test_dehn_canonical_relator_insertion_invariance(spec):
         assert oracle.canonical(word + invert_word(word)) == ()
 
 
+def common_prefix_length(u, v):
+    n = 0
+    while n < min(len(u), len(v)) and u[n] == v[n]:
+        n += 1
+    return n
+
+
+def naive_dehn_reduce(word, relator):
+    """Dehn's algorithm with no probe tables: at every position try every
+    rotation of the relator and its inverse, and replace a match longer
+    than half the relator by the inverse of the rest of that rotation."""
+    rotations = [
+        base[shift:] + base[:shift]
+        for base in (relator, invert_word(relator))
+        for shift in range(len(relator))
+    ]
+    word = free_reduce(word)
+    while True:
+        for start, rotation in product(range(len(word)), rotations):
+            matched = common_prefix_length(word[start:], rotation)
+            if 2 * matched > len(rotation):
+                word = free_reduce(
+                    word[:start] + invert_word(rotation[matched:]) + word[start + matched:]
+                )
+                break
+        else:
+            return word
+
+
 def test_sigma2_ball_against_pairwise_dehn_dedup():
     # independent enumeration: dedup spheres by raw Dehn identity tests only
     s2 = surface_group(2)
+    relator = s2.presentation.relators[0]
 
     def equal(u, v):
-        return s2._dehn_reduce(free_reduce(u + invert_word(v))) == ()
+        return naive_dehn_reduce(u + invert_word(v), relator) == ()
 
     elements = [()]
     sphere = [()]
@@ -156,13 +187,21 @@ def test_sigma2_ball_against_pairwise_dehn_dedup():
         frontier = []
         for g in sphere:
             for letter in all_letters(s2):
-                h = s2._dehn_reduce(free_reduce(g + (letter,)))
+                h = naive_dehn_reduce(g + (letter,), relator)
                 if any(equal(h, e) for e in elements + frontier):
                     continue
                 frontier.append(h)
         elements.extend(frontier)
         sphere = frontier
     assert len(elements) == len(ball(s2, 2)) == 65
+
+
+def test_dehn_canonical_of_a_long_relator_power_is_iterative():
+    # 1,200 shortenings in a row: a canonical form that recursed once per
+    # shortening would overflow the interpreter stack here
+    s2 = surface_group(2)
+    relator = s2.presentation.relators[0]
+    assert s2.canonical(relator * 1200) == ()
 
 
 def test_klein_model():
