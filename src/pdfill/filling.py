@@ -13,11 +13,22 @@ window's step table; after that every walk in the window (attaching paths,
 tracer, ``_trace``, which also sums the walk's signed edge coefficients.
 Each face's boundary is summed once, when the face is traced.
 
+When the window is built it is collapsed once (Whitehead's elementary
+collapses): while some edge is used by exactly one live face, that face
+is retired through that free edge.  The retirements are kept in order as
+``collapse_order``; the faces never retired form the ``core``.  Every
+2-cycle of the window lies on the core, so with an empty core a cycle has
+at most one filling, and back-substitution through the collapse order
+finds it.  The one-relator windows in the tests all collapse completely
+(their presentation complexes are aspherical, Lyndon 1950); Z^3 keeps a
+core.
+
 ``minimal_filling`` finds a 2-chain of minimal support with a prescribed
-boundary, by exhaustive branch and bound over face coefficients in
-[-bound, bound] on every window; the search is capped at
-``MAX_SEARCH_NODES`` nodes per cycle.  All searches are deterministic:
-faces and edges are ordered by construction and ties break by index.
+boundary and coefficients in [-bound, bound].  Each retired face's value
+is forced by back-substitution, and only what is left on the core is
+searched, by exhaustive branch and bound capped at ``MAX_SEARCH_NODES``
+nodes per cycle.  All of it is deterministic: faces and edges are ordered
+by construction and ties break by index.
 """
 
 from __future__ import annotations
@@ -62,6 +73,8 @@ class CayleyBallComplex:
             for e in boundary:
                 edge_faces.setdefault(e, []).append(f)
         self.edge_faces = edge_faces
+        # (face, free edge, coefficient) per retirement, and the faces left
+        self.collapse_order, self.core = _collapse(self.face_boundaries, edge_faces)
 
     @property
     def vertex_count(self):
@@ -74,6 +87,33 @@ class CayleyBallComplex:
     @property
     def face_count(self):
         return len(self.faces)
+
+
+def _collapse(face_boundaries, edge_faces):
+    """Retire faces through free edges until none is left.
+
+    A free edge is one that exactly one live face uses.  Returns the
+    retirements in order, as (face, free edge, coefficient of the edge in
+    the face), and the sorted faces never retired.  Retiring a face only
+    frees more edges, so which faces are retired does not depend on the
+    order they are taken in.
+    """
+    users = {e: len(faces) for e, faces in edge_faces.items()}
+    live = [True] * len(face_boundaries)
+    free = sorted((e for e, n in users.items() if n == 1), reverse=True)
+    order = []
+    while free:
+        e = free.pop()
+        if users[e] != 1:
+            continue
+        face = next(f for f in edge_faces[e] if live[f])
+        live[face] = False
+        order.append((face, e, face_boundaries[face][e]))
+        for other in face_boundaries[face]:
+            users[other] -= 1
+            if users[other] == 1:
+                free.append(other)
+    return order, [f for f, alive in enumerate(live) if alive]
 
 
 def build_ball_complex(
@@ -210,7 +250,7 @@ class FillingResult:
     cycle_norm: int
     filler_norm: int
     ratio: Fraction
-    nodes_explored: int
+    nodes_explored: int      # core-search nodes; 0 when the core is not searched
     coefficient_bound: int
 
 
@@ -221,11 +261,24 @@ def minimal_filling(
 ) -> FillingResult:
     """A minimal-support 2-chain whose boundary is the given cycle.
 
-    Exhaustive over face coefficients in [-bound, bound], so every result
-    is optimal.  Raises ``NoFillingError`` when nothing in the window at
-    this bound has the right boundary; that never distinguishes a small
-    window from a non-bounding cycle.  Raises ``BudgetError`` when the
-    search passes ``MAX_SEARCH_NODES`` nodes.
+    First the cycle is back-substituted through the window's collapse
+    order.  When a face is retired through its free edge e, no live face
+    uses e and every face retired before it has its value already, so the
+    face must take residual(e) / coefficient.  That value is exact: it is
+    forced on every filling, whatever the core faces take, and no other
+    choice exists.  A value that is not an integer or lies outside
+    [-bound, bound] leaves no filling at this bound.
+
+    What is left of the cycle must be filled by core faces alone, and the
+    core is searched exhaustively (``_exact_search``).  So the minimal
+    support is the forced support plus the core's minimal support, and
+    every result is optimal.  ``nodes_explored`` counts the core search's
+    nodes, 0 when nothing is left for the core.
+
+    Raises ``NoFillingError`` when nothing in the window at this bound has
+    the right boundary; that never distinguishes a small window from a
+    non-bounding cycle.  Raises ``BudgetError`` when the core search
+    passes ``MAX_SEARCH_NODES`` nodes.
     """
     if coefficient_bound < 1:
         raise SpecParseError("coefficient bound must be >= 1")
@@ -238,7 +291,25 @@ def minimal_filling(
             "no faces in the window: cycle does not bound here "
             "(window may be too small)"
         )
-    filler, nodes = _exact_search(complex_, cycle, coefficient_bound)
+    face_boundaries = complex_.face_boundaries
+    residual = dict(cycle.coefficients)
+    filler = {}
+    for face, e, c in complex_.collapse_order:
+        r = residual.get(e)
+        if r is None:
+            continue
+        value, rest = divmod(r, c)
+        if rest or abs(value) > coefficient_bound:
+            raise _no_filling(coefficient_bound)
+        filler[face] = value
+        _subtract(residual, face_boundaries[face], value)
+    nodes = 0
+    if residual:
+        if not complex_.core:
+            raise _no_filling(coefficient_bound)
+        core_filler, nodes = _exact_search(complex_, cycle, residual, coefficient_bound)
+        filler.update(core_filler)
+    filler = dict(sorted(filler.items()))
     _verify_filler(complex_, cycle, filler)
     filler_norm = len(filler)
     cycle_norm = cycle.support_norm()
@@ -253,6 +324,23 @@ def minimal_filling(
     )
 
 
+def _no_filling(bound):
+    return NoFillingError(
+        f"no filling in the window with coefficients in [-{bound}, {bound}] "
+        "(window may be too small)"
+    )
+
+
+def _subtract(residual, boundary, value):
+    """residual -= value * boundary, dropping the edges that reach zero."""
+    for e, c in boundary.items():
+        new = residual.get(e, 0) - value * c
+        if new:
+            residual[e] = new
+        else:
+            residual.pop(e, None)
+
+
 def _verify_filler(complex_, cycle, filler):
     boundary: dict = {}
     for f, c in filler.items():
@@ -262,35 +350,30 @@ def _verify_filler(complex_, cycle, filler):
         raise InvariantError("filler boundary does not match the cycle")
 
 
-def _exact_search(complex_, cycle, bound):
-    """Depth-first branch and bound over face coefficients.
+def _exact_search(complex_, cycle, residual, bound):
+    """Depth-first branch and bound over the core faces' coefficients.
 
+    Fills ``residual``, what is left of ``cycle`` after back-substitution,
+    with core faces only; every retired face stays at its forced value.
     A residual edge with the fewest unassigned incident faces is chosen;
     one of those faces must be nonzero, and branching on which face is the
     first nonzero one partitions the space whatever order the faces are
     tried in.  They are tried best-first: by the smallest residual support
     any allowed value leaves, then by index.  The lower bound is
-    ceil(residual support / max face length).  Raises ``BudgetError`` past
-    ``MAX_SEARCH_NODES`` nodes.
+    ceil(residual support / max face length).  Returns (core filler,
+    nodes); raises ``BudgetError`` past ``MAX_SEARCH_NODES`` nodes.
     """
-    n_faces = complex_.face_count
     max_len = max(complex_.max_face_length, 1)
     edge_faces = complex_.edge_faces
     face_boundaries = complex_.face_boundaries
 
-    residual = dict(cycle.coefficients)
-    assigned = [None] * n_faces
+    # retired faces are not searched: they count as assigned
+    assigned = [0] * complex_.face_count
+    for f in complex_.core:
+        assigned[f] = None
     best: dict = {"support": math.inf, "filler": None}
     nodes = 0
     values = [v for k in range(1, bound + 1) for v in (k, -k)]
-
-    def apply(face, value):
-        for e, c in face_boundaries[face].items():
-            new = residual.get(e, 0) - value * c
-            if new:
-                residual[e] = new
-            else:
-                residual.pop(e, None)
 
     def choose_edge():
         best_edge, best_free = None, None
@@ -345,19 +428,16 @@ def _exact_search(complex_, cycle, bound):
                 assigned[earlier] = 0
             for value in ordered:
                 assigned[face] = value
-                apply(face, value)
+                _subtract(residual, face_boundaries[face], value)
                 recurse(nonzero_count + 1)
-                apply(face, -value)
+                _subtract(residual, face_boundaries[face], -value)
                 assigned[face] = None
             for _, earlier, _ in candidates[:pos]:
                 assigned[earlier] = None
 
     recurse(0)
     if best["filler"] is None:
-        raise NoFillingError(
-            f"no filling in the window with coefficients in [-{bound}, {bound}] "
-            "(window may be too small)"
-        )
+        raise _no_filling(bound)
     return best["filler"], nodes
 
 

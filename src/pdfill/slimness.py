@@ -24,7 +24,9 @@ a corner sits in many triangles, and a side vertex is measured against
 many other sides.  ``slimness_sweep`` keeps a memo of both and drops it
 when it returns: per side vertex, a dict of its distances filled on first
 lookup, and the sides keyed by the ordered corner pair (the side from a
-to b need not be the side from b to a reversed).  A sampled sweep draws
+to b need not be the side from b to a reversed).  The all-geodesic
+cross-check reads the same distances, and keeps the geodesic families
+per ordered corner pair in the same memo.  A sampled sweep draws
 triple indices and unranks them, so the list of every triple is never
 built.
 """
@@ -83,8 +85,14 @@ def lex_geodesic(oracle: GroupOracle, start, end) -> list:
     return path
 
 
-def all_geodesics(oracle: GroupOracle, start, end) -> list:
-    """Every geodesic vertex path between two elements (small distances only)."""
+def all_geodesics(oracle: GroupOracle, start, end, metric: _SweepMetric | None = None) -> list:
+    """Every geodesic vertex path between two elements (small distances only).
+
+    ``metric`` is the memo of the sweep that asks; without one, the call
+    gets a memo of its own.
+    """
+    if metric is None:
+        metric = _SweepMetric(oracle)
     out = []
     path = [start]
 
@@ -95,12 +103,12 @@ def all_geodesics(oracle: GroupOracle, start, end) -> list:
         for index in range(1, oracle.generator_count + 1):
             for letter in (index, -index):
                 candidate = oracle.multiply(current, oracle.letter(letter))
-                if oracle.distance(candidate, end) == remaining - 1:
+                if metric.row(candidate)[end] == remaining - 1:
                     path.append(candidate)
                     descend(candidate, remaining - 1)
                     path.pop()
 
-    descend(start, oracle.distance(start, end))
+    descend(start, metric.row(start)[end])
     return out
 
 
@@ -163,16 +171,18 @@ class _DistanceRow(dict):
 
 
 class _SweepMetric:
-    """Distances and lex-geodesic sides, each computed once per sweep.
+    """Distances, lex-geodesic sides and geodesic families, each computed
+    once per sweep.
 
-    Both are keyed by the ordered pair: distances as ``row(x)[y]``, sides
-    as ``side(a, b)``.
+    All are keyed by the ordered pair: distances as ``row(x)[y]``, sides
+    as ``side(a, b)``, families as ``geodesics(a, b)``.
     """
 
     def __init__(self, oracle: GroupOracle):
         self.oracle = oracle
         self._rows: dict = {}
         self._sides: dict = {}
+        self._families: dict = {}
 
     def row(self, x) -> _DistanceRow:
         row = self._rows.get(x)
@@ -186,6 +196,13 @@ class _SweepMetric:
         if path is None:
             path = self._sides[key] = lex_geodesic(self.oracle, a, b)
         return path
+
+    def geodesics(self, a, b) -> list:
+        key = (a, b)
+        family = self._families.get(key)
+        if family is None:
+            family = self._families[key] = all_geodesics(self.oracle, a, b, self)
+        return family
 
 
 def triangle_slimness(oracle: GroupOracle, corners, metric: _SweepMetric | None = None) -> int:
@@ -209,21 +226,26 @@ def triangle_slimness(oracle: GroupOracle, corners, metric: _SweepMetric | None 
     return worst
 
 
-def triangle_slimness_all_geodesics(oracle: GroupOracle, corners) -> int:
-    """Worst slimness over every choice of geodesic for every side."""
+def triangle_slimness_all_geodesics(
+    oracle: GroupOracle, corners, metric: _SweepMetric | None = None
+) -> int:
+    """Worst slimness over every choice of geodesic for every side.
+
+    ``metric`` is the memo of the sweep this triangle belongs to; without
+    one, the triangle gets a memo of its own.
+    """
+    if metric is None:
+        metric = _SweepMetric(oracle)
     a, b, c = corners
-    families = [
-        all_geodesics(oracle, a, b),
-        all_geodesics(oracle, b, c),
-        all_geodesics(oracle, c, a),
-    ]
+    families = [metric.geodesics(a, b), metric.geodesics(b, c), metric.geodesics(c, a)]
     vertex_pool = [
         sorted({x for path in family for x in path}, key=oracle.sort_key)
         for family in families
     ]
     # farthest one can sit from the worst-case geodesic of a side
     def worst_distance(x, family):
-        return max(min(oracle.distance(x, y) for y in path) for path in family)
+        distance = metric.row(x).__getitem__
+        return max(min(map(distance, path)) for path in family)
 
     worst = 0
     for i in range(3):
@@ -288,7 +310,7 @@ def slimness_sweep(
     if cross_check:
         all_delta = 0
         for triple in triples:
-            value = triangle_slimness_all_geodesics(oracle, triple)
+            value = triangle_slimness_all_geodesics(oracle, triple, metric)
             if value > all_delta:
                 all_delta = value
         agrees = all_delta == delta_hat

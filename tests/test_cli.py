@@ -92,8 +92,9 @@ def test_budget_errors_exit_3(runner):
 
 
 def test_filling_search_bound_exit_3(runner, monkeypatch):
+    # Z^3 windows keep a core, which is searched; plane windows never are
     monkeypatch.setattr(filling, "MAX_SEARCH_NODES", 2)
-    args = ["fill", "Z^2", "Z", "--radius", "3", "--max-word", "4"]
+    args = ["fill", "Z^3", "Z", "--radius", "3", "--max-word", "4"]
     result = invoke(runner, args)
     assert result.exit_code == 3
     assert "filling search exceeded 2 nodes" in result.output
@@ -225,10 +226,25 @@ GOLDEN_STDOUT = [
     (["slim", "Sigma2", "--radius", "6", "--samples", "300", "--seed", "5"],
      "541332549eeb7f3b7d7c8a7ad3e2f60b041ef4980fbfccccf89631f815a00674"),
 ]
+# fill commands pinned with the collapse-first solver: the large plane
+# window, and Z^3, the one builtin window that keeps a core to search.
+# Their ids spell out the whole command, since the first three words of
+# the plane command repeat an entry above.
+GOLDEN_FILL_STDOUT = [
+    (["fill", "Z^2", "Z", "--radius", "12", "--max-word", "12"],
+     "55b8b06651a155b461344b4eb809d8d6a5052a05f850ae4dc8eee8ad768c1365"),
+    (["fill", "Z^3", "Z", "--radius", "3", "--max-word", "8"],
+     "6648cebd3e8105b31a93d480f38a6168606cb40f51813ee28ac2cffdb1375bb8"),
+    (["fill", "Z^3", "Z", "--radius", "3", "--max-word", "8", "--coeff-bound", "2"],
+     "13c31bf34f7042ca19c91111fda04adcf3b0f74a53b6cd11214c5e9fe4c903fc"),
+]
 
 
 @pytest.mark.parametrize(
-    "args, digest", GOLDEN_STDOUT, ids=[a[0] + ":" + "-".join(a[1:3]) for a, _ in GOLDEN_STDOUT]
+    "args, digest",
+    GOLDEN_STDOUT + GOLDEN_FILL_STDOUT,
+    ids=[a[0] + ":" + "-".join(a[1:3]) for a, _ in GOLDEN_STDOUT]
+    + [" ".join(a) for a, _ in GOLDEN_FILL_STDOUT],
 )
 def test_golden_stdout(runner, args, digest):
     result = invoke(runner, args)

@@ -4,6 +4,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 from boundary_matrices import boundary1, boundary2, cycle_vector
+from reference_filling import reference_filling
 
 from pdfill import (
     build_ball_complex,
@@ -25,7 +26,7 @@ from pdfill.errors import (
     SpecParseError,
 )
 from pdfill import filling
-from pdfill.filling import OneCycle, _is_cycle, _verify_filler
+from pdfill.filling import OneCycle, _closed_cycles, _is_cycle, _verify_filler
 from pdfill.words import word_from_string
 
 
@@ -328,18 +329,92 @@ def test_doubled_square_tries_every_coefficient_of_a_face():
 
 
 def test_exact_search_node_bound(monkeypatch):
-    z2 = build_ball_complex(free_abelian(2), 6)
-    cycle = word_cycle(z2, square_word(3))
-    assert minimal_filling(z2, cycle).nodes_explored > 5
+    # plane windows collapse completely and never search; a unit square of
+    # Z^3 lies on the core of the radius-3 window
+    z3 = build_ball_complex(free_abelian(3), 3)
+    cycle = word_cycle(z3, square_word(1))
+    assert minimal_filling(z3, cycle).nodes_explored > 5
     monkeypatch.setattr(filling, "MAX_SEARCH_NODES", 5)
     with pytest.raises(BudgetError, match="5 nodes"):
-        minimal_filling(z2, cycle)
+        minimal_filling(z3, cycle)
+
+
+# every builtin one-relator spec on a window that has faces; T11a:3 has none
+# up to radius 4, and its radius-5 window is too large for a unit test
+ONE_RELATOR_WINDOWS = [
+    ("Z^2", 8), ("Sigma2", 4), ("Klein", 8), ("T11a:1", 8), ("T11a:2", 4),
+    ("T11b:2", 8), ("T11b:3", 5), ("T11b:4", 4),
+]
+
+
+@pytest.mark.parametrize("spec, radius", ONE_RELATOR_WINDOWS + [("Z^3", 3), ("Z^3", 4)])
+def test_collapse_order_retires_faces_through_free_edges(spec, radius):
+    # each retired face's edge is used by no face retired later and by no
+    # core face, and every face is retired once or kept in the core
+    x = build_ball_complex(make_group(spec), radius)
+    retired = [face for face, _, _ in x.collapse_order]
+    assert sorted(retired + x.core) == list(range(x.face_count))
+    for step, (face, edge, coefficient) in enumerate(x.collapse_order):
+        assert x.face_boundaries[face][edge] == coefficient
+        for later in retired[step + 1:] + x.core:
+            assert edge not in x.face_boundaries[later]
+    # no edge of the core is free: the collapse ran to the end
+    for edge in {e for f in x.core for e in x.face_boundaries[f]}:
+        assert sum(1 for f in x.core if edge in x.face_boundaries[f]) != 1
+
+
+@pytest.mark.parametrize("spec, radius", ONE_RELATOR_WINDOWS)
+def test_one_relator_windows_collapse_completely(spec, radius):
+    x = build_ball_complex(make_group(spec), radius)
+    assert x.face_count > 0
+    assert x.core == []
+
+
+@pytest.mark.parametrize("radius, faces, core", [(3, 60, 36), (4, 168, 132)])
+def test_z3_windows_keep_a_core(radius, faces, core):
+    x = build_ball_complex(free_abelian(3), radius)
+    assert (x.face_count, len(x.core)) == (faces, core)
+
+
+def sweep_against_reference(spec, radius, cap, bound):
+    """(fillers, reference fillers) of every cycle in the sweep's corpus,
+    None for a cycle with no filling."""
+    x = build_ball_complex(make_group(spec), radius)
+    corpus = _closed_cycles(x, cap)
+    assert corpus
+    ours, theirs = [], []
+    for _, cycle in corpus:
+        try:
+            ours.append(minimal_filling(x, cycle, bound).filler)
+        except NoFillingError:
+            ours.append(None)
+        try:
+            theirs.append(reference_filling(x, cycle, bound)[0])
+        except NoFillingError:
+            theirs.append(None)
+    return ours, theirs
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_z3_filler_norms_match_the_whole_window_search(bound):
+    ours, theirs = sweep_against_reference("Z^3", 3, 8, bound)
+    assert len(ours) == 3496
+    norms = [None if f is None else len(f) for f in ours]
+    assert norms == [None if f is None else len(f) for f in theirs]
+
+
+@pytest.mark.parametrize(
+    "spec, radius, cap",
+    [("Z^2", 6, 10), ("Klein", 6, 10), ("Sigma2", 4, 8), ("T11b:2", 6, 8)],
+)
+def test_collapsed_fillers_match_the_whole_window_search(spec, radius, cap):
+    # the core is empty, so the filling is unique and must agree face for face
+    ours, theirs = sweep_against_reference(spec, radius, cap, 1)
+    assert ours == theirs
 
 
 def test_exact_search_matches_brute_force_on_sweep_corpus():
     # every distinct cycle of closed words up to length 6 in a small window
-    from pdfill.filling import _closed_cycles
-
     z2 = build_ball_complex(free_abelian(2), 3)
     corpus = _closed_cycles(z2, 6)
     assert corpus

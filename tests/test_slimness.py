@@ -15,7 +15,13 @@ from pdfill import (
 )
 from pdfill.errors import SpecParseError
 from pdfill.groups import Presentation, ball
-from pdfill.slimness import SlimnessConstants, _SweepMetric, _unrank, all_geodesics
+from pdfill.slimness import (
+    SlimnessConstants,
+    _SweepMetric,
+    _unrank,
+    all_geodesics,
+    triangle_slimness_all_geodesics,
+)
 
 
 def test_lex_geodesic_trivial_and_tree():
@@ -207,6 +213,28 @@ def test_shared_memo_matches_fresh_triangles(spec, sphere_radius):
     values = [triangle_slimness(oracle, t, shared) for t in triples]
     assert values == [triangle_slimness(oracle, t) for t in triples]
     assert len(set(values)) > 1
+
+
+@pytest.mark.parametrize("spec, sphere_radius", [("Z^2", 3), ("F2", 2)])
+def test_all_geodesic_slimness_shares_the_sweep_memo(spec, sphere_radius, monkeypatch):
+    # with the sweep's memo each distance is computed once, however many
+    # triangles and geodesic families ask for it, and every triangle keeps
+    # the value it has on its own
+    oracle = make_group(spec)
+    corners = [g for g, d in ball(oracle, sphere_radius) if d == sphere_radius]
+    triples = list(combinations(corners, 3))[:60]
+    fresh = [triangle_slimness_all_geodesics(oracle, t) for t in triples]
+    asked = []
+    distance = oracle.distance
+
+    def counted(x, y):
+        asked.append((x, y))
+        return distance(x, y)
+
+    monkeypatch.setattr(oracle, "distance", counted)
+    shared = _SweepMetric(oracle)
+    assert [triangle_slimness_all_geodesics(oracle, t, shared) for t in triples] == fresh
+    assert asked and len(asked) == len(set(asked))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12])
