@@ -7,8 +7,8 @@ ball, and one 2-cell per (vertex, relator) whose whole attaching path
 stays in the ball.  Every solver and check works on the edge list and the
 per-face boundary dicts (``face_boundaries``); no matrix is built.
 
-The group is consulted once, through ``groups.cayley_steps``, to build the
-window's step table; after that every walk in the window (attaching paths,
+The group is consulted once, through ``groups.ball``, which grows the
+window and its step table together; after that every walk (attaching paths,
 ``word_cycle``, the closed-walk enumeration) is a table lookup through one
 tracer, ``_trace``, which also sums the walk's signed edge coefficients.
 Each face's boundary is summed once, when the face is traced.
@@ -45,7 +45,7 @@ from .errors import (
     OutOfWindowError,
     SpecParseError,
 )
-from .groups import DEFAULT_BALL_BUDGET, GroupOracle, ball, cayley_steps
+from .groups import DEFAULT_BALL_BUDGET, GroupOracle, ball
 from .rings import frac_str
 from .words import word_to_string
 
@@ -127,7 +127,7 @@ def build_ball_complex(
     elements = ball(group, radius, budget=budget)
     vertices = [g for g, _ in elements]
     distances = [d for _, d in elements]
-    neighbors = cayley_steps(group, vertices)
+    neighbors = elements.steps
 
     edges = []
     edge_index = {}

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import BudgetError, SpecParseError
 from .group_ring import GroupRingElement
-from .groups import DEFAULT_BALL_BUDGET, FreeAbelianOracle, GroupOracle, ball, cayley_steps
+from .groups import DEFAULT_BALL_BUDGET, FreeAbelianOracle, GroupOracle, ball
 from .rings import Ring, frac_str
 
 DEFAULT_VANISHING_THRESHOLD = Fraction(1, 10)
@@ -174,7 +174,7 @@ def _connected_series(oracle, size_max, budget):
     """
     if size_max < 1:
         raise SpecParseError("size_max must be >= 1")
-    steps = cayley_steps(oracle, [g for g, _ in ball(oracle, size_max - 1, budget=budget)])
+    steps = ball(oracle, size_max - 1, budget=budget).steps
     n = len(steps)
     inverse_letters = range(-1, -oracle.generator_count - 1, -1)
 

@@ -39,6 +39,8 @@ from .words import (
 )
 
 DEFAULT_BALL_BUDGET = 200_000
+# DehnOracle's canonical memo is emptied at this size, far above any window's
+CANONICAL_CACHE_LIMIT = 4 * DEFAULT_BALL_BUDGET
 
 
 @dataclass(frozen=True)
@@ -350,19 +352,18 @@ class DehnOracle(GroupOracle):
 
     def canonical(self, word) -> Word:
         word = free_reduce(word)
+        cache = self._canonical_cache
+        if len(cache) >= CANONICAL_CACHE_LIMIT and word not in cache:
+            cache.clear()    # a pure memo: no answer changes
         current = word
-        while True:
-            result = self._canonical_cache.get(current)
-            if result is not None:
-                break
+        while (result := cache.get(current)) is None:
             seen, shorter = self._swap_closure(current)
             if shorter is None:
-                result = min(seen, key=shortlex_key)
-                for member in seen:
-                    self._canonical_cache[member] = result
+                result = current if len(seen) == 1 else min(seen, key=shortlex_key)
+                cache.update(dict.fromkeys(seen, result))
                 break
             current = shorter
-        self._canonical_cache[word] = result
+        cache[word] = result
         return result
 
     def _swap_closure(self, start_word):
@@ -470,63 +471,67 @@ class FiniteTableOracle(GroupOracle):
         return len(self.as_word(g))
 
 
-def ball(oracle: GroupOracle, radius: int, budget: int = DEFAULT_BALL_BUDGET):
+class Ball(list):
+    """The (element, distance) pairs of ``ball``, with its step table as ``steps``."""
+
+
+def ball(oracle: GroupOracle, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> Ball:
     """All elements of word length <= radius, as (element, distance) pairs.
 
     Spheres are sorted by the oracle's canonical key, so the output order
-    is deterministic.  Raises ``BudgetError`` naming the last completed
-    radius if the ball outgrows the budget.
+    is deterministic and the identity comes first.  Raises ``BudgetError``
+    naming the last completed radius if the ball outgrows the budget.
+
+    ``steps[i]`` maps each letter s with g_i s in the ball to the index of
+    g_i s, keyed 1, -1, 2, -2, ...  Each product g s formed is a step both
+    ways.  With even relators, letter -> 1 extends to G -> Z/2, so no step
+    stays in a sphere and the outer sphere needs no products; without a
+    presentation or with an odd relator, it is multiplied by the generators.
     """
     if radius < 0:
         raise SpecParseError("radius must be >= 0")
-    seen = {oracle.identity(): 0}
-    out = [(oracle.identity(), 0)]
-    sphere = [oracle.identity()]
+    letters = [s for gen in range(1, oracle.generator_count + 1) for s in (gen, -gen)]
+    images = [oracle.letter(s) for s in letters]
+    out = Ball([(oracle.identity(), 0)])
+    steps = out.steps = []
+    index = {oracle.identity(): 0}
+    inner = start = 0    # out[inner:start] and out[start:]: the last two spheres
     for r in range(1, radius + 1):
-        nxt = []
-        for g in sphere:
-            for index in range(1, oracle.generator_count + 1):
-                for letter in (index, -index):
-                    h = oracle.multiply(g, oracle.letter(letter))
-                    if h not in seen:
-                        seen[h] = r
-                        nxt.append(h)
-                        if len(seen) > budget:
-                            raise BudgetError(
-                                f"ball of {oracle.name} exceeded budget {budget} "
-                                f"at radius {r} (previous radius {r - 1} complete)",
-                                attained_radius=r - 1,
-                            )
+        rows, nxt = [], []
+        for g, _ in out[start:]:
+            rows.append([oracle.multiply(g, image) for image in images])
+            for h in rows[-1]:
+                if h not in index:
+                    index[h] = None
+                    nxt.append(h)
+                    if len(index) > budget:
+                        raise BudgetError(
+                            f"ball of {oracle.name} exceeded budget {budget} "
+                            f"at radius {r} (previous radius {r - 1} complete)",
+                            attained_radius=r - 1,
+                        )
         nxt.sort(key=oracle.sort_key)
-        out.extend((g, r) for g in nxt)
-        sphere = nxt
+        inner, start = start, len(out)
+        index.update((h, start + k) for k, h in enumerate(nxt))
+        out.extend((h, r) for h in nxt)
+        steps.extend({s: index[h] for s, h in zip(letters, row)} for row in rows)
+        rows.clear()    # freed before the outer sphere's steps are built
+    steps.extend({} for _ in range(start, len(out)))
+    for i in range(inner, start):
+        for s, j in steps[i].items():
+            if j >= start:
+                steps[j][-s] = i
+    presentation = oracle.presentation
+    if presentation is None or any(len(rel) % 2 for rel in presentation.relators):
+        for j in range(start, len(out)):
+            for gen, image in zip(letters[::2], images[::2]):
+                k = index.get(oracle.multiply(out[j][0], image), -1)
+                if k >= start:
+                    steps[j][gen], steps[k][-gen] = k, j
+    for j in range(start, len(out)):    # back to key order 1, -1, 2, -2, ...
+        if len(steps[j]) > 1:
+            steps[j] = {s: steps[j][s] for s in letters if s in steps[j]}
     return out
-
-
-def cayley_steps(oracle: GroupOracle, vertices) -> list:
-    """Per vertex, ``{signed letter: index of vertex * letter}`` inside the list.
-
-    One ``multiply`` per vertex and generator gives the forward steps.  The
-    inverse steps cost none: h = g s exactly when g = h s^-1, so the step
-    from h along s^-1 is the g whose s-step lands on h.  Every product
-    g s^-1 inside the list is therefore found, and the table is complete.
-    Keys run 1, -1, 2, -2, ..., so iteration follows generator index, then
-    sign.
-    """
-    index = {g: i for i, g in enumerate(vertices)}
-    steps = [{} for _ in vertices]
-    for gen in range(1, oracle.generator_count + 1):
-        s = oracle.letter(gen)
-        arrivals = []
-        for i, g in enumerate(vertices):
-            j = index.get(oracle.multiply(g, s))
-            if j is not None:
-                steps[i][gen] = j
-                arrivals.append((j, i))
-        # after all s-steps, so each dict lists s before s^-1
-        for j, i in arrivals:
-            steps[j][-gen] = i
-    return steps
 
 
 def surface_relator(genus: int) -> Word:

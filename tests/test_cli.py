@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import pdfill
-from pdfill import cli, cyclic_table, filling, finite_table
+from pdfill import cli, cyclic_table, filling, finite_table, groups
 from pdfill.cli import main
 
 
@@ -227,7 +227,8 @@ GOLDEN_STDOUT = [
      "541332549eeb7f3b7d7c8a7ad3e2f60b041ef4980fbfccccf89631f815a00674"),
 ]
 # fill commands pinned with the collapse-first solver: the large plane
-# window, and Z^3, the one builtin window that keeps a core to search.
+# window, and Z^3, the one builtin window that keeps a core to search;
+# then the surface windows pinned before the ball grew the step table.
 # Their ids spell out the whole command, since the first three words of
 # the plane command repeat an entry above.
 GOLDEN_FILL_STDOUT = [
@@ -237,6 +238,10 @@ GOLDEN_FILL_STDOUT = [
      "6648cebd3e8105b31a93d480f38a6168606cb40f51813ee28ac2cffdb1375bb8"),
     (["fill", "Z^3", "Z", "--radius", "3", "--max-word", "8", "--coeff-bound", "2"],
      "13c31bf34f7042ca19c91111fda04adcf3b0f74a53b6cd11214c5e9fe4c903fc"),
+    (["fill", "Sigma2", "Z", "--radius", "5", "--max-word", "8"],
+     "c7984c6a25a48759cc1d2af45e672abd7cdacf377b9d6df080443fdee3a00257"),
+    (["fill", "T11b:3", "Z", "--radius", "4", "--max-word", "8"],
+     "2ab6e2653ce0c94297d80b072010f8eccfab8cce33ecb07f8b6320ef831a2bee"),
 ]
 
 
@@ -250,6 +255,38 @@ def test_golden_stdout(runner, args, digest):
     result = invoke(runner, args)
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+def test_bounded_canonical_cache_keeps_fill_stdout(runner, monkeypatch):
+    # the window holds 3,193 elements; a cache emptied every 500 words
+    # must still give the pinned stdout
+    limit = 500
+    sizes = []
+    closures = [0]
+    canonical = groups.DehnOracle.canonical
+    swap_closure = groups.DehnOracle._swap_closure
+
+    def recording(self, word):
+        result = canonical(self, word)
+        sizes.append(len(self._canonical_cache))
+        return result
+
+    def recording_closure(self, word):
+        seen, shorter = swap_closure(self, word)
+        if seen is not None:
+            closures[0] = max(closures[0], len(seen))
+        return seen, shorter
+
+    monkeypatch.setattr(groups, "CANONICAL_CACHE_LIMIT", limit)
+    monkeypatch.setattr(groups.DehnOracle, "canonical", recording)
+    monkeypatch.setattr(groups.DehnOracle, "_swap_closure", recording_closure)
+    args = ["fill", "Sigma2", "Z", "--radius", "4", "--max-word", "8"]
+    result = invoke(runner, args)
+    assert result.exit_code == 0
+    digest = dict((tuple(a), d) for a, d in GOLDEN_STDOUT)[tuple(args)]
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+    assert sum(1 for a, b in zip(sizes, sizes[1:]) if b < a) > 1
+    assert max(sizes) <= limit + closures[0]
 
 
 # numpy and scipy are test dependencies only (the reference boundary

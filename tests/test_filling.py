@@ -96,6 +96,24 @@ def test_face_boundaries_match_relator_walks(spec, radius):
     assert boundaries == complex_.face_boundaries
 
 
+def test_window_forms_each_product_once():
+    # 3,193 elements inside the outer sphere, times 8 letters; building the
+    # step table apart from the ball took 114,700 products here
+    s2 = surface_group(2)
+    calls = [0]
+    multiply = s2.multiply
+
+    def counted(g, h):
+        calls[0] += 1
+        return multiply(g, h)
+
+    s2.multiply = counted
+    complex_ = build_ball_complex(s2, 5)
+    assert complex_.vertex_count == 22289
+    assert sum(1 for d in complex_.distances if d < 5) == 3193
+    assert calls[0] == 3193 * 8 == 25544
+
+
 def test_boundary_matrices_shape_and_composition():
     # Sigma2 radius 3 holds no face; radius 4 is the smallest window with one
     for spec, radius in (("Z^2", 3), ("Sigma2", 3), ("Klein", 3), ("Sigma2", 4)):

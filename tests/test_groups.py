@@ -11,6 +11,7 @@ from pdfill import (
     finite_table,
     free_abelian,
     free_group,
+    groups,
     klein_bottle,
     make_group,
     nonorientable_type,
@@ -18,7 +19,7 @@ from pdfill import (
     surface_group,
 )
 from pdfill.errors import BudgetError, SpecParseError
-from pdfill.groups import DEFAULT_BALL_BUDGET, Presentation, cayley_steps
+from pdfill.groups import DEFAULT_BALL_BUDGET, Presentation
 from pdfill.words import free_reduce, invert_word, word_from_string
 
 
@@ -278,15 +279,12 @@ def test_word_length_is_a_metric_at_desk_scale(spec):
         assert oracle.word_length(g) == d
 
 
-@pytest.mark.parametrize("spec", builtin_group_specs() + ["C6"])
-def test_cayley_steps_match_multiplication(spec):
-    if spec == "C6":
-        oracle, radius = finite_table(cyclic_table(6)), 2
-    else:
-        oracle, radius = make_group(spec), 3
-    vertices = [g for g, _ in ball(oracle, radius)]
+def assert_steps_match_multiplication(oracle, radius):
+    """The ball's step table is every product inside it, keyed 1, -1, 2, -2, ..."""
+    elements = ball(oracle, radius)
+    vertices = [g for g, _ in elements]
     index = {g: i for i, g in enumerate(vertices)}
-    steps = cayley_steps(oracle, vertices)
+    steps = elements.steps
     assert len(steps) == len(vertices)
     m = oracle.generator_count
     letters = [letter for gen in range(1, m + 1) for letter in (gen, -gen)]
@@ -299,3 +297,74 @@ def test_cayley_steps_match_multiplication(spec):
                 expected[letter] = j
         # no stray keys, and iteration runs 1, -1, 2, -2, ...
         assert list(steps[i].items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("spec", builtin_group_specs() + ["C6"])
+def test_cayley_steps_match_multiplication(spec):
+    if spec == "C6":
+        # all five generators and no presentation: the outer sphere is
+        # multiplied too, since steps can join two elements of one sphere
+        oracle, radius = finite_table(cyclic_table(6)), 2
+    else:
+        oracle, radius = make_group(spec), 3
+    assert_steps_match_multiplication(oracle, radius)
+
+
+@pytest.mark.parametrize("generators", [[1], [3], [2, 3], [0, 1]])
+def test_cayley_steps_on_cyclic_tables(generators):
+    # an involution (3) gives two letters for one step; 0 is a self-loop
+    for radius in range(4):
+        assert_steps_match_multiplication(
+            finite_table(cyclic_table(6), generators=generators), radius
+        )
+
+
+@pytest.mark.parametrize("spec", builtin_group_specs())
+def test_every_step_changes_word_length_by_one(spec):
+    # every builtin relator has even length, so no step stays in a sphere:
+    # the reason the ball never multiplies its outer sphere
+    oracle = make_group(spec)
+    assert all(len(rel) % 2 == 0 for rel in oracle.presentation.relators)
+    elements = ball(oracle, 4)
+    lengths = [oracle.word_length(g) for g, _ in elements]
+    assert lengths == [d for _, d in elements]
+    for i, step in enumerate(elements.steps):
+        assert step
+        for j in step.values():
+            assert abs(lengths[j] - lengths[i]) == 1
+
+
+def test_canonical_cache_limit_changes_no_form(monkeypatch):
+    limit = 200
+    words = {}
+    for spec in ("Sigma2", "T11b:3"):
+        rng = random.Random(11)
+        m = make_group(spec).generator_count
+        words[spec] = [
+            tuple(rng.choice([1, -1]) * rng.randint(1, m) for _ in range(rng.randint(0, 14)))
+            for _ in range(1500)
+        ]
+    # each reference form from a fresh oracle, so from an empty cache
+    unbounded = {spec: [make_group(spec).canonical(w) for w in ws] for spec, ws in words.items()}
+
+    closures = [0]
+    swap_closure = groups.DehnOracle._swap_closure
+
+    def recording(self, word):
+        seen, shorter = swap_closure(self, word)
+        if seen is not None:
+            closures[0] = max(closures[0], len(seen))
+        return seen, shorter
+
+    monkeypatch.setattr(groups, "CANONICAL_CACHE_LIMIT", limit)
+    monkeypatch.setattr(groups.DehnOracle, "_swap_closure", recording)
+    for spec, ws in words.items():
+        oracle = make_group(spec)
+        cache = oracle._canonical_cache
+        sizes = []
+        for w, expected in zip(ws, unbounded[spec]):
+            assert oracle.canonical(w) == expected
+            sizes.append(len(cache))
+        assert max(sizes) <= limit + closures[0]
+        # emptied more than once along the way
+        assert sum(1 for a, b in zip(sizes, sizes[1:]) if b < a) > 1
