@@ -171,6 +171,18 @@ def _connected_series(oracle, size_max, budget):
     later siblings never add it again and every connected set appears
     exactly once.  The boundary count is maintained incrementally, and
     the minimum boundary per size does not depend on enumeration order.
+
+    The last level is counted, not grown.  At a set of size
+    ``size_max - 1`` each candidate u (the untried list plus v's unreached
+    neighbors) completes exactly one set of size ``size_max``, so the
+    count rises by the number of candidates.  Adding u turns gain(u)
+    vertices interior: u itself when all its test points are in the set
+    or are u, and each member w whose last missing test point is u.
+    Gains are taken by decrementing ``missing`` and restoring it, so a
+    generator listed twice is counted with multiplicity.  No candidate
+    gains more than one plus the most tests pointing at a vertex, so when
+    even that gain cannot lower the size-``size_max`` minimum the gains
+    are skipped; the skipped sets could not have changed it.
     """
     if size_max < 1:
         raise SpecParseError("size_max must be >= 1")
@@ -196,9 +208,14 @@ def _connected_series(oracle, size_max, budget):
     missing = [0] * n        # per member: how many of its test points are absent
     # size + 1 stays only for sizes no connected set reaches (finite groups)
     best_boundary = [size + 1 for size in range(size_max + 1)]
+    gain_cap = 1 + max(map(len, rev_test))    # no new member makes more vertices interior
 
     def grow(v, untried, size, interior):
-        """Add v as the size-th member, record the set, extend it; count sets."""
+        """Add v as the size-th member, record the set, extend it; count sets.
+
+        A set one short of ``size_max`` is not extended: its extensions are
+        counted, and their best boundary is read off the candidates' gains.
+        """
         in_set[v] = True
         miss = 0
         for t in test_nbrs[v]:
@@ -215,7 +232,7 @@ def _connected_series(oracle, size_max, budget):
         if size - interior < best_boundary[size]:
             best_boundary[size] = size - interior
         count = 1
-        if size < size_max:
+        if size < size_max - 1:
             new = [u for u in neighbors[v] if not reached[u]]
             for u in new:
                 reached[u] = True
@@ -224,6 +241,30 @@ def _connected_series(oracle, size_max, budget):
                 count += grow(untried.pop(), untried, size + 1, interior)
             for u in new:
                 reached[u] = False
+        elif size == size_max - 1:
+            candidates = untried + [u for u in neighbors[v] if not reached[u]]
+            count += len(candidates)
+            if candidates and size_max - interior - gain_cap < best_boundary[size_max]:
+                best_gain = 0
+                for u in candidates:
+                    gain = 1
+                    for t in test_nbrs[u]:
+                        if t != u and (t == -1 or not in_set[t]):
+                            gain = 0
+                            break
+                    tests = rev_test[u]
+                    for w in tests:
+                        if in_set[w]:
+                            missing[w] -= 1
+                            if missing[w] == 0:
+                                gain += 1
+                    for w in tests:
+                        if in_set[w]:
+                            missing[w] += 1
+                    if gain > best_gain:
+                        best_gain = gain
+                if size_max - interior - best_gain < best_boundary[size_max]:
+                    best_boundary[size_max] = size_max - interior - best_gain
         for w in rev_test[v]:
             if in_set[w]:
                 missing[w] += 1

@@ -45,7 +45,7 @@ def letter_key(letter: int) -> int:
 
 
 def shortlex_key(word):
-    return (len(word), tuple(letter_key(x) for x in word))
+    return (len(word), tuple(map(letter_key, word)))
 
 
 def word_to_string(word) -> str:

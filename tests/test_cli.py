@@ -243,13 +243,22 @@ GOLDEN_FILL_STDOUT = [
     (["fill", "T11b:3", "Z", "--radius", "4", "--max-word", "8"],
      "2ab6e2653ce0c94297d80b072010f8eccfab8cce33ecb07f8b6320ef831a2bee"),
 ]
+# the folner-tree benchmark command and a second lattice, pinned before
+# the connected-set enumeration stopped growing its last level; their ids
+# spell out the whole command too, as "folner:F2---family" is taken
+GOLDEN_FOLNER_STDOUT = [
+    (["folner", "F2", "--family", "connected:9"],
+     "6238475c080c5940f3311dcff880c3fcb1e9b1cba71e1627f020488516a0fcb8"),
+    (["folner", "Z^3", "--family", "connected:6"],
+     "de0e5fd8697983fe2a50db36c0473f147b00b87123931744756951f9ad3240e8"),
+]
 
 
 @pytest.mark.parametrize(
     "args, digest",
-    GOLDEN_STDOUT + GOLDEN_FILL_STDOUT,
+    GOLDEN_STDOUT + GOLDEN_FILL_STDOUT + GOLDEN_FOLNER_STDOUT,
     ids=[a[0] + ":" + "-".join(a[1:3]) for a, _ in GOLDEN_STDOUT]
-    + [" ".join(a) for a, _ in GOLDEN_FILL_STDOUT],
+    + [" ".join(a) for a, _ in GOLDEN_FILL_STDOUT + GOLDEN_FOLNER_STDOUT],
 )
 def test_golden_stdout(runner, args, digest):
     result = invoke(runner, args)

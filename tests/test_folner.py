@@ -131,12 +131,33 @@ def test_connected_count_z2_rooted_polyominoes():
     assert report.sets_examined == rooted == 28830
 
 
+# cyclic groups by (order, generators): the identity as a generator, an
+# involution and a repeated generator each give a vertex that is its own
+# test point, or a member two of whose tests point at one vertex
+CYCLIC_CASES = {
+    "C6": (6, [1]),
+    "C5-identity": (5, [0]),
+    "C5-identity-and-1": (5, [0, 1]),
+    "C6-involution": (6, [3, 2]),
+    "C6-repeated": (6, [1, 1]),
+    "C4-repeated": (4, [2, 2, 1]),
+}
+
+
 @pytest.mark.parametrize(
-    "spec, size_max", [("Z^2", 6), ("F3", 5), ("Sigma2", 4), ("C6", 6), ("C6", 8)]
+    "spec, size_max",
+    [
+        ("F2", 1), ("F2", 2), ("F2", 7), ("Z^2", 6), ("Z^3", 5), ("F3", 5),
+        ("Sigma2", 4), ("Klein", 6), ("C6", 6), ("C6", 8), ("C5-identity", 5),
+        ("C5-identity-and-1", 5), ("C6-involution", 6), ("C6-involution", 7),
+        ("C6-repeated", 6), ("C6-repeated", 7), ("C4-repeated", 4),
+        ("C4-repeated", 5),
+    ],
 )
 def test_connected_series_matches_naive_closure(spec, size_max):
-    if spec == "C6":
-        oracle = finite_table(cyclic_table(6), generators=[1], name="C6")
+    if spec in CYCLIC_CASES:
+        order, generators = CYCLIC_CASES[spec]
+        oracle = finite_table(cyclic_table(order), generators=generators, name=spec)
     else:
         oracle = make_group(spec)
     report = folner_sweep(oracle, f"connected:{size_max}")
