@@ -129,19 +129,25 @@ def build_ball_complex(
     distances = [d for _, d in elements]
     neighbors = elements.steps
 
+    # edges in (vertex, generator) order: each step dict runs 1, -1, 2, ...
     edges = []
     edge_index = {}
     for i, step in enumerate(neighbors):
-        for gen in range(1, group.generator_count + 1):
-            j = step.get(gen)
-            if j is not None:
-                edge_index[(i, gen)] = len(edges)
-                edges.append((i, gen, j))
+        for s, j in step.items():
+            if s > 0:
+                edge_index[(i, s)] = len(edges)
+                edges.append((i, s, j))
 
     faces = []
     face_boundaries = []
-    for i in range(len(vertices)):
-        for r, relator in enumerate(presentation.relators):
+    # a face's path leaves its base vertex by its first letter and comes
+    # back by its last, so both steps must exist there (the table holds
+    # each step both ways)
+    ends = [(r, rel, rel[0], -rel[-1]) for r, rel in enumerate(presentation.relators)]
+    for i, step in enumerate(neighbors):
+        for r, relator, first, last in ends:
+            if first not in step or last not in step:
+                continue
             traced = _trace(neighbors, edge_index, i, relator)
             if traced is None:
                 continue

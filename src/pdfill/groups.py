@@ -34,6 +34,7 @@ from .words import (
     commutator_word,
     free_reduce,
     invert_word,
+    join_reduced,
     shortlex_key,
     word_from_string,
 )
@@ -114,6 +115,10 @@ class GroupOracle:
     def sort_key(self, g):
         return g
 
+    # True when every element's canonical form is its shortlex-least geodesic
+    # word, so ``ball`` grows each sphere already in shortlex order
+    shortlex_spheres = False
+
     def distance(self, g, h) -> int:
         return self.word_length(self.multiply(self.invert(g), h))
 
@@ -122,6 +127,8 @@ class GroupOracle:
 
 
 class FreeGroupOracle(GroupOracle):
+    shortlex_spheres = True
+
     def __init__(self, rank: int, name: str | None = None):
         if rank < 1:
             raise SpecParseError("free group rank must be >= 1")
@@ -138,7 +145,7 @@ class FreeGroupOracle(GroupOracle):
         return (letter,)
 
     def multiply(self, g, h):
-        return free_reduce(g + h)
+        return join_reduced(g, h)
 
     def invert(self, g):
         return invert_word(g)
@@ -300,10 +307,14 @@ class DehnOracle(GroupOracle):
     cancels them.
     """
 
+    shortlex_spheres = True
+
     def __init__(self, name, presentation):
         self.name = name
         self.presentation = presentation
         self.generator_count = presentation.generator_count
+        if not presentation.relators:
+            raise SpecParseError("Dehn oracle needs at least one relator")
         for rel in presentation.relators:
             if len(rel) < 6 or len(rel) % 2:
                 raise SpecParseError(
@@ -317,10 +328,16 @@ class DehnOracle(GroupOracle):
                     rotations.append(base[shift:] + base[:shift])
         self._rotations = tuple(dict.fromkeys(rotations))
         # probe table: a subword of half a relator's length pins down the
-        # rotations it can start, so swap scans are dict lookups
+        # rotations it can start, so swap scans are dict lookups.  It maps
+        # to what each swap puts in its place, the inverse of the second
+        # half, reduced already: free reduction ends at the same word
+        # whichever cancellations it makes first
         self._swap_probe: dict = {}
         for rot in self._rotations:
-            self._swap_probe.setdefault(rot[: len(rot) // 2], []).append(rot)
+            half = len(rot) // 2
+            self._swap_probe.setdefault(rot[:half], []).append(
+                free_reduce(invert_word(rot[half:]))
+            )
         self._swap_lengths = sorted({len(key) for key in self._swap_probe})
         self._canonical_cache: dict = {}
 
@@ -333,7 +350,10 @@ class DehnOracle(GroupOracle):
         return (letter,)
 
     def multiply(self, g, h):
-        return self.canonical(g + h)
+        # both factors are canonical, so freely reduced: only the seam cancels
+        word = join_reduced(g, h)
+        result = self._canonical_cache.get(word)
+        return self._canonical_miss(word) if result is None else result
 
     def invert(self, g):
         return self.canonical(invert_word(g))
@@ -352,42 +372,59 @@ class DehnOracle(GroupOracle):
 
     def canonical(self, word) -> Word:
         word = free_reduce(word)
+        result = self._canonical_cache.get(word)
+        return self._canonical_miss(word) if result is None else result
+
+    def _canonical_miss(self, word) -> Word:
+        """The canonical form of a freely reduced word the cache lacks.
+
+        Every cache entry is made here, after the size check, so the cache
+        never holds more than the limit plus one closure and its input.
+        """
         cache = self._canonical_cache
-        if len(cache) >= CANONICAL_CACHE_LIMIT and word not in cache:
+        if len(cache) >= CANONICAL_CACHE_LIMIT:
             cache.clear()    # a pure memo: no answer changes
         current = word
-        while (result := cache.get(current)) is None:
+        while True:
             seen, shorter = self._swap_closure(current)
             if shorter is None:
-                result = current if len(seen) == 1 else min(seen, key=shortlex_key)
-                cache.update(dict.fromkeys(seen, result))
                 break
             current = shorter
-        cache[word] = result
+            if (result := cache.get(current)) is not None:
+                cache[word] = result
+                return result
+        if len(seen) == 1:
+            result = current
+        else:
+            result = min(seen, key=shortlex_key)
+            cache.update(dict.fromkeys(seen, result))
+        cache[current] = cache[word] = result
         return result
 
     def _swap_closure(self, start_word):
         """All words reached by half-swaps, or a strictly shorter one.
 
         Returns (seen, None) when every swap keeps the length, and
-        (None, shorter) as soon as one swap shortens the word.
+        (None, shorter) as soon as one swap shortens the word.  Words are
+        scanned by start position, then by half length, and only where a
+        half fits.  Every word here is freely reduced, so a swap cancels
+        only at its two seams.
         """
+        probe = self._swap_probe
+        lengths = self._swap_lengths
         seen = {start_word}
         queue = [start_word]
         while queue:
             current = queue.pop()
             n = len(current)
-            for start in range(n):
-                for half in self._swap_lengths:
-                    if start + half > n:
-                        continue
-                    for rotation in self._swap_probe.get(
-                        current[start : start + half], ()
-                    ):
-                        swapped = free_reduce(
-                            current[:start]
-                            + invert_word(rotation[half:])
-                            + current[start + half:]
+            for start in range(n - lengths[0] + 1):
+                for half in lengths:
+                    end = start + half
+                    if end > n:
+                        break
+                    for tail in probe.get(current[start:end], ()):
+                        swapped = join_reduced(
+                            join_reduced(current[:start], tail), current[end:]
                         )
                         if len(swapped) < n:
                             return None, swapped
@@ -478,9 +515,18 @@ class Ball(list):
 def ball(oracle: GroupOracle, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> Ball:
     """All elements of word length <= radius, as (element, distance) pairs.
 
-    Spheres are sorted by the oracle's canonical key, so the output order
-    is deterministic and the identity comes first.  Raises ``BudgetError``
-    naming the last completed radius if the ball outgrows the budget.
+    Each sphere is listed in the order of the oracle's canonical key, so
+    the output order is deterministic and the identity comes first.  Most
+    oracles sort each sphere by ``sort_key``.  Oracles with
+    ``shortlex_spheres`` (free and Dehn groups) need no sort.  There an
+    element's canonical form is its shortlex-least geodesic word w s, and
+    w is then the canonical form of the element one step in.  Any other
+    product g t reaching the same element spells a word no smaller, so g
+    comes after w in its sphere, or g = w and t comes after s.  Spheres
+    are read in order and letters as 1, -1, 2, -2, ..., the shortlex
+    letter order, so each element is first reached as w s and the new
+    sphere comes out in shortlex order.  Raises ``BudgetError`` naming
+    the last completed radius if the ball outgrows the budget.
 
     ``steps[i]`` maps each letter s with g_i s in the ball to the index of
     g_i s, keyed 1, -1, 2, -2, ...  Each product g s formed is a step both
@@ -498,11 +544,12 @@ def ball(oracle: GroupOracle, radius: int, budget: int = DEFAULT_BALL_BUDGET) ->
     inner = start = 0    # out[inner:start] and out[start:]: the last two spheres
     for r in range(1, radius + 1):
         rows, nxt = [], []
+        first = len(out)    # where sphere r will start
         for g, _ in out[start:]:
             rows.append([oracle.multiply(g, image) for image in images])
             for h in rows[-1]:
                 if h not in index:
-                    index[h] = None
+                    index[h] = first + len(nxt)
                     nxt.append(h)
                     if len(index) > budget:
                         raise BudgetError(
@@ -510,9 +557,10 @@ def ball(oracle: GroupOracle, radius: int, budget: int = DEFAULT_BALL_BUDGET) ->
                             f"at radius {r} (previous radius {r - 1} complete)",
                             attained_radius=r - 1,
                         )
-        nxt.sort(key=oracle.sort_key)
-        inner, start = start, len(out)
-        index.update((h, start + k) for k, h in enumerate(nxt))
+        if not oracle.shortlex_spheres:
+            nxt.sort(key=oracle.sort_key)
+            index.update((h, first + k) for k, h in enumerate(nxt))
+        inner, start = start, first
         out.extend((h, r) for h in nxt)
         steps.extend({s: index[h] for s, h in zip(letters, row)} for row in rows)
         rows.clear()    # freed before the outer sphere's steps are built

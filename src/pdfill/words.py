@@ -31,6 +31,19 @@ def free_reduce(word) -> Word:
     return tuple(out)
 
 
+def join_reduced(u, v) -> Word:
+    """The free reduction of u v, for freely reduced words u and v.
+
+    Letters can cancel only across the seam, so only the seam is read.
+    """
+    if u and v and u[-1] == -v[0]:
+        k, n = 1, min(len(u), len(v))
+        while k < n and u[-1 - k] == -v[k]:
+            k += 1
+        return u[: len(u) - k] + v[k:]
+    return u + v
+
+
 def invert_word(word) -> Word:
     return tuple(-letter for letter in reversed(word))
 

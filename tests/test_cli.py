@@ -268,15 +268,16 @@ def test_golden_stdout(runner, args, digest):
 
 def test_bounded_canonical_cache_keeps_fill_stdout(runner, monkeypatch):
     # the window holds 3,193 elements; a cache emptied every 500 words
-    # must still give the pinned stdout
+    # must still give the pinned stdout.  Products and canonical forms
+    # fill the cache only on a miss, so the miss path is the one recorded.
     limit = 500
     sizes = []
     closures = [0]
-    canonical = groups.DehnOracle.canonical
+    canonical_miss = groups.DehnOracle._canonical_miss
     swap_closure = groups.DehnOracle._swap_closure
 
     def recording(self, word):
-        result = canonical(self, word)
+        result = canonical_miss(self, word)
         sizes.append(len(self._canonical_cache))
         return result
 
@@ -287,7 +288,7 @@ def test_bounded_canonical_cache_keeps_fill_stdout(runner, monkeypatch):
         return seen, shorter
 
     monkeypatch.setattr(groups, "CANONICAL_CACHE_LIMIT", limit)
-    monkeypatch.setattr(groups.DehnOracle, "canonical", recording)
+    monkeypatch.setattr(groups.DehnOracle, "_canonical_miss", recording)
     monkeypatch.setattr(groups.DehnOracle, "_swap_closure", recording_closure)
     args = ["fill", "Sigma2", "Z", "--radius", "4", "--max-word", "8"]
     result = invoke(runner, args)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from itertools import product
@@ -20,7 +21,7 @@ from pdfill import (
 )
 from pdfill.errors import BudgetError, SpecParseError
 from pdfill.groups import DEFAULT_BALL_BUDGET, Presentation
-from pdfill.words import free_reduce, invert_word, word_from_string
+from pdfill.words import free_reduce, invert_word, join_reduced, word_from_string
 
 
 def all_letters(oracle):
@@ -332,6 +333,66 @@ def test_every_step_changes_word_length_by_one(spec):
         assert step
         for j in step.values():
             assert abs(lengths[j] - lengths[i]) == 1
+
+
+def shortlex(word):
+    # written out apart from words.shortlex_key: length, then a < a^-1 < b < b^-1 < ...
+    return len(word), [2 * abs(letter) + (letter < 0) for letter in word]
+
+
+@pytest.mark.parametrize(
+    "spec, radius",
+    [("Sigma2", 5), ("F2", 8), ("T11a:3", 3), ("T11b:3", 5), ("T11b:4", 4)],
+)
+def test_shortlex_balls_grow_sorted_spheres(spec, radius):
+    # these oracles skip the sphere sort, so the order of discovery must
+    # already be shortlex
+    oracle = make_group(spec)
+    assert oracle.shortlex_spheres
+    elements = ball(oracle, radius)
+    distances = [d for _, d in elements]
+    assert distances == sorted(distances)
+    for r in range(radius + 1):
+        sphere = [g for g, d in elements if d == r]
+        assert sphere == sorted(sphere, key=shortlex)
+
+
+# sha256 of the (element, distance) pairs and the step items, as grown
+# when every sphere was sorted by its canonical key
+BALL_DIGESTS = {
+    ("Sigma2", 5): "178d68574ed822789e4a5b442f832543faf1a945752ba9f2f3fe1f8b9007aaaa",
+    ("T11b:4", 4): "d8a6702af5b6503c7efa9163a9aead12989a172d1d874d59710cc175023cdc1b",
+}
+
+
+@pytest.mark.parametrize("spec, radius", sorted(BALL_DIGESTS))
+def test_ball_and_steps_match_pinned_digest(spec, radius):
+    elements = ball(make_group(spec), radius)
+    text = repr((list(elements), [list(step.items()) for step in elements.steps]))
+    assert hashlib.sha256(text.encode()).hexdigest() == BALL_DIGESTS[spec, radius]
+
+
+@pytest.mark.parametrize("spec, radius", [("Sigma2", 4), ("T11b:3", 4), ("T11a:3", 3)])
+def test_dehn_products_match_canonical_forms(spec, radius):
+    # multiply cancels only at the seam and reads the cache first; the
+    # reference reduces the whole word, with a cache no product has filled
+    oracle = make_group(spec)
+    reference = make_group(spec)
+    elements = [g for g, _ in ball(oracle, radius)]
+    for g in elements:
+        for letter in all_letters(oracle):
+            assert oracle.multiply(g, (letter,)) == reference.canonical(g + (letter,))
+    rng = random.Random(5)
+    for _ in range(500):
+        g, h = rng.choice(elements), rng.choice(elements)
+        assert oracle.multiply(g, h) == reference.canonical(g + h)
+
+
+def test_join_reduced_is_free_reduction_of_reduced_words():
+    words = [g for g, _ in ball(free_group(2), 3)]
+    for u in words:
+        for v in words:
+            assert join_reduced(u, v) == free_reduce(u + v)
 
 
 def test_canonical_cache_limit_changes_no_form(monkeypatch):
