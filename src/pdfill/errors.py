@@ -13,55 +13,37 @@ class PdfillError(Exception):
 class SpecParseError(PdfillError):
     """A group, ring, character or family spec string is malformed or out of range."""
 
-    exit_code = 2
-
 
 class RingMismatchError(PdfillError):
     """Two values from different coefficient rings were combined."""
-
-    exit_code = 2
 
 
 class GroupMismatchError(PdfillError):
     """Two elements from different groups were combined."""
 
-    exit_code = 2
-
 
 class UnsupportedTwistError(PdfillError):
     """Character twisting was requested over a noncommutative coefficient ring."""
-
-    exit_code = 2
 
 
 class InvalidCharacterError(PdfillError):
     """A character value is not a unit, or the character fails on a relator."""
 
-    exit_code = 2
-
 
 class NotAFieldError(PdfillError):
     """Homology dimensions were requested over a non-field descriptor."""
-
-    exit_code = 2
 
 
 class NotACycleError(PdfillError):
     """A word does not close up, or a chain is not in the kernel of the boundary."""
 
-    exit_code = 2
-
 
 class OutOfWindowError(PdfillError):
     """A path leaves the truncated ball it was supposed to stay inside."""
 
-    exit_code = 2
-
 
 class BudgetError(PdfillError):
     """A size budget was exceeded.  Carries the radius that was reached."""
-
-    exit_code = 3
 
     def __init__(self, message, attained_radius=None):
         super().__init__(message)
@@ -75,10 +57,6 @@ class NoFillingError(PdfillError):
     about the group itself: the cycle may well bound outside the window.
     """
 
-    exit_code = 2
-
 
 class InvariantError(PdfillError):
     """An internal consistency check failed (for example a nonzero double boundary)."""
-
-    exit_code = 4

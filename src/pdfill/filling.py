@@ -230,9 +230,6 @@ class OneCycle:
     def support_norm(self) -> int:
         return len(self.coefficients)
 
-    def key(self):
-        return tuple(sorted(self.coefficients.items()))
-
 
 def word_cycle(complex_: CayleyBallComplex, word) -> OneCycle:
     """The signed edge-indicator of a closed word traced from the identity."""

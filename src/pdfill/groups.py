@@ -99,7 +99,12 @@ class GroupOracle:
         return g == h
 
     def as_word(self, g) -> Word:
-        """Some word in the generators evaluating to g."""
+        """The shortlex-least geodesic word evaluating to g.
+
+        Letters are ordered 1, -1, 2, -2, ... (``words.letter_key``), so the
+        word is freely reduced, has length ``word_length(g)``, and each of
+        its prefixes is the shortlex-least geodesic word of its own element.
+        """
         raise NotImplementedError
 
     def word_length(self, g) -> int:
@@ -115,8 +120,8 @@ class GroupOracle:
     def sort_key(self, g):
         return g
 
-    # True when every element's canonical form is its shortlex-least geodesic
-    # word, so ``ball`` grows each sphere already in shortlex order
+    # True when each element is its own ``as_word`` and ``sort_key`` is
+    # shortlex, so ``ball`` grows each sphere already in key order
     shortlex_spheres = False
 
     def distance(self, g, h) -> int:
@@ -241,57 +246,87 @@ class TwistedPairOracle(GroupOracle):
         sign = 1 if n % 2 == 0 else -1
         return (-sign * m, -n)
 
-    def _pair_word(self, g) -> Word:
+    def as_word(self, g):
         # a^m b^n in the normal-form generators a = (1,0), b = (0,1)
         m, n = g
-        word = [(1 if m > 0 else -1)] * abs(m) + [(2 if n > 0 else -2)] * abs(n)
-        return tuple(word)
-
-    def as_word(self, g):
-        return self._pair_word(g)
+        return (1 if m > 0 else -1,) * abs(m) + (2 if n > 0 else -2,) * abs(n)
 
     def word_length(self, g):
         return abs(g[0]) + abs(g[1])
 
 
+class _WordTable:
+    """Each element's distance and the last letter of its shortlex-least
+    geodesic word (0 for the identity), grown breadth-first one whole
+    sphere at a time on demand.
+
+    Spheres are read in shortlex order and letters as 1, -1, 2, -2, ...,
+    so an element is first reached by its shortlex-least word and the next
+    sphere comes out in shortlex order too.  Past ``DEFAULT_BALL_BUDGET``
+    entries, a lookup that needs another sphere raises ``BudgetError``;
+    the table stays whole.
+    """
+
+    def __init__(self, oracle: GroupOracle):
+        self.oracle = oracle
+        self.entries = {oracle.identity(): (0, 0)}
+        self.frontier = [oracle.identity()]
+        self.radius = 0
+        self._steps = [
+            (s, oracle.letter(s))
+            for gen in range(1, oracle.generator_count + 1)
+            for s in (gen, -gen)
+        ]
+
+    def entry(self, g) -> tuple:
+        """g's (distance, last letter)."""
+        entries = self.entries
+        while g not in entries:
+            if not self.frontier:
+                raise GroupMismatchError("element not generated by the chosen generators")
+            if len(entries) > DEFAULT_BALL_BUDGET:
+                raise BudgetError(
+                    f"word table of {self.oracle.name} exceeded budget "
+                    f"{DEFAULT_BALL_BUDGET} at radius {self.radius}",
+                    attained_radius=self.radius,
+                )
+            self.radius += 1
+            nxt = []
+            multiply = self.oracle.multiply
+            for h in self.frontier:
+                for s, image in self._steps:
+                    product = multiply(h, image)
+                    if product not in entries:
+                        entries[product] = (self.radius, s)
+                        nxt.append(product)
+            self.frontier = nxt
+        return entries[g]
+
+    def word(self, g) -> Word:
+        """g's word, read back one last letter at a time."""
+        letters = []
+        while letter := self.entry(g)[1]:
+            letters.append(letter)
+            g = self.oracle.multiply(g, self.oracle.letter(-letter))
+        return tuple(reversed(letters))
+
+
 class SquaresPairOracle(TwistedPairOracle):
-    """Same model, presented as <g1, g2 | g1^2 g2^2> via g1 = ab, g2 = b^-1."""
+    """Same model, presented as <g1, g2 | g1^2 g2^2> via g1 = ab, g2 = b^-1.
+
+    The squares generators couple the two coordinates, so the metric is
+    not |m| + |n|: words and lengths come from a breadth-first table.
+    """
 
     def __init__(self, name, presentation, generator_images):
         super().__init__(name, presentation, generator_images)
-        self._dist = {self.identity(): 0}
-        self._dist_frontier = [self.identity()]
-        self._dist_radius = 0
+        self._words = _WordTable(self)
 
     def as_word(self, g):
-        m, n = g
-        word = []
-        word.extend([1, 2] * m if m >= 0 else [-2, -1] * (-m))
-        word.extend([-2] * n if n >= 0 else [2] * (-n))
-        return tuple(word)
+        return self._words.word(g)
 
     def word_length(self, g):
-        # the squares generators couple the two coordinates, so the metric
-        # is not |m| + |n|; grow a breadth-first distance table on demand,
-        # one whole sphere at a time, up to the ball budget
-        while g not in self._dist:
-            if len(self._dist) > DEFAULT_BALL_BUDGET:
-                raise BudgetError(
-                    f"distance table of {self.name} exceeded budget "
-                    f"{DEFAULT_BALL_BUDGET} at radius {self._dist_radius}",
-                    attained_radius=self._dist_radius,
-                )
-            self._dist_radius += 1
-            nxt = []
-            for h in self._dist_frontier:
-                for index in (1, 2):
-                    for letter in (index, -index):
-                        product = self.multiply(h, self.letter(letter))
-                        if product not in self._dist:
-                            self._dist[product] = self._dist_radius
-                            nxt.append(product)
-            self._dist_frontier = nxt
-        return self._dist[g]
+        return self._words.entry(g)[0]
 
 
 class DehnOracle(GroupOracle):
@@ -313,32 +348,30 @@ class DehnOracle(GroupOracle):
         self.name = name
         self.presentation = presentation
         self.generator_count = presentation.generator_count
-        if not presentation.relators:
-            raise SpecParseError("Dehn oracle needs at least one relator")
-        for rel in presentation.relators:
-            if len(rel) < 6 or len(rel) % 2:
-                raise SpecParseError(
-                    f"Dehn oracle needs even relator length >= 6, got {rel!r}"
-                )
-        # all cyclic conjugates of every relator and its inverse
+        if len(presentation.relators) != 1:
+            raise SpecParseError("Dehn oracle needs exactly one relator")
+        (rel,) = presentation.relators
+        if len(rel) < 6 or len(rel) % 2:
+            raise SpecParseError(
+                f"Dehn oracle needs even relator length >= 6, got {rel!r}"
+            )
+        # all cyclic conjugates of the relator and its inverse
         rotations = []
-        for rel in presentation.relators:
-            for base in (tuple(rel), invert_word(rel)):
-                for shift in range(len(base)):
-                    rotations.append(base[shift:] + base[:shift])
+        for base in (tuple(rel), invert_word(rel)):
+            for shift in range(len(base)):
+                rotations.append(base[shift:] + base[:shift])
         self._rotations = tuple(dict.fromkeys(rotations))
-        # probe table: a subword of half a relator's length pins down the
+        # probe table: a subword of half the relator's length pins down the
         # rotations it can start, so swap scans are dict lookups.  It maps
         # to what each swap puts in its place, the inverse of the second
         # half, reduced already: free reduction ends at the same word
         # whichever cancellations it makes first
+        self._half = half = len(rel) // 2
         self._swap_probe: dict = {}
         for rot in self._rotations:
-            half = len(rot) // 2
             self._swap_probe.setdefault(rot[:half], []).append(
                 free_reduce(invert_word(rot[half:]))
             )
-        self._swap_lengths = sorted({len(key) for key in self._swap_probe})
         self._canonical_cache: dict = {}
 
     def identity(self):
@@ -406,31 +439,27 @@ class DehnOracle(GroupOracle):
 
         Returns (seen, None) when every swap keeps the length, and
         (None, shorter) as soon as one swap shortens the word.  Words are
-        scanned by start position, then by half length, and only where a
-        half fits.  Every word here is freely reduced, so a swap cancels
-        only at its two seams.
+        scanned by start position, and only where a half fits.  Every word
+        here is freely reduced, so a swap cancels only at its two seams.
         """
         probe = self._swap_probe
-        lengths = self._swap_lengths
+        half = self._half
         seen = {start_word}
         queue = [start_word]
         while queue:
             current = queue.pop()
             n = len(current)
-            for start in range(n - lengths[0] + 1):
-                for half in lengths:
-                    end = start + half
-                    if end > n:
-                        break
-                    for tail in probe.get(current[start:end], ()):
-                        swapped = join_reduced(
-                            join_reduced(current[:start], tail), current[end:]
-                        )
-                        if len(swapped) < n:
-                            return None, swapped
-                        if swapped not in seen:
-                            seen.add(swapped)
-                            queue.append(swapped)
+            for start in range(n - half + 1):
+                end = start + half
+                for tail in probe.get(current[start:end], ()):
+                    swapped = join_reduced(
+                        join_reduced(current[:start], tail), current[end:]
+                    )
+                    if len(swapped) < n:
+                        return None, swapped
+                    if swapped not in seen:
+                        seen.add(swapped)
+                        queue.append(swapped)
         return seen, None
 
 
@@ -470,7 +499,7 @@ class FiniteTableOracle(GroupOracle):
         self.generator_count = len(self._generators)
         self.name = name or f"table{order}"
         self.presentation = None
-        self._words: dict[int, Word] | None = None
+        self._words = _WordTable(self)
 
     def identity(self):
         return self._identity
@@ -486,26 +515,10 @@ class FiniteTableOracle(GroupOracle):
         return self._inverses[g]
 
     def as_word(self, g):
-        if self._words is None:
-            words = {self._identity: ()}
-            frontier = [self._identity]
-            while frontier:
-                nxt = []
-                for h in frontier:
-                    for index in range(1, self.generator_count + 1):
-                        for letter in (index, -index):
-                            product = self.multiply(h, self.letter(letter))
-                            if product not in words:
-                                words[product] = words[h] + (letter,)
-                                nxt.append(product)
-                frontier = nxt
-            self._words = words
-        if g not in self._words:
-            raise GroupMismatchError("element not generated by the chosen generators")
-        return self._words[g]
+        return self._words.word(g)
 
     def word_length(self, g):
-        return len(self.as_word(g))
+        return self._words.entry(g)[0]
 
 
 class Ball(list):

@@ -6,18 +6,12 @@ sweep measures the worst d over sampled triangles in a window; trees stay
 at 0, flat groups grow with the radius, hyperbolic surface windows
 stabilise.  Reports are window-relative estimates, never certificates.
 
-Distances use the exact word metric of the group (canonical forms are
-geodesic words), which agrees with ball-graph distances without window
-distortion.  Geodesic sides are built by steepest descent with moves
-ordered by generator index, then sign (1, -1, 2, -2, ...), matching a
-breadth-first search with lexicographic tie-breaking.  The descent spells
-the lexicographically least geodesic word from one corner to the other.
-
-Free groups and Dehn presentations skip the descent: their elements are
-their own shortlex-least geodesic words, in the same letter order
-(``words.letter_key``), and every prefix of a lex-least geodesic word is
-itself lex-least.  So the side from a to b is a times the prefixes of
-a^-1 b, exactly the path the descent would take.
+Distances use the exact word metric of the group, which agrees with
+ball-graph distances without window distortion.  The side from a to b
+spells the shortlex-least geodesic word of a^-1 b, with letters ordered
+1, -1, 2, -2, ...: it is a times the prefixes of ``as_word(a^-1 b)``,
+the path a steepest descent taking the first shortening letter would
+walk.
 
 One sweep asks for the same distance and the same side many times over:
 a corner sits in many triangles, and a side vertex is measured against
@@ -42,7 +36,6 @@ from dataclasses import dataclass
 from .errors import SpecParseError
 from .groups import (
     DEFAULT_BALL_BUDGET,
-    DehnOracle,
     FreeAbelianOracle,
     FreeGroupOracle,
     GroupOracle,
@@ -55,33 +48,11 @@ DEFAULT_TRIPLE_BUDGET = 20_000
 
 
 def lex_geodesic(oracle: GroupOracle, start, end) -> list:
-    """One geodesic vertex path, smallest generator move first on ties.
-
-    Free and Dehn oracles read the path off the canonical word of
-    start^-1 end (see the module docstring).
-    """
-    if isinstance(oracle, (DehnOracle, FreeGroupOracle)):
-        path = [start]
-        for letter in oracle.multiply(oracle.invert(start), end):
-            path.append(oracle.multiply(path[-1], oracle.letter(letter)))
-        return path
+    """One geodesic vertex path, smallest generator move first on ties:
+    start times the prefixes of the shortlex-least word of start^-1 end."""
     path = [start]
-    current = start
-    remaining = oracle.distance(current, end)
-    while remaining > 0:
-        for index in range(1, oracle.generator_count + 1):
-            for letter in (index, -index):
-                candidate = oracle.multiply(current, oracle.letter(letter))
-                if oracle.distance(candidate, end) == remaining - 1:
-                    current = candidate
-                    break
-            else:
-                continue
-            break
-        else:
-            raise SpecParseError("no distance-decreasing move: metric is broken")
-        path.append(current)
-        remaining -= 1
+    for letter in oracle.as_word(oracle.multiply(oracle.invert(start), end)):
+        path.append(oracle.multiply(path[-1], oracle.letter(letter)))
     return path
 
 
@@ -266,12 +237,12 @@ def slimness_sweep(
     seed: int = 0,
     cross_check: bool | None = None,
     budget: int = DEFAULT_BALL_BUDGET,
-    triple_budget: int = DEFAULT_TRIPLE_BUDGET,
 ) -> SlimnessReport:
     """Worst slimness over triangles with corners on the half-radius sphere.
 
-    All corner triples are examined when there are at most ``triple_budget``
-    of them (or ``sample`` when given); otherwise a seeded uniform sample.
+    All corner triples are examined when there are at most ``sample`` of
+    them (``DEFAULT_TRIPLE_BUDGET`` when not given); otherwise a seeded
+    uniform sample of that many.
     ``cross_check`` additionally measures the all-geodesic variant; by
     default it runs for free and free abelian groups, where geodesic
     families are small.
@@ -281,7 +252,7 @@ def slimness_sweep(
     sphere_radius = radius // 2
     elements = ball(oracle, sphere_radius, budget=budget)
     corners = [g for g, d in elements if d == sphere_radius]
-    limit = triple_budget if sample is None else sample
+    limit = DEFAULT_TRIPLE_BUDGET if sample is None else sample
     count = math.comb(len(corners), 3)
     sampled = count > limit
     if sampled:

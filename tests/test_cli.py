@@ -11,6 +11,7 @@ from click.testing import CliRunner
 import pdfill
 from pdfill import cli, cyclic_table, filling, finite_table, groups
 from pdfill.cli import main
+from pdfill.words import word_from_string
 
 
 @pytest.fixture
@@ -43,6 +44,25 @@ def test_complex_twist_klein(runner):
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["differentials"][0] == [["1 + a"], ["1 - b"]]
+
+
+def test_squares_group_prints_geodesic_words(runner):
+    # T11b:2 = <a, b | a a b b>.  By hand: the edge boundaries are 1 - a
+    # and 1 - b; d/da of a a b b is 1 + a, and d/db is a^2 + a^2 b, where
+    # a^2 b = b^-1 since a^2 b^2 = 1.  Each element prints as its reduced
+    # geodesic word
+    result = invoke(runner, ["complex", "T11b:2", "Z"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["differentials"] == [
+        [["1 - a"], ["-b + 1"]],
+        [["1 + a", "b^-1 + a^2"]],
+    ]
+    result = invoke(runner, ["slim", "T11b:2", "--radius", "4"])
+    assert result.exit_code == 0
+    witness = json.loads(result.output)["witness"]
+    # corners lie on the radius-2 sphere, so each word has 2 letters
+    assert witness and all(len(word_from_string(word)) == 2 for word in witness)
 
 
 def test_complex_homology(runner):

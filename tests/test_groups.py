@@ -206,6 +206,17 @@ def test_dehn_canonical_of_a_long_relator_power_is_iterative():
     assert s2.canonical(relator * 1200) == ()
 
 
+def test_dehn_oracle_needs_exactly_one_relator():
+    # the half-swap closure is proved for one relator; two relators of
+    # different lengths would also need two half lengths
+    sigma2 = surface_group(2).presentation.relators[0]
+    two = Presentation(4, (sigma2, (1, 1, 1, 2, 2, 2)))
+    with pytest.raises(SpecParseError):
+        groups.DehnOracle("two", two)
+    with pytest.raises(SpecParseError):
+        groups.DehnOracle("none", Presentation(4, ()))
+
+
 def test_klein_model():
     k = klein_bottle()
     assert k.evaluate(k.presentation.relators[0]) == k.identity()
@@ -239,10 +250,34 @@ def test_squares_distance_table_is_bounded():
     assert time.perf_counter() - start < 10
     radius = err.value.attained_radius
     assert radius is not None and f"radius {radius}" in str(err.value)
-    assert DEFAULT_BALL_BUDGET < len(t._dist) <= DEFAULT_BALL_BUDGET + 8 * (radius + 1)
+    assert DEFAULT_BALL_BUDGET < len(t._words.entries) <= DEFAULT_BALL_BUDGET + 8 * (radius + 1)
     # the table stays whole: distances inside it still answer
     assert t.word_length((100, 0)) == 200
     assert t.word_length((3, 4)) == 6
+
+
+def c6_oracles():
+    return [
+        finite_table(cyclic_table(6), generators=gens, name="C6")
+        for gens in ([1], [2, 3], [0, 1])
+    ]
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [make_group(spec) for spec in builtin_group_specs()] + c6_oracles(),
+    ids=builtin_group_specs() + ["C6[1]", "C6[2,3]", "C6[0,1]"],
+)
+def test_as_word_is_a_reduced_geodesic(oracle):
+    # every oracle spells each element by a freely reduced word of the
+    # element's length that evaluates back to it; ball distances come from
+    # multiplication alone, so they check word_length independently
+    radius = 3 if oracle.generator_count > 4 else 5
+    for g, distance in ball(oracle, radius):
+        word = oracle.as_word(g)
+        assert free_reduce(word) == word
+        assert len(word) == oracle.word_length(g) == distance
+        assert oracle.evaluate(word) == g
 
 
 def test_finite_table_oracle():

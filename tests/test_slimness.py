@@ -4,6 +4,8 @@ from itertools import combinations
 import pytest
 
 from pdfill import (
+    cyclic_table,
+    finite_table,
     free_abelian,
     free_group,
     lex_geodesic,
@@ -167,6 +169,17 @@ def naive_lex_geodesic(oracle, start, start_word, end):
     return path
 
 
+C6_GENERATORS = {"C6[1]": [1], "C6[2,3]": [2, 3], "C6[0,1]": [0, 1]}
+
+
+def oracle_for(spec):
+    """A builtin group, or the cyclic group of order 6 on the generators
+    named in brackets."""
+    if spec in C6_GENERATORS:
+        return finite_table(cyclic_table(6), generators=C6_GENERATORS[spec], name="C6")
+    return make_group(spec)
+
+
 @pytest.mark.parametrize(
     "spec, radii",
     [
@@ -180,12 +193,21 @@ def naive_lex_geodesic(oracle, start, start_word, end):
         # lex-least geodesic would part from the descent
         ("Sigma2", (3, 4)),
         ("T11b:3", (3, 4)),
+        # flat groups and finite tables, whose words are not their elements
+        ("Z^2", (3, 4)),
+        ("Z^3", (2, 3)),
+        ("Klein", (3, 4)),
+        ("T11a:1", (3, 4)),
+        ("T11b:2", (3, 4)),
+        ("C6[1]", (0, 1, 2, 3)),
+        ("C6[2,3]", (0, 1, 2)),
+        ("C6[0,1]", (0, 1, 2, 3)),
     ],
 )
 def test_lex_geodesic_matches_naive_descent(spec, radii):
-    # free and Dehn oracles read sides off canonical words; the sides must
-    # be the ones the greedy descent takes
-    oracle = make_group(spec)
+    # sides are read off as_word; they must be the ones the greedy descent
+    # takes, which knows only multiplication and word length
+    oracle = oracle_for(spec)
     corners = {}
     for radius in radii:
         corners.update(sphere_words(oracle, radius))
