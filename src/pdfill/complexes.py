@@ -89,14 +89,6 @@ class ChainComplex:
             dims.append(kernel_dim - boundary_rank[k + 1])
         return dims
 
-    def to_json_dict(self) -> dict:
-        return {
-            "group": self.group.name,
-            "ring": self.ring.name,
-            "ranks": list(self.ranks),
-            "differentials": [d.format() for d in self.differentials],
-        }
-
 
 def fox_derivatives_all(ring: Ring, group: GroupOracle, word) -> list:
     """All free derivatives of a word in one prefix walk, one per generator.
@@ -168,10 +160,6 @@ def _augment_to_field(value: RingValue, field: Ring) -> RingValue:
             return field.value(Fraction(value.payload))
         if field.kind == "Zmod":
             return field.value(value.payload % field.modulus)
-    if src.kind == "Q" and field.kind == "Q":
-        return value
-    if src.kind == "Zmod" and field.kind == "Zmod" and src.modulus == field.modulus:
-        return value
     raise NotAFieldError(
         f"cannot view {src.name} coefficients inside the field {field.name}"
     )

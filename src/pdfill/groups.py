@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BudgetError, GroupMismatchError, SpecParseError
 from .words import (
@@ -69,11 +70,29 @@ class GroupOracle:
 
     Elements are canonical hashable values specific to the subclass; two
     elements are equal in the group iff their representations are ``==``.
+
+    A subclass supplies ``identity``, ``multiply`` and ``invert``, and hands
+    its generator images to ``_set_generators`` once ``invert`` works and
+    before anything evaluates a word.  That fills ``letters``, the image of
+    every signed letter keyed 1, -1, 2, -2, ..., the shortlex letter order
+    (``words.letter_key``), which ``ball`` and the word table walk.  All
+    else derives from these.  ``as_word`` and ``word_length`` read a
+    breadth-first table; a subclass with a closed form may override them,
+    together with ``sort_key`` and ``shortlex_spheres``.
     """
 
     name: str
     generator_count: int
     presentation: Presentation | None
+    letters: dict
+
+    def _set_generators(self, images):
+        """Fill ``letters`` from the generator images, inverses by ``invert``."""
+        self.generator_count = len(images)
+        self.letters = {}
+        for index, image in enumerate(images, start=1):
+            self.letters[index] = image
+            self.letters[-index] = self.invert(image)
 
     def identity(self):
         raise NotImplementedError
@@ -84,7 +103,10 @@ class GroupOracle:
 
     def letter(self, letter: int):
         """The image of a signed letter: ``-i`` gives the inverse generator."""
-        raise NotImplementedError
+        try:
+            return self.letters[letter]
+        except KeyError:
+            raise SpecParseError(f"letter {letter} out of range") from None
 
     def multiply(self, g, h):
         raise NotImplementedError
@@ -98,6 +120,10 @@ class GroupOracle:
     def equal(self, g, h) -> bool:
         return g == h
 
+    @cached_property
+    def _words(self) -> _WordTable:
+        return _WordTable(self)
+
     def as_word(self, g) -> Word:
         """The shortlex-least geodesic word evaluating to g.
 
@@ -105,11 +131,11 @@ class GroupOracle:
         word is freely reduced, has length ``word_length(g)``, and each of
         its prefixes is the shortlex-least geodesic word of its own element.
         """
-        raise NotImplementedError
+        return self._words.word(g)
 
     def word_length(self, g) -> int:
         """Distance from the identity in the word metric of the generators."""
-        return len(self.as_word(g))
+        return self._words.entry(g)[0]
 
     def evaluate(self, word) -> object:
         out = self.identity()
@@ -131,29 +157,65 @@ class GroupOracle:
         return f"<group {self.name}>"
 
 
-class FreeGroupOracle(GroupOracle):
-    shortlex_spheres = True
+class _WordTable:
+    """Each element's distance and the last letter of its shortlex-least
+    geodesic word (0 for the identity), grown breadth-first one whole
+    sphere at a time on demand.
 
-    def __init__(self, rank: int, name: str | None = None):
-        if rank < 1:
-            raise SpecParseError("free group rank must be >= 1")
-        self.generator_count = rank
-        self.name = name or f"F{rank}"
-        self.presentation = Presentation(rank, ())
+    Spheres are read in shortlex order and letters as 1, -1, 2, -2, ...,
+    so an element is first reached by its shortlex-least word and the next
+    sphere comes out in shortlex order too.  Past ``DEFAULT_BALL_BUDGET``
+    entries, a lookup that needs another sphere raises ``BudgetError``;
+    the table stays whole.
+    """
+
+    def __init__(self, oracle: GroupOracle):
+        self.oracle = oracle
+        self.entries = {oracle.identity(): (0, 0)}
+        self.frontier = [oracle.identity()]
+        self.radius = 0
+
+    def entry(self, g) -> tuple:
+        """g's (distance, last letter)."""
+        entries = self.entries
+        while g not in entries:
+            if not self.frontier:
+                raise GroupMismatchError("element not generated by the chosen generators")
+            if len(entries) > DEFAULT_BALL_BUDGET:
+                raise BudgetError(
+                    f"word table of {self.oracle.name} exceeded budget "
+                    f"{DEFAULT_BALL_BUDGET} at radius {self.radius}",
+                    attained_radius=self.radius,
+                )
+            self.radius += 1
+            nxt = []
+            multiply = self.oracle.multiply
+            steps = self.oracle.letters.items()
+            for h in self.frontier:
+                for s, image in steps:
+                    product = multiply(h, image)
+                    if product not in entries:
+                        entries[product] = (self.radius, s)
+                        nxt.append(product)
+            self.frontier = nxt
+        return entries[g]
+
+    def word(self, g) -> Word:
+        """g's word, read back one last letter at a time."""
+        letters = []
+        while letter := self.entry(g)[1]:
+            letters.append(letter)
+            g = self.oracle.multiply(g, self.oracle.letters[-letter])
+        return tuple(reversed(letters))
+
+
+class _WordElementOracle(GroupOracle):
+    """Elements are their own shortlex-least geodesic words (free and Dehn)."""
+
+    shortlex_spheres = True
 
     def identity(self):
         return ()
-
-    def letter(self, letter):
-        if not 1 <= abs(letter) <= self.generator_count:
-            raise SpecParseError(f"letter {letter} out of range")
-        return (letter,)
-
-    def multiply(self, g, h):
-        return join_reduced(g, h)
-
-    def invert(self, g):
-        return invert_word(g)
 
     def as_word(self, g):
         return g
@@ -165,12 +227,26 @@ class FreeGroupOracle(GroupOracle):
         return shortlex_key(g)
 
 
+class FreeGroupOracle(_WordElementOracle):
+    def __init__(self, rank: int, name: str | None = None):
+        if rank < 1:
+            raise SpecParseError("free group rank must be >= 1")
+        self.name = name or f"F{rank}"
+        self.presentation = Presentation(rank, ())
+        self._set_generators([(i,) for i in range(1, rank + 1)])
+
+    def multiply(self, g, h):
+        return join_reduced(g, h)
+
+    def invert(self, g):
+        return invert_word(g)
+
+
 class FreeAbelianOracle(GroupOracle):
     def __init__(self, rank: int, name: str | None = None,
                  presentation: Presentation | None = None):
         if rank < 1:
             raise SpecParseError("free abelian rank must be >= 1")
-        self.generator_count = rank
         self.name = name or f"Z^{rank}"
         if presentation is None:
             relators = tuple(
@@ -180,17 +256,12 @@ class FreeAbelianOracle(GroupOracle):
             )
             presentation = Presentation(rank, relators)
         self.presentation = presentation
+        self._set_generators(
+            [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        )
 
     def identity(self):
         return (0,) * self.generator_count
-
-    def letter(self, letter):
-        index = abs(letter)
-        if not 1 <= index <= self.generator_count:
-            raise SpecParseError(f"letter {letter} out of range")
-        vec = [0] * self.generator_count
-        vec[index - 1] = 1 if letter > 0 else -1
-        return tuple(vec)
 
     def multiply(self, g, h):
         return tuple(a + b for a, b in zip(g, h))
@@ -216,24 +287,20 @@ class TwistedPairOracle(GroupOracle):
     ``(m1, n1) (m2, n2) = (m1 + (-1)^n1 m2, n1 + n2)``.  Generators of the
     hosted presentation are given as explicit pairs, so the same model
     serves both the ``a b a b^-1`` and the ``a^2 b^2`` presentations of
-    the flat non-orientable group.
+    the flat non-orientable group.  Words come from the breadth-first
+    table, which is right for any images.
     """
 
     def __init__(self, name, presentation, generator_images):
         self.name = name
         self.presentation = presentation
-        self.generator_count = presentation.generator_count
-        self._images = tuple(generator_images)
+        self._set_generators(tuple(generator_images))
         for rel in presentation.relators:
             if not self.is_identity(self.evaluate(rel)):
                 raise SpecParseError(f"generator images break relator {rel!r}")
 
     def identity(self):
         return (0, 0)
-
-    def letter(self, letter):
-        image = self._images[abs(letter) - 1]
-        return image if letter > 0 else self.invert(image)
 
     def multiply(self, g, h):
         m1, n1 = g
@@ -246,8 +313,17 @@ class TwistedPairOracle(GroupOracle):
         sign = 1 if n % 2 == 0 else -1
         return (-sign * m, -n)
 
+
+class KleinOracle(TwistedPairOracle):
+    """The twisted pair on its normal-form generators a = (1, 0), b = (0, 1),
+    presented as <a, b | a b a b^-1>.  There the shortlex-least geodesic
+    word of (m, n) is a^m b^n."""
+
+    def __init__(self):
+        presentation = Presentation(2, (word_from_string("a*b*a*b^-1"),))
+        super().__init__("Klein", presentation, [(1, 0), (0, 1)])
+
     def as_word(self, g):
-        # a^m b^n in the normal-form generators a = (1,0), b = (0,1)
         m, n = g
         return (1 if m > 0 else -1,) * abs(m) + (2 if n > 0 else -2,) * abs(n)
 
@@ -255,81 +331,7 @@ class TwistedPairOracle(GroupOracle):
         return abs(g[0]) + abs(g[1])
 
 
-class _WordTable:
-    """Each element's distance and the last letter of its shortlex-least
-    geodesic word (0 for the identity), grown breadth-first one whole
-    sphere at a time on demand.
-
-    Spheres are read in shortlex order and letters as 1, -1, 2, -2, ...,
-    so an element is first reached by its shortlex-least word and the next
-    sphere comes out in shortlex order too.  Past ``DEFAULT_BALL_BUDGET``
-    entries, a lookup that needs another sphere raises ``BudgetError``;
-    the table stays whole.
-    """
-
-    def __init__(self, oracle: GroupOracle):
-        self.oracle = oracle
-        self.entries = {oracle.identity(): (0, 0)}
-        self.frontier = [oracle.identity()]
-        self.radius = 0
-        self._steps = [
-            (s, oracle.letter(s))
-            for gen in range(1, oracle.generator_count + 1)
-            for s in (gen, -gen)
-        ]
-
-    def entry(self, g) -> tuple:
-        """g's (distance, last letter)."""
-        entries = self.entries
-        while g not in entries:
-            if not self.frontier:
-                raise GroupMismatchError("element not generated by the chosen generators")
-            if len(entries) > DEFAULT_BALL_BUDGET:
-                raise BudgetError(
-                    f"word table of {self.oracle.name} exceeded budget "
-                    f"{DEFAULT_BALL_BUDGET} at radius {self.radius}",
-                    attained_radius=self.radius,
-                )
-            self.radius += 1
-            nxt = []
-            multiply = self.oracle.multiply
-            for h in self.frontier:
-                for s, image in self._steps:
-                    product = multiply(h, image)
-                    if product not in entries:
-                        entries[product] = (self.radius, s)
-                        nxt.append(product)
-            self.frontier = nxt
-        return entries[g]
-
-    def word(self, g) -> Word:
-        """g's word, read back one last letter at a time."""
-        letters = []
-        while letter := self.entry(g)[1]:
-            letters.append(letter)
-            g = self.oracle.multiply(g, self.oracle.letter(-letter))
-        return tuple(reversed(letters))
-
-
-class SquaresPairOracle(TwistedPairOracle):
-    """Same model, presented as <g1, g2 | g1^2 g2^2> via g1 = ab, g2 = b^-1.
-
-    The squares generators couple the two coordinates, so the metric is
-    not |m| + |n|: words and lengths come from a breadth-first table.
-    """
-
-    def __init__(self, name, presentation, generator_images):
-        super().__init__(name, presentation, generator_images)
-        self._words = _WordTable(self)
-
-    def as_word(self, g):
-        return self._words.word(g)
-
-    def word_length(self, g):
-        return self._words.entry(g)[0]
-
-
-class DehnOracle(GroupOracle):
+class DehnOracle(_WordElementOracle):
     """Word problem and canonical form by one half-swap closure.
 
     Elements are geodesic words in shortlex-least form.  A half-swap
@@ -342,12 +344,9 @@ class DehnOracle(GroupOracle):
     cancels them.
     """
 
-    shortlex_spheres = True
-
     def __init__(self, name, presentation):
         self.name = name
         self.presentation = presentation
-        self.generator_count = presentation.generator_count
         if len(presentation.relators) != 1:
             raise SpecParseError("Dehn oracle needs exactly one relator")
         (rel,) = presentation.relators
@@ -373,14 +372,9 @@ class DehnOracle(GroupOracle):
                 free_reduce(invert_word(rot[half:]))
             )
         self._canonical_cache: dict = {}
-
-    def identity(self):
-        return ()
-
-    def letter(self, letter):
-        if not 1 <= abs(letter) <= self.generator_count:
-            raise SpecParseError(f"letter {letter} out of range")
-        return (letter,)
+        self._set_generators(
+            [(i,) for i in range(1, presentation.generator_count + 1)]
+        )
 
     def multiply(self, g, h):
         # both factors are canonical, so freely reduced: only the seam cancels
@@ -390,18 +384,6 @@ class DehnOracle(GroupOracle):
 
     def invert(self, g):
         return self.canonical(invert_word(g))
-
-    def is_identity(self, g):
-        return g == ()
-
-    def as_word(self, g):
-        return g
-
-    def word_length(self, g):
-        return len(g)
-
-    def sort_key(self, g):
-        return shortlex_key(g)
 
     def canonical(self, word) -> Word:
         word = free_reduce(word)
@@ -490,35 +472,27 @@ class FiniteTableOracle(GroupOracle):
                 for k in range(order):
                     if table[table[g][h]][k] != table[g][table[h][k]]:
                         raise SpecParseError("table is not associative")
+        if generators is None:
+            generators = [g for g in range(order) if g != identity]
+        generators = list(generators)
+        for g in generators:
+            if g not in range(order):
+                raise SpecParseError(f"generator {g!r} is not an element of the table")
         self._table = [tuple(row) for row in table]
         self._identity = identity
         self._inverses = inverses
-        if generators is None:
-            generators = [g for g in range(order) if g != identity]
-        self._generators = list(generators)
-        self.generator_count = len(self._generators)
         self.name = name or f"table{order}"
         self.presentation = None
-        self._words = _WordTable(self)
+        self._set_generators(generators)
 
     def identity(self):
         return self._identity
-
-    def letter(self, letter):
-        g = self._generators[abs(letter) - 1]
-        return g if letter > 0 else self._inverses[g]
 
     def multiply(self, g, h):
         return self._table[g][h]
 
     def invert(self, g):
         return self._inverses[g]
-
-    def as_word(self, g):
-        return self._words.word(g)
-
-    def word_length(self, g):
-        return self._words.entry(g)[0]
 
 
 class Ball(list):
@@ -549,8 +523,8 @@ def ball(oracle: GroupOracle, radius: int, budget: int = DEFAULT_BALL_BUDGET) ->
     """
     if radius < 0:
         raise SpecParseError("radius must be >= 0")
-    letters = [s for gen in range(1, oracle.generator_count + 1) for s in (gen, -gen)]
-    images = [oracle.letter(s) for s in letters]
+    letters = list(oracle.letters)
+    images = list(oracle.letters.values())
     out = Ball([(oracle.identity(), 0)])
     steps = out.steps = []
     index = {oracle.identity(): 0}
@@ -629,8 +603,7 @@ def surface_group(genus: int) -> GroupOracle:
 
 
 def klein_bottle() -> GroupOracle:
-    presentation = Presentation(2, (word_from_string("a*b*a*b^-1"),))
-    return TwistedPairOracle("Klein", presentation, [(1, 0), (0, 1)])
+    return KleinOracle()
 
 
 def orientable_type(genus: int) -> GroupOracle:
@@ -651,7 +624,7 @@ def nonorientable_type(genus: int) -> GroupOracle:
     presentation = Presentation(genus, (nonorientable_relator(genus),))
     if genus == 2:
         # flat case: embed into the twisted-pair model via g1 = ab, g2 = b^-1
-        return SquaresPairOracle("T11b:2", presentation, [(1, 1), (0, -1)])
+        return TwistedPairOracle("T11b:2", presentation, [(1, 1), (0, -1)])
     return DehnOracle(f"T11b:{genus}", presentation)
 
 

@@ -71,13 +71,12 @@ def all_geodesics(oracle: GroupOracle, start, end, metric: _SweepMetric | None =
         if remaining == 0:
             out.append(list(path))
             return
-        for index in range(1, oracle.generator_count + 1):
-            for letter in (index, -index):
-                candidate = oracle.multiply(current, oracle.letter(letter))
-                if metric.row(candidate)[end] == remaining - 1:
-                    path.append(candidate)
-                    descend(candidate, remaining - 1)
-                    path.pop()
+        for image in oracle.letters.values():
+            candidate = oracle.multiply(current, image)
+            if metric.row(candidate)[end] == remaining - 1:
+                path.append(candidate)
+                descend(candidate, remaining - 1)
+                path.pop()
 
     descend(start, metric.row(start)[end])
     return out

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from pdfill import (
+    INTEGERS,
     ball,
     builtin_group_specs,
     cyclic_table,
@@ -17,10 +18,11 @@ from pdfill import (
     make_group,
     nonorientable_type,
     orientable_type,
+    parse_element,
     surface_group,
 )
 from pdfill.errors import BudgetError, SpecParseError
-from pdfill.groups import DEFAULT_BALL_BUDGET, Presentation
+from pdfill.groups import DEFAULT_BALL_BUDGET, GroupOracle, Presentation
 from pdfill.words import free_reduce, invert_word, join_reduced, word_from_string
 
 
@@ -263,11 +265,14 @@ def c6_oracles():
     ]
 
 
-@pytest.mark.parametrize(
+every_oracle = pytest.mark.parametrize(
     "oracle",
     [make_group(spec) for spec in builtin_group_specs()] + c6_oracles(),
     ids=builtin_group_specs() + ["C6[1]", "C6[2,3]", "C6[0,1]"],
 )
+
+
+@every_oracle
 def test_as_word_is_a_reduced_geodesic(oracle):
     # every oracle spells each element by a freely reduced word of the
     # element's length that evaluates back to it; ball distances come from
@@ -289,6 +294,53 @@ def test_finite_table_oracle():
     assert z6.evaluate(z6.as_word(5)) == 5
     with pytest.raises(SpecParseError):
         finite_table([[0, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("generators", [[-1], [6], [7], [1, -2]])
+def test_finite_table_rejects_generators_outside_the_table(generators):
+    # Python reads row -1 as the last row; none of these is an element
+    with pytest.raises(SpecParseError):
+        finite_table(cyclic_table(6), generators)
+
+
+@every_oracle
+def test_letters_are_ordered_inverse_pairs(oracle):
+    m = oracle.generator_count
+    assert list(oracle.letters) == [s for i in range(1, m + 1) for s in (i, -i)]
+    for i in range(1, m + 1):
+        assert oracle.is_identity(oracle.multiply(oracle.letter(i), oracle.letter(-i)))
+
+
+@every_oracle
+def test_out_of_range_letters_are_spec_errors(oracle):
+    m = oracle.generator_count
+    for letter in (0, m + 1, -(m + 1)):
+        with pytest.raises(SpecParseError):
+            oracle.letter(letter)
+
+
+def test_letter_images_are_pinned():
+    assert free_abelian(3).letter(-2) == (0, -1, 0)
+    assert klein_bottle().letter(-2) == (0, -1)
+    squares = nonorientable_type(2)
+    assert squares.letter(1) == (1, 1)
+    assert squares.letter(-2) == (0, 1)
+
+
+def test_unknown_generator_in_element_text_is_a_spec_error():
+    with pytest.raises(SpecParseError):
+        parse_element("c", INTEGERS, klein_bottle())
+
+
+def test_klein_closed_form_matches_word_table():
+    # a^m b^n is right only for the normal-form generators; the
+    # breadth-first table is right for any images
+    k = klein_bottle()
+    elements = ball(k, 8)
+    assert len(elements) == 145
+    for g, _ in elements:
+        assert k.as_word(g) == GroupOracle.as_word(k, g)
+        assert k.word_length(g) == GroupOracle.word_length(k, g)
 
 
 @pytest.mark.parametrize("spec", builtin_group_specs())
