@@ -31,7 +31,7 @@ from .filling import isoperimetric_sweep, transfer_constant
 from .folner import folner_sweep
 from .group_ring import Character
 from .groups import DEFAULT_BALL_BUDGET, make_group
-from .rings import frac_str, parse_fraction, parse_ring
+from .rings import RATIONALS, frac_str, parse_ring
 from .slimness import slimness_constants, slimness_sweep
 
 
@@ -171,9 +171,8 @@ def cmd_fill(group_spec, ring_spec, radius, max_word, coeff_bound, as_csv, outpu
 def cmd_folner(group_spec, family, threshold, as_csv, output):
     """Boundary-to-size ratios over a family of finite sets."""
     group = make_group(group_spec)
-    report = folner_sweep(
-        group, family, threshold=parse_fraction(threshold), budget=_budget()
-    )
+    threshold = RATIONALS.parse_value(threshold).payload
+    report = folner_sweep(group, family, threshold=threshold, budget=_budget())
     if as_csv:
         _emit_csv(report.csv_rows(), output)
     else:
@@ -227,7 +226,8 @@ def cmd_constants(group_spec, kappa, output):
 @_handle_errors
 def cmd_transfer(kappa, norm_x, norm_z, norm_h, output):
     """kappa*|X|*|Z| + |H|: carry a filling constant across chain maps."""
-    value = transfer_constant(parse_fraction(kappa), norm_x, norm_z, norm_h)
+    kappa = RATIONALS.parse_value(kappa).payload
+    value = transfer_constant(kappa, norm_x, norm_z, norm_h)
     _emit_json({"constant": frac_str(value)}, output)
 
 

@@ -10,12 +10,11 @@ second differential the Jacobian of free derivatives of the relators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvariantError, NotAFieldError, SpecParseError
 from .group_ring import Character, GroupRingElement, GroupRingMatrix
 from .groups import GroupOracle
-from .rings import Ring, RingValue
+from .rings import INTEGERS, Ring, RingValue
 
 
 @dataclass
@@ -82,7 +81,7 @@ class ChainComplex:
         ]
         boundary_rank = [0] * (self.top + 2)
         for k, matrix in enumerate(matrices, start=1):
-            boundary_rank[k] = _exact_rank(matrix, field)
+            boundary_rank[k] = _exact_rank(matrix)
         dims = []
         for k in range(self.top + 1):
             kernel_dim = self.ranks[k] - boundary_rank[k]
@@ -121,12 +120,7 @@ def fox_jacobian(ring: Ring, group: GroupOracle) -> GroupRingMatrix:
         fox_derivatives_all(ring, group, relator)
         for relator in presentation.relators
     ]
-    matrix = GroupRingMatrix.zero(
-        ring, group, len(presentation.relators), presentation.generator_count
-    )
-    if rows:
-        matrix = GroupRingMatrix(ring, group, rows)
-    return matrix
+    return GroupRingMatrix(ring, group, rows, presentation.generator_count)
 
 
 def presentation_complex(group: GroupOracle, ring: Ring) -> ChainComplex:
@@ -152,17 +146,11 @@ def presentation_complex(group: GroupOracle, ring: Ring) -> ChainComplex:
 
 
 def _augment_to_field(value: RingValue, field: Ring) -> RingValue:
-    src = value.ring
-    if src == field:
-        return value
-    if src.kind == "Z":
-        if field.kind == "Q":
-            return field.value(Fraction(value.payload))
-        if field.kind == "Zmod":
-            return field.value(value.payload % field.modulus)
-    raise NotAFieldError(
-        f"cannot view {src.name} coefficients inside the field {field.name}"
-    )
+    if value.ring not in (INTEGERS, field):
+        raise NotAFieldError(
+            f"cannot view {value.ring.name} coefficients inside the field {field.name}"
+        )
+    return field.value(value.payload)
 
 
 def _is_prime(n: int) -> bool:
@@ -192,44 +180,23 @@ def _augmented_matrix(matrix: GroupRingMatrix, field: Ring):
     ]
 
 
-def _exact_rank(rows, field: Ring) -> int:
-    """Gaussian elimination over Q or a prime field, exactly."""
-    if not rows or not rows[0]:
-        return 0
-    matrix = [[v.payload for v in row] for row in rows]
-    n_rows, n_cols = len(matrix), len(matrix[0])
-    modulus = field.modulus if field.kind == "Zmod" else None
+def _exact_rank(rows) -> int:
+    """Gaussian elimination on exact field values."""
+    matrix = [list(row) for row in rows]
     rank = 0
-    row = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(row, n_rows):
-            if matrix[r][col] != 0:
-                pivot = r
-                break
+    for col in range(len(matrix[0]) if matrix else 0):
+        pivot = next(
+            (r for r in range(rank, len(matrix)) if not matrix[r][col].is_zero()),
+            None,
+        )
         if pivot is None:
             continue
-        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
-        inv = (
-            pow(matrix[row][col], -1, modulus)
-            if modulus
-            else 1 / Fraction(matrix[row][col])
-        )
-        for r in range(row + 1, n_rows):
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        inverse = matrix[rank][col].inverse()
+        for r in range(rank + 1, len(matrix)):
             factor = matrix[r][col]
-            if factor == 0:
-                continue
-            if modulus:
-                scale = (factor * inv) % modulus
-                matrix[r] = [
-                    (a - scale * b) % modulus
-                    for a, b in zip(matrix[r], matrix[row])
-                ]
-            else:
-                scale = factor * inv
-                matrix[r] = [a - scale * b for a, b in zip(matrix[r], matrix[row])]
+            if not factor.is_zero():
+                scale = factor * inverse
+                matrix[r] = [a - scale * b for a, b in zip(matrix[r], matrix[rank])]
         rank += 1
-        row += 1
-        if row == n_rows:
-            break
     return rank

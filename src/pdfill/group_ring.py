@@ -23,26 +23,44 @@ from .rings import Ring, RingValue
 from .words import word_from_string, word_to_string
 
 
+def _add_terms(terms: dict, pairs) -> dict:
+    """Add (element, coefficient) pairs into ``terms`` and return it.
+
+    An element whose sum reaches zero is dropped.  Only sums are tested
+    for zero, so every coefficient in ``pairs`` must be nonzero.
+    """
+    for element, coeff in pairs:
+        if element in terms:
+            coeff = terms[element] + coeff
+            if coeff.is_zero():
+                del terms[element]
+                continue
+        terms[element] = coeff
+    return terms
+
+
 class GroupRingElement:
     """A finitely supported function from group elements to ring values."""
 
     __slots__ = ("ring", "group", "terms")
 
-    def __init__(self, ring: Ring, group: GroupOracle, terms=None):
+    def __init__(self, ring: Ring, group: GroupOracle, terms=()):
+        for _, coeff in terms:
+            if coeff.ring != ring:
+                raise RingMismatchError(
+                    f"coefficient from {coeff.ring.name} in a {ring.name} group ring"
+                )
         self.ring = ring
         self.group = group
-        merged: dict = {}
-        if terms:
-            for element, coeff in terms:
-                if coeff.ring != ring:
-                    raise RingMismatchError(
-                        f"coefficient from {coeff.ring.name} in a {ring.name} group ring"
-                    )
-                if element in merged:
-                    merged[element] = merged[element] + coeff
-                else:
-                    merged[element] = coeff
-        self.terms = {g: c for g, c in merged.items() if not c.is_zero()}
+        self.terms = _add_terms({}, ((g, c) for g, c in terms if not c.is_zero()))
+
+    def _like(self, terms: dict) -> "GroupRingElement":
+        """An element of this ring and group with the given nonzero terms."""
+        result = GroupRingElement.__new__(GroupRingElement)
+        result.ring = self.ring
+        result.group = self.group
+        result.terms = terms
+        return result
 
     @classmethod
     def zero(cls, ring, group):
@@ -76,24 +94,10 @@ class GroupRingElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            if g in out:
-                total = out[g] + c
-                if total.is_zero():
-                    del out[g]
-                else:
-                    out[g] = total
-            else:
-                out[g] = c
-        result = GroupRingElement(self.ring, self.group)
-        result.terms = out
-        return result
+        return self._like(_add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
-        result = GroupRingElement(self.ring, self.group)
-        result.terms = {g: -c for g, c in self.terms.items()}
-        return result
+        return self._like({g: -c for g, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -101,21 +105,14 @@ class GroupRingElement:
     def __mul__(self, other):
         """Convolution product; coefficients multiply in left-to-right order."""
         self._check(other)
-        group = self.group
-        out: dict = {}
-        for g, a in self.terms.items():
-            for h, b in other.terms.items():
-                k = group.multiply(g, h)
-                coeff = a * b
-                if k in out:
-                    coeff = out[k] + coeff
-                if coeff.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = coeff
-        result = GroupRingElement(self.ring, self.group)
-        result.terms = out
-        return result
+        multiply = self.group.multiply
+        products = [
+            (multiply(g, h), c)
+            for g, a in self.terms.items()
+            for h, b in other.terms.items()
+            if not (c := a * b).is_zero()
+        ]
+        return self._like(_add_terms({}, products))
 
     def scale(self, coeff: RingValue, side: str = "left") -> "GroupRingElement":
         if coeff.ring != self.ring:
@@ -125,9 +122,7 @@ class GroupRingElement:
             if side == "left"
             else {g: c * coeff for g, c in self.terms.items()}
         )
-        result = GroupRingElement(self.ring, self.group)
-        result.terms = {g: c for g, c in terms.items() if not c.is_zero()}
-        return result
+        return self._like({g: c for g, c in terms.items() if not c.is_zero()})
 
     def involute(self) -> "GroupRingElement":
         """The star involution: each term (r, g) becomes (r*, g^-1)."""
@@ -221,23 +216,15 @@ def parse_element(text: str, ring: Ring, group: GroupOracle) -> GroupRingElement
             chunk = chunk[1:].strip()
         elif chunk.startswith("+"):
             chunk = chunk[1:].strip()
-        coeff = ring.one
-        word_part = chunk
-        if "*" in chunk:
-            head, _, tail = chunk.partition("*")
-            try:
-                coeff = ring.parse_value(head)
-                word_part = tail
-            except SpecParseError:
-                word_part = chunk
-        if word_part == "":
+        if not chunk or chunk.endswith("*"):
             raise SpecParseError(f"empty term in {text!r}")
+        # an optional leading coefficient, then a word: "2*1" is 2 on the identity
+        head, _, tail = chunk.partition("*")
         try:
-            coeff = ring.parse_value(word_part)
-            word = ()
+            coeff, word_part = ring.parse_value(head), tail
         except SpecParseError:
-            word = word_from_string(word_part)
-        terms.append((group.evaluate(word), sign * coeff))
+            coeff, word_part = ring.one, chunk
+        terms.append((group.evaluate(word_from_string(word_part)), sign * coeff))
     return GroupRingElement(ring, group, terms)
 
 
@@ -246,19 +233,13 @@ class GroupRingMatrix:
 
     __slots__ = ("ring", "group", "rows", "cols", "entries")
 
-    def __init__(self, ring, group, entries, rows=None, cols=None):
+    def __init__(self, ring, group, entries, cols=None):
+        """The shape is read off ``entries``; ``cols`` sizes a matrix with no rows."""
         self.ring = ring
         self.group = group
         self.entries = [list(row) for row in entries]
         self.rows = len(self.entries)
-        if rows is not None and self.rows != rows:
-            raise SpecParseError("row count mismatch")
-        if self.entries:
-            self.cols = len(self.entries[0])
-            if cols is not None and self.cols != cols:
-                raise SpecParseError("column count mismatch")
-        else:
-            self.cols = 0 if cols is None else cols
+        self.cols = len(self.entries[0]) if self.entries else cols or 0
         for row in self.entries:
             if len(row) != self.cols:
                 raise SpecParseError("ragged matrix")
@@ -269,9 +250,7 @@ class GroupRingMatrix:
             [GroupRingElement.zero(ring, group) for _ in range(cols)]
             for _ in range(rows)
         ]
-        matrix = cls(ring, group, entries)
-        matrix.rows, matrix.cols = rows, cols
-        return matrix
+        return cls(ring, group, entries, cols)
 
     @classmethod
     def identity(cls, ring, group, size):
@@ -317,45 +296,31 @@ class GroupRingMatrix:
                     out.entries[i][j] = out.entries[i][j] + left * right
         return out
 
+    def _like(self, entries) -> "GroupRingMatrix":
+        """A matrix over this ring and group with as many columns as this one."""
+        return GroupRingMatrix(self.ring, self.group, entries, self.cols)
+
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise SpecParseError("matrix sum shape mismatch")
-        return GroupRingMatrix(
-            self.ring,
-            self.group,
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-            rows=self.rows,
-            cols=self.cols,
+        return self._like(
+            [[a + b for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)]
         )
 
     def __neg__(self):
-        return GroupRingMatrix(
-            self.ring,
-            self.group,
-            [[-e for e in row] for row in self.entries],
-            rows=self.rows,
-            cols=self.cols,
-        )
+        return self._like([[-e for e in row] for row in self.entries])
 
     def conjugate_transpose(self) -> "GroupRingMatrix":
         """Entrywise involution plus transpose; contravariant for products."""
-        out = GroupRingMatrix.zero(self.ring, self.group, self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.entries[j][i] = self.entries[i][j].involute()
-        return out
-
-    def twist(self, character: "Character") -> "GroupRingMatrix":
         return GroupRingMatrix(
             self.ring,
             self.group,
-            [[e.twist(character) for e in row] for row in self.entries],
-            rows=self.rows,
-            cols=self.cols,
+            [[row[j].involute() for row in self.entries] for j in range(self.cols)],
+            self.rows,
         )
+
+    def twist(self, character: "Character") -> "GroupRingMatrix":
+        return self._like([[e.twist(character) for e in row] for row in self.entries])
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)

@@ -7,7 +7,7 @@ carries quaternion conjugation and is the one genuinely noncommutative
 ring in the family.
 
 All arithmetic is exact: Python ints, ``Fraction`` and integer 4-tuples,
-never floats.  Values are immutable and safe to share between workers.
+never floats.  Values are immutable.
 """
 
 from __future__ import annotations
@@ -99,15 +99,16 @@ class Ring:
             parts = text.strip("()").split(",")
             if len(parts) != 4:
                 raise SpecParseError(f"bad quaternion literal {text!r}")
-            return self.value(tuple(int(p) for p in parts))
-        if "/" in text:
-            if self.kind != "Q":
-                raise SpecParseError(f"fraction literal {text!r} outside Q")
-            num, den = text.split("/")
-            return self.value(Fraction(int(num), int(den)))
-        if not re.fullmatch(r"[+-]?\d+", text):
-            raise SpecParseError(f"bad ring literal {text!r}")
-        return self.value(int(text))
+            return self.value(tuple(_parse_int(p, text) for p in parts))
+        num, slash, den = text.partition("/")
+        if not slash:
+            return self.value(_parse_int(num, text))
+        if self.kind != "Q":
+            raise SpecParseError(f"fraction literal {text!r} outside Q")
+        denominator = _parse_int(den, text)
+        if denominator == 0:
+            raise SpecParseError(f"zero denominator in {text!r}")
+        return self.value(Fraction(_parse_int(num, text), denominator))
 
     def sample(self, rng, nonzero: bool = False) -> RingValue:
         """Draw a small random value, for randomized property tests."""
@@ -122,6 +123,13 @@ class Ring:
                 v = self.value(tuple(rng.randint(-3, 3) for _ in range(4)))
             if not nonzero or not v.is_zero():
                 return v
+
+
+def _parse_int(part: str, text: str) -> int:
+    part = part.strip()
+    if not re.fullmatch(r"[+-]?\d+", part):
+        raise SpecParseError(f"bad ring literal {text!r}")
+    return int(part)
 
 
 INTEGERS = Ring("Z")
@@ -280,11 +288,3 @@ def frac_str(value) -> int | str:
             return int(value)
         return f"{value.numerator}/{value.denominator}"
     raise TypeError(f"not an exact number: {value!r}")
-
-
-def parse_fraction(text: str) -> Fraction:
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))

@@ -248,6 +248,8 @@ def slimness_sweep(
     """
     if radius < 0:
         raise SpecParseError("radius must be >= 0")
+    if sample is not None and sample < 0:
+        raise SpecParseError("sample must be >= 0")
     sphere_radius = radius // 2
     elements = ball(oracle, sphere_radius, budget=budget)
     corners = [g for g, d in elements if d == sphere_radius]

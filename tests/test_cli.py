@@ -83,6 +83,28 @@ def test_usage_errors_exit_2(runner):
     assert invoke(runner, args).exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["transfer", "--kappa", kappa, "--norm-x", "1", "--norm-z", "1", "--norm-h", "1"]
+        for kappa in ("1/0", "abc", "1/2/3")
+    ]
+    + [
+        ["folner", "Z^2", "--family", "boxes:3", "--threshold", threshold]
+        for threshold in ("1/0", "x", "1/2/3")
+    ]
+    + [
+        ["complex", "Klein", "Q", "--twist", "a:1/0,b:1"],
+        ["slim", "Z^2", "--radius", "2", "--samples", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_bad_numbers_exit_2(runner, args):
+    result = invoke(runner, args)
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ")
+
+
 def test_fill_rejects_rings_other_than_z(runner):
     for ring in ("Q", "Z/5", "H"):
         args = ["fill", "Z^2", ring, "--radius", "2", "--max-word", "4"]

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from pdfill import (
     make_group,
     residue_ring,
 )
-from pdfill.complexes import fox_derivatives_all, presentation_complex
+from pdfill.complexes import ChainComplex, fox_derivatives_all, presentation_complex
 from pdfill.errors import NotAFieldError, SpecParseError
 
 RINGS = [INTEGERS, RATIONALS, residue_ring(2), residue_ring(5)]
@@ -172,7 +173,106 @@ def test_complex_serialization():
 def test_complex_shape_validation():
     f2 = free_group(2)
     one = GroupRingElement.one(INTEGERS, f2)
-    from pdfill.complexes import ChainComplex
-
     with pytest.raises(SpecParseError):
         ChainComplex(INTEGERS, f2, (1, 2), (GroupRingMatrix.row([one]),))
+
+
+def _rank(entries, cols, field):
+    """The rank over ``field`` of an integer matrix, read off homology.
+
+    A one-differential complex from level 1 (one basis element per row) to
+    level 0 (one per column) has H_0 of dimension cols - rank.
+    """
+    f2 = free_group(2)
+    identity = f2.identity()
+    matrix = GroupRingMatrix(
+        INTEGERS,
+        f2,
+        [
+            [GroupRingElement.monomial(INTEGERS, f2, identity, INTEGERS.value(v)) for v in row]
+            for row in entries
+        ],
+        cols=cols,
+    )
+    complex_ = ChainComplex(INTEGERS, f2, (cols, len(entries)), (matrix,))
+    return cols - complex_.homology_dimensions(field)[0]
+
+
+def _random_matrix(rng, max_rows):
+    rows, cols = rng.randint(0, max_rows), rng.randint(0, 5)
+    entries = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+    # plant dependencies that a full-rank random draw would rarely show
+    if rows >= 2 and rng.random() < 0.3:
+        entries[rng.randrange(rows)] = [-v for v in entries[rng.randrange(rows)]]
+    if cols and rng.random() < 0.2:
+        j = rng.randrange(cols)
+        for row in entries:
+            row[j] = 0
+    return entries, cols
+
+
+def _row_space_size(entries, cols, p):
+    return len(
+        {
+            tuple(sum(c * row[j] for c, row in zip(combo, entries)) % p for j in range(cols))
+            for combo in itertools.product(range(p), repeat=len(entries))
+        }
+    )
+
+
+def test_rank_over_q_matches_numpy():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(29)
+    for _ in range(200):
+        entries, cols = _random_matrix(rng, 5)
+        expected = (
+            int(np.linalg.matrix_rank(np.array(entries, dtype=float)))
+            if entries and cols
+            else 0
+        )
+        assert _rank(entries, cols, RATIONALS) == expected, entries
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_over_prime_fields_matches_row_space_count(p):
+    rng = random.Random(31 + p)
+    for _ in range(150):
+        entries, cols = _random_matrix(rng, 4)
+        rank = _rank(entries, cols, residue_ring(p))
+        assert p**rank == _row_space_size(entries, cols, p), entries
+
+
+@pytest.mark.parametrize("field", [RATIONALS, residue_ring(2), residue_ring(3)], ids=lambda f: f.name)
+def test_rank_of_empty_shapes(field):
+    for n in range(4):
+        assert _rank([], n, field) == 0
+        assert _rank([[] for _ in range(n)], 0, field) == 0
+
+
+# (Q, Z/2, Z/3) homology of each presentation complex over Z and of its
+# dual, as the Fraction and modulus elimination computed them
+PINNED_HOMOLOGY = {
+    "F2": [((1, 2, 0), (1, 2, 0), (1, 2, 0)), ((0, 2, 1), (0, 2, 1), (0, 2, 1))],
+    "Z^2": [((1, 2, 1), (1, 2, 1), (1, 2, 1)), ((1, 2, 1), (1, 2, 1), (1, 2, 1))],
+    "Sigma2": [((1, 4, 1), (1, 4, 1), (1, 4, 1)), ((1, 4, 1), (1, 4, 1), (1, 4, 1))],
+    "Klein": [((1, 1, 0), (1, 2, 1), (1, 1, 0)), ((0, 1, 1), (1, 2, 1), (0, 1, 1))],
+    "T11a:1": [((1, 2, 1), (1, 2, 1), (1, 2, 1)), ((1, 2, 1), (1, 2, 1), (1, 2, 1))],
+    "T11a:2": [((1, 4, 1), (1, 4, 1), (1, 4, 1)), ((1, 4, 1), (1, 4, 1), (1, 4, 1))],
+    "T11a:3": [((1, 6, 1), (1, 6, 1), (1, 6, 1)), ((1, 6, 1), (1, 6, 1), (1, 6, 1))],
+    "T11b:2": [((1, 1, 0), (1, 2, 1), (1, 1, 0)), ((0, 1, 1), (1, 2, 1), (0, 1, 1))],
+    "T11b:3": [((1, 2, 0), (1, 3, 1), (1, 2, 0)), ((0, 2, 1), (1, 3, 1), (0, 2, 1))],
+    "T11b:4": [((1, 3, 0), (1, 4, 1), (1, 3, 0)), ((0, 3, 1), (1, 4, 1), (0, 3, 1))],
+}
+
+
+@pytest.mark.parametrize("spec", builtin_group_specs())
+def test_homology_dimensions_pinned(spec):
+    c = presentation_complex(make_group(spec), INTEGERS)
+    measured = [
+        tuple(
+            tuple(complex_.homology_dimensions(field))
+            for field in (RATIONALS, residue_ring(2), residue_ring(3))
+        )
+        for complex_ in (c, c.dualize())
+    ]
+    assert measured == PINNED_HOMOLOGY[spec]

@@ -23,6 +23,7 @@ from pdfill.errors import (
     GroupMismatchError,
     InvalidCharacterError,
     RingMismatchError,
+    SpecParseError,
     UnsupportedTwistError,
 )
 
@@ -250,3 +251,19 @@ def test_format_and_parse_round_trip():
                 x = random_element(ring, group, rng)
                 assert parse_element(x.format(), ring, group) == x
     assert parse_element("0", INTEGERS, f2).is_zero()
+
+
+def test_parse_element_keeps_a_leading_coefficient():
+    f2 = free_group(2)
+    one, (a, b) = gens(INTEGERS, f2)
+    two = INTEGERS.value(2)
+    # after "2*" the rest is a word: "1" is the identity, "3" no word at all
+    assert parse_element("2*1", INTEGERS, f2) == one.scale(two)
+    assert parse_element("2*1", INTEGERS, f2).format() == "2"
+    with pytest.raises(SpecParseError):
+        parse_element("2*3", INTEGERS, f2)
+    assert parse_element("3*a", INTEGERS, f2) == a.scale(INTEGERS.value(3))
+    binv = GroupRingElement.monomial(INTEGERS, f2, f2.letter(-2), two)
+    assert parse_element("1 - a + 2*b^-1", INTEGERS, f2) == one - a + binv
+    assert parse_element("a*b", INTEGERS, f2) == a * b
+    assert parse_element("-7", INTEGERS, f2) == one.scale(INTEGERS.value(-7))

@@ -100,6 +100,28 @@ def test_mismatched_rings_rejected():
 def test_value_formatting_and_parsing():
     assert RATIONALS.value(Fraction(-3, 2)).format() == "-3/2"
     assert RATIONALS.parse_value("-3/2").payload == Fraction(-3, 2)
+    assert RATIONALS.parse_value(" 6/4 ").payload == Fraction(3, 2)
+    assert RATIONALS.parse_value("1/-2").payload == Fraction(-1, 2)
     assert QUATERNIONS.parse_value("(1,-1,0,0)").payload == (1, -1, 0, 0)
     assert INTEGERS.parse_value("-7").payload == -7
     assert residue_ring(4).value(7).payload == 3
+
+
+BAD_LITERALS = [
+    (RATIONALS, "1/0"),
+    (RATIONALS, "abc"),
+    (RATIONALS, "1/2/3"),
+    (RATIONALS, "x/2"),
+    (RATIONALS, "2/"),
+    (INTEGERS, "1/2"),
+    (QUATERNIONS, "(1,x,0,0)"),
+    (QUATERNIONS, "(1,1/2,0,0)"),
+]
+
+
+@pytest.mark.parametrize(
+    "ring, text", BAD_LITERALS, ids=[f"{ring.name} {text}" for ring, text in BAD_LITERALS]
+)
+def test_bad_literals_raise_spec_errors(ring, text):
+    with pytest.raises(SpecParseError):
+        ring.parse_value(text)
