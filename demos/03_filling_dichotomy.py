@@ -28,7 +28,7 @@ def main():
     print()
     print("== sweeping all closed words ==")
     for cap in (4, 8, 12):
-        report = isoperimetric_sweep(z2, 6, cap, complex_=window)
+        report = isoperimetric_sweep(z2, 6, cap)
         print(f"plane, words up to {cap:2d}: {report.corpus_size:5d} cycles, "
               f"worst ratio {report.max_ratio}")
 

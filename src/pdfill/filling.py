@@ -248,13 +248,11 @@ def word_cycle(complex_: CayleyBallComplex, word) -> OneCycle:
 
 @dataclass
 class FillingResult:
-    cycle: OneCycle
     filler: dict
     cycle_norm: int
     filler_norm: int
     ratio: Fraction
     nodes_explored: int      # core-search nodes; 0 when the core is not searched
-    coefficient_bound: int
 
 
 def minimal_filling(
@@ -281,19 +279,15 @@ def minimal_filling(
     Raises ``NoFillingError`` when nothing in the window at this bound has
     the right boundary; that never distinguishes a small window from a
     non-bounding cycle.  Raises ``BudgetError`` when the core search
-    passes ``MAX_SEARCH_NODES`` nodes.
+    passes ``MAX_SEARCH_NODES`` nodes, and ``SpecParseError`` when the
+    cycle belongs to another window, whose edges are numbered otherwise.
     """
+    if cycle.complex is not complex_:
+        raise SpecParseError("cycle lies in another window")
     if coefficient_bound < 1:
         raise SpecParseError("coefficient bound must be >= 1")
     if not cycle.coefficients:
-        return FillingResult(
-            cycle, {}, 0, 0, Fraction(0), 0, coefficient_bound
-        )
-    if complex_.face_count == 0:
-        raise NoFillingError(
-            "no faces in the window: cycle does not bound here "
-            "(window may be too small)"
-        )
+        return FillingResult({}, 0, 0, Fraction(0), 0)
     face_boundaries = complex_.face_boundaries
     residual = dict(cycle.coefficients)
     filler = {}
@@ -308,8 +302,6 @@ def minimal_filling(
         _subtract(residual, face_boundaries[face], value)
     nodes = 0
     if residual:
-        if not complex_.core:
-            raise _no_filling(coefficient_bound)
         core_filler, nodes = _exact_search(complex_, cycle, residual, coefficient_bound)
         filler.update(core_filler)
     filler = dict(sorted(filler.items()))
@@ -317,13 +309,7 @@ def minimal_filling(
     filler_norm = len(filler)
     cycle_norm = cycle.support_norm()
     return FillingResult(
-        cycle,
-        filler,
-        cycle_norm,
-        filler_norm,
-        Fraction(filler_norm, cycle_norm),
-        nodes,
-        coefficient_bound,
+        filler, cycle_norm, filler_norm, Fraction(filler_norm, cycle_norm), nodes
     )
 
 
@@ -501,7 +487,6 @@ def isoperimetric_sweep(
     word_length_cap: int,
     coefficient_bound: int = 1,
     budget: int = DEFAULT_BALL_BUDGET,
-    complex_: CayleyBallComplex | None = None,
 ) -> SweepReport:
     """Fill every null-homotopic word up to the cap whose path fits the window.
 
@@ -511,8 +496,9 @@ def isoperimetric_sweep(
     nonzero cycle is filled.  Cycles with no filling at the coefficient
     bound are reported and excluded from the ratio statistics.
     """
-    if complex_ is None:
-        complex_ = build_ball_complex(group, radius, budget=budget)
+    if coefficient_bound < 1:
+        raise SpecParseError("coefficient bound must be >= 1")
+    complex_ = build_ball_complex(group, radius, budget=budget)
     cycles = _closed_cycles(complex_, word_length_cap)
     per_cycle = []
     max_ratio = Fraction(0)

@@ -7,9 +7,9 @@ finite sets gives the filling constant 1/epsilon for the one-step
 differential (1 - r_i s_i).
 
 Verdicts are family-relative only: ``ratio-vanishing`` when the examined
-family drops below a threshold, ``ratio-bounded-below`` when an exhaustive
-family has a positive minimum, ``inconclusive`` otherwise.  Nothing here
-claims amenability or non-amenability of the group itself.
+family drops below a threshold in (0, 1), ``ratio-bounded-below`` when an
+exhaustive family has a positive minimum, ``inconclusive`` otherwise.
+Nothing here claims amenability or non-amenability of the group itself.
 """
 
 from __future__ import annotations
@@ -90,6 +90,8 @@ def folner_sweep(
     threshold: Fraction = DEFAULT_VANISHING_THRESHOLD,
     budget: int = DEFAULT_BALL_BUDGET,
 ) -> FolnerReport:
+    if not 0 < threshold < 1:
+        raise SpecParseError(f"threshold must lie strictly between 0 and 1, got {threshold}")
     name, limit = parse_family(family)
     if name == "balls":
         series, sets_examined = _ball_series(oracle, limit, budget)
@@ -307,9 +309,7 @@ def verify_filling_bound(
     support_radius: int,
     epsilon_hat: Fraction,
     rng,
-    coefficients=None,
     max_support_size: int = 12,
-    budget: int = DEFAULT_BALL_BUDGET,
 ) -> dict:
     """Sample chains d and test |d| <= (1/epsilon)|boundary(d)|.
 
@@ -318,7 +318,7 @@ def verify_filling_bound(
     the differential.  A norm violation refutes epsilon for this family of
     supports, not the inclusion property, so both counts are reported.
     """
-    elements = [g for g, _ in ball(oracle, support_radius, budget=budget)]
+    elements = [g for g, _ in ball(oracle, support_radius)]
     norm_violations = []
     inclusion_failures = []
     for trial in range(samples):
@@ -329,7 +329,7 @@ def verify_filling_bound(
             oracle,
             [(g, ring.sample(rng, nonzero=True)) for g in support],
         )
-        entries = boundary_differential(d, coefficients)
+        entries = boundary_differential(d)
         gamma_norm = sum(entry.support_norm() for entry in entries)
         boundary = folner_boundary(oracle, d.support())
         covered = set()

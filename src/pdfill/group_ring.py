@@ -114,15 +114,12 @@ class GroupRingElement:
         ]
         return self._like(_add_terms({}, products))
 
-    def scale(self, coeff: RingValue, side: str = "left") -> "GroupRingElement":
+    def scale(self, coeff: RingValue) -> "GroupRingElement":
+        """coeff * self: each coefficient is multiplied on the left."""
         if coeff.ring != self.ring:
             raise RingMismatchError("scalar from the wrong ring")
-        terms = (
-            {g: coeff * c for g, c in self.terms.items()}
-            if side == "left"
-            else {g: c * coeff for g, c in self.terms.items()}
-        )
-        return self._like({g: c for g, c in terms.items() if not c.is_zero()})
+        products = ((g, coeff * c) for g, c in self.terms.items())
+        return self._like({g: c for g, c in products if not c.is_zero()})
 
     def involute(self) -> "GroupRingElement":
         """The star involution: each term (r, g) becomes (r*, g^-1)."""

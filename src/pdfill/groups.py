@@ -117,9 +117,6 @@ class GroupOracle:
     def is_identity(self, g) -> bool:
         return g == self.identity()
 
-    def equal(self, g, h) -> bool:
-        return g == h
-
     @cached_property
     def _words(self) -> _WordTable:
         return _WordTable(self)
@@ -228,10 +225,10 @@ class _WordElementOracle(GroupOracle):
 
 
 class FreeGroupOracle(_WordElementOracle):
-    def __init__(self, rank: int, name: str | None = None):
+    def __init__(self, rank: int):
         if rank < 1:
             raise SpecParseError("free group rank must be >= 1")
-        self.name = name or f"F{rank}"
+        self.name = f"F{rank}"
         self.presentation = Presentation(rank, ())
         self._set_generators([(i,) for i in range(1, rank + 1)])
 

@@ -96,7 +96,7 @@ class Ring:
         """Parse ``"5"``, ``"-3/2"`` or ``"(1,-1,0,0)"`` as appropriate."""
         text = text.strip()
         if self.kind == "H" and text.startswith("("):
-            parts = text.strip("()").split(",")
+            parts = text[1:-1].split(",") if text.endswith(")") else []
             if len(parts) != 4:
                 raise SpecParseError(f"bad quaternion literal {text!r}")
             return self.value(tuple(_parse_int(p, text) for p in parts))

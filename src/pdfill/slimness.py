@@ -208,10 +208,7 @@ def triangle_slimness_all_geodesics(
         metric = _SweepMetric(oracle)
     a, b, c = corners
     families = [metric.geodesics(a, b), metric.geodesics(b, c), metric.geodesics(c, a)]
-    vertex_pool = [
-        sorted({x for path in family for x in path}, key=oracle.sort_key)
-        for family in families
-    ]
+    vertex_pool = [{x for path in family for x in path} for family in families]
     # farthest one can sit from the worst-case geodesic of a side
     def worst_distance(x, family):
         distance = metric.row(x).__getitem__
@@ -234,7 +231,6 @@ def slimness_sweep(
     radius: int,
     sample: int | None = None,
     seed: int = 0,
-    cross_check: bool | None = None,
     budget: int = DEFAULT_BALL_BUDGET,
 ) -> SlimnessReport:
     """Worst slimness over triangles with corners on the half-radius sphere.
@@ -242,9 +238,8 @@ def slimness_sweep(
     All corner triples are examined when there are at most ``sample`` of
     them (``DEFAULT_TRIPLE_BUDGET`` when not given); otherwise a seeded
     uniform sample of that many.
-    ``cross_check`` additionally measures the all-geodesic variant; by
-    default it runs for free and free abelian groups, where geodesic
-    families are small.
+    Free and free abelian groups, where geodesic families are small, also
+    get the all-geodesic variant when at most 200 triangles are examined.
     """
     if radius < 0:
         raise SpecParseError("radius must be >= 0")
@@ -263,11 +258,10 @@ def slimness_sweep(
         triples = [_unrank(corners, 3, j) for j in indices]
     else:
         triples = list(itertools.combinations(corners, 3))
-    if cross_check is None:
-        cross_check = (
-            isinstance(oracle, (FreeGroupOracle, FreeAbelianOracle))
-            and len(triples) <= 200
-        )
+    cross_check = (
+        isinstance(oracle, (FreeGroupOracle, FreeAbelianOracle))
+        and len(triples) <= 200
+    )
 
     metric = _SweepMetric(oracle)
     delta_hat = 0

@@ -96,6 +96,18 @@ def test_usage_errors_exit_2(runner):
     + [
         ["complex", "Klein", "Q", "--twist", "a:1/0,b:1"],
         ["slim", "Z^2", "--radius", "2", "--samples", "-1"],
+    ]
+    # a threshold outside (0, 1), whatever verdict the family would reach
+    + [
+        ["folner", "Z^2", "--family", "boxes:3", "--threshold", "5"],
+        ["folner", "Z^2", "--family", "boxes:3", "--threshold", "0"],
+        ["folner", "F2", "--family", "connected:4", "--threshold", "7"],
+    ]
+    # a zero bound is refused before the window is built, whether or not
+    # the window holds a cycle to fill
+    + [
+        ["fill", "Z^2", "Z", "--radius", radius, "--max-word", cap, "--coeff-bound", "0"]
+        for radius, cap in (("1", "2"), ("3", "4"))
     ],
     ids=" ".join,
 )

@@ -189,6 +189,17 @@ def test_minimal_filling_zero_cycle():
     assert result.filler_norm == 0 and result.ratio == 0
 
 
+def test_minimal_filling_rejects_a_cycle_of_another_window():
+    # each window numbers its edges its own way, so a cycle is read only
+    # in the window it was traced in
+    z2 = free_abelian(2)
+    small = build_ball_complex(z2, 3)
+    square = word_cycle(small, (1, 2, -1, -2))
+    with pytest.raises(SpecParseError, match="another window"):
+        minimal_filling(build_ball_complex(z2, 6), square)
+    assert minimal_filling(small, square).filler_norm == 1
+
+
 @pytest.mark.parametrize("n,radius", [(1, 2), (2, 4), (3, 6)])
 def test_minimal_filling_squares(n, radius):
     z2 = build_ball_complex(free_abelian(2), radius)
@@ -310,7 +321,7 @@ def test_sweep_matches_winding_numbers_above_64_faces():
     z2 = free_abelian(2)
     complex_ = build_ball_complex(z2, 8)
     assert complex_.face_count == 112
-    report = isoperimetric_sweep(z2, 8, 8, complex_=complex_)
+    report = isoperimetric_sweep(z2, 8, 8)
     assert report.corpus_size > 0 and report.unfilled > 0
     for entry in report.per_cycle:
         winding = winding_numbers(plane_word(entry["word"]))
@@ -449,20 +460,15 @@ def test_sweep_free_group_empty_corpus():
 
 def test_sweep_square_ladder():
     z2 = free_abelian(2)
-    complex_ = build_ball_complex(z2, 6)
-    ratios = []
-    for cap in (4, 8, 12):
-        report = isoperimetric_sweep(z2, 6, cap, complex_=complex_)
-        ratios.append(report.max_ratio)
+    ratios = [isoperimetric_sweep(z2, 6, cap).max_ratio for cap in (4, 8, 12)]
     assert ratios == [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
     assert ratios == sorted(ratios)
 
 
 def test_sweep_deterministic_order():
     z2 = free_abelian(2)
-    complex_ = build_ball_complex(z2, 4)
-    first = isoperimetric_sweep(z2, 4, 8, complex_=complex_)
-    second = isoperimetric_sweep(z2, 4, 8, complex_=complex_)
+    first = isoperimetric_sweep(z2, 4, 8)
+    second = isoperimetric_sweep(z2, 4, 8)
     assert first.to_json_dict() == second.to_json_dict()
 
 

@@ -353,8 +353,8 @@ def test_group_axioms_randomized(spec):
             g, oracle.multiply(h, k)
         )
         assert oracle.is_identity(oracle.multiply(g, oracle.invert(g)))
-        # equal(x, y) iff is_identity(x y^-1)
-        assert oracle.equal(g, h) == oracle.is_identity(
+        # x == y iff is_identity(x y^-1)
+        assert (g == h) == oracle.is_identity(
             oracle.multiply(g, oracle.invert(h))
         )
         assert oracle.evaluate(oracle.as_word(g)) == g

@@ -116,6 +116,9 @@ BAD_LITERALS = [
     (INTEGERS, "1/2"),
     (QUATERNIONS, "(1,x,0,0)"),
     (QUATERNIONS, "(1,1/2,0,0)"),
+    (QUATERNIONS, "(1,2,3,4"),
+    (QUATERNIONS, "((1,2,3,4))"),
+    (QUATERNIONS, "(1,2,3,4))"),
 ]
 
 

@@ -68,8 +68,27 @@ def test_sweep_plane_grows_with_radius():
 def test_sweep_plane_cross_check_agrees():
     z2 = free_abelian(2)
     for radius in (2, 4):
-        report = slimness_sweep(z2, radius, cross_check=True)
+        report = slimness_sweep(z2, radius)
         assert report.geodesic_choice_agrees
+
+
+@pytest.mark.parametrize(
+    "spec, radius, sample, checked",
+    [
+        ("F2", 6, 200, True),
+        ("F2", 6, 201, False),
+        ("Z^2", 4, None, True),     # 56 triangles
+        ("Z^2", 6, None, False),    # 220 triangles
+        ("Sigma2", 2, None, False),  # 56 triangles, but not free
+        ("Sigma2", 4, 10, False),
+    ],
+)
+def test_cross_check_runs_on_free_and_free_abelian_groups_up_to_200_triangles(
+    spec, radius, sample, checked
+):
+    report = slimness_sweep(make_group(spec), radius, sample=sample)
+    assert (report.all_geodesic_delta_hat is not None) == checked
+    assert (report.geodesic_choice_agrees is not None) == checked
 
 
 def test_sweep_surface_stabilizes():
