@@ -4,14 +4,19 @@ The complex is the radius-r window of the universal cover of a
 presentation 2-complex: vertices are group elements of the ball, there is
 one directed edge per (vertex, generator) whose endpoint stays in the
 ball, and one 2-cell per (vertex, relator) whose whole attaching path
-stays in the ball.  Every solver and check works on the edge list and the
-per-face boundary dicts (``face_boundaries``); no matrix is built.
+stays in the ball.  Every solver and check works on the per-face boundary
+dicts (``face_boundaries``) over dense edge ids; no matrix is built.
 
 The group is consulted once, through ``groups.ball``, which grows the
-window and its step table together; after that every walk (attaching paths,
-``word_cycle``, the closed-walk enumeration) is a table lookup through one
-tracer, ``_trace``, which also sums the walk's signed edge coefficients.
-Each face's boundary is summed once, when the face is traced.
+window and its step table together: one integer array per signed letter,
+-1 where a step leaves the ball.  Edges are numbered densely in (vertex,
+generator) order, through one id array per generator (-1 where no edge
+starts); two arrays indexed by edge id give each edge's source and
+generator, and its target is read off that generator's step array.  After that every walk
+(attaching paths, ``word_cycle``, the closed-walk enumeration) is an
+array lookup through one tracer, ``_trace``, which also sums the walk's
+signed edge coefficients.  Each face's boundary is summed once, when the
+face is traced.
 
 When the window is built it is collapsed once (Whitehead's elementary
 collapses): while some edge is used by exactly one live face, that face
@@ -34,6 +39,7 @@ by construction and ties break by index.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -60,11 +66,12 @@ class CayleyBallComplex:
     radius: int
     vertices: list
     distances: list
-    neighbors: list      # per vertex: {signed letter: index of vertex * letter}
-    edges: list          # (source index, generator index, target index)
-    edge_index: dict     # (source index, generator index) -> edge index
+    steps: dict          # signed letter -> array: index of vertex * letter, -1 outside
+    edge_ids: dict       # generator -> array: id of the edge leaving each vertex, -1 if none
+    edge_sources: array  # per edge id: its source vertex
+    edge_generators: array  # per edge id: its generator; the target is steps[g][source]
     faces: list          # (base vertex index, relator index)
-    face_boundaries: list  # per face: {edge index: nonzero coefficient}
+    face_boundaries: list  # per face: {edge id: nonzero coefficient}
     max_face_length: int
 
     def __post_init__(self):
@@ -82,7 +89,7 @@ class CayleyBallComplex:
 
     @property
     def edge_count(self):
-        return len(self.edges)
+        return len(self.edge_sources)
 
     @property
     def face_count(self):
@@ -127,28 +134,35 @@ def build_ball_complex(
     elements = ball(group, radius, budget=budget)
     vertices = [g for g, _ in elements]
     distances = [d for _, d in elements]
-    neighbors = elements.steps
+    steps = elements.steps
+    del elements    # the (element, distance) pairs: vertices and distances hold them
 
-    # edges in (vertex, generator) order: each step dict runs 1, -1, 2, ...
-    edges = []
-    edge_index = {}
-    for i, step in enumerate(neighbors):
-        for s, j in step.items():
-            if s > 0:
-                edge_index[(i, s)] = len(edges)
-                edges.append((i, s, j))
+    # edge ids in (vertex, generator) order, with no gaps
+    generators = range(1, group.generator_count + 1)
+    edge_ids = {g: array("i", [-1]) * len(vertices) for g in generators}
+    edge_sources, edge_generators = array("i"), array("i")
+    forward = [(g, steps[g], edge_ids[g]) for g in generators]
+    for i in range(len(vertices)):
+        for g, step, ids in forward:
+            if step[i] >= 0:
+                ids[i] = len(edge_sources)
+                edge_sources.append(i)
+                edge_generators.append(g)
 
     faces = []
     face_boundaries = []
     # a face's path leaves its base vertex by its first letter and comes
     # back by its last, so both steps must exist there (the table holds
     # each step both ways)
-    ends = [(r, rel, rel[0], -rel[-1]) for r, rel in enumerate(presentation.relators)]
-    for i, step in enumerate(neighbors):
+    ends = [
+        (r, rel, steps[rel[0]], steps[-rel[-1]])
+        for r, rel in enumerate(presentation.relators)
+    ]
+    for i in range(len(vertices)):
         for r, relator, first, last in ends:
-            if first not in step or last not in step:
+            if first[i] < 0 or last[i] < 0:
                 continue
-            traced = _trace(neighbors, edge_index, i, relator)
+            traced = _trace(steps, edge_ids, i, relator)
             if traced is None:
                 continue
             end, boundary = traced
@@ -157,56 +171,60 @@ def build_ball_complex(
             faces.append((i, r))
             face_boundaries.append(boundary)
 
-    if not all(_is_cycle(edges, boundary) for boundary in face_boundaries):
-        raise InvariantError("face boundaries are not cycles: d1 o d2 != 0")
-
-    max_face_length = max((len(rel) for rel in presentation.relators), default=0)
-    return CayleyBallComplex(
+    window = CayleyBallComplex(
         group=group,
         radius=radius,
         vertices=vertices,
         distances=distances,
-        neighbors=neighbors,
-        edges=edges,
-        edge_index=edge_index,
+        steps=steps,
+        edge_ids=edge_ids,
+        edge_sources=edge_sources,
+        edge_generators=edge_generators,
         faces=faces,
         face_boundaries=face_boundaries,
-        max_face_length=max_face_length,
+        max_face_length=max((len(rel) for rel in presentation.relators), default=0),
     )
+    if not all(_is_cycle(window, boundary) for boundary in face_boundaries):
+        raise InvariantError("face boundaries are not cycles: d1 o d2 != 0")
+    return window
 
 
-def _trace(neighbors, edge_index, start, word):
-    """Read a word from a start vertex through the step table.
+def _trace(steps, edge_ids, start, word):
+    """Read a word from a start vertex through the step arrays.
 
-    Returns (end vertex, {edge index: nonzero coefficient}), where a letter
+    Returns (end vertex, {edge id: nonzero coefficient}), where a letter
     s adds +1 on the s-edge it crosses forwards and s^-1 adds -1 on the
     s-edge it crosses backwards; None when the path leaves the window.
     """
     current = start
     coefficients: dict = {}
     for letter in word:
-        target = neighbors[current].get(letter)
-        if target is None:
+        target = steps[letter][current]
+        if target < 0:
             return None
         if letter > 0:
-            e = edge_index[(current, letter)]
+            e = edge_ids[letter][current]
             coefficients[e] = coefficients.get(e, 0) + 1
         else:
-            e = edge_index[(target, -letter)]
+            e = edge_ids[-letter][target]
             coefficients[e] = coefficients.get(e, 0) - 1
         current = target
     return current, {e: c for e, c in coefficients.items() if c}
 
 
-def _is_cycle(edges, coefficients) -> bool:
-    """Whether a 1-chain {edge index: coefficient} has zero boundary.
+def _is_cycle(complex_, coefficients) -> bool:
+    """Whether a 1-chain {edge id: coefficient} has zero boundary.
 
     Each edge adds +c at its target and -c at its source, so a self-loop
     nets to zero at its one vertex.
     """
+    sources, generators, steps = (
+        complex_.edge_sources, complex_.edge_generators, complex_.steps
+    )
     net: dict = {}
     for e, c in coefficients.items():
-        s, _, t = edges[e]
+        s = sources[e]
+        t = steps[generators[e]][s]
         net[t] = net.get(t, 0) + c
         net[s] = net.get(s, 0) - c
     return not any(net.values())
@@ -225,7 +243,7 @@ class OneCycle:
             raise NotACycleError("chain is not in the kernel of the boundary")
 
     def is_cycle(self) -> bool:
-        return _is_cycle(self.complex.edges, self.coefficients)
+        return _is_cycle(self.complex, self.coefficients)
 
     def support_norm(self) -> int:
         return len(self.coefficients)
@@ -237,7 +255,7 @@ def word_cycle(complex_: CayleyBallComplex, word) -> OneCycle:
         if not 1 <= abs(letter) <= complex_.group.generator_count:
             raise SpecParseError(f"letter {letter} out of range")
     center = 0   # ``ball`` lists the identity first
-    traced = _trace(complex_.neighbors, complex_.edge_index, center, word)
+    traced = _trace(complex_.steps, complex_.edge_ids, center, word)
     if traced is None:
         raise OutOfWindowError(f"path leaves the radius-{complex_.radius} window")
     end, coefficients = traced
@@ -494,12 +512,16 @@ def isoperimetric_sweep(
     vertex (a walk is null-homotopic exactly when it returns to the
     center), deduplicated by their signed edge vectors, and each distinct
     nonzero cycle is filled.  Cycles with no filling at the coefficient
-    bound are reported and excluded from the ratio statistics.
+    bound are reported and excluded from the ratio statistics.  ``budget``
+    bounds both the window's vertices and the distinct cycles; past either,
+    ``BudgetError`` is raised before any cycle is filled.
     """
     if coefficient_bound < 1:
         raise SpecParseError("coefficient bound must be >= 1")
+    if word_length_cap < 0:
+        raise SpecParseError("word length cap must be >= 0")
     complex_ = build_ball_complex(group, radius, budget=budget)
-    cycles = _closed_cycles(complex_, word_length_cap)
+    cycles = _closed_cycles(complex_, word_length_cap, budget)
     per_cycle = []
     max_ratio = Fraction(0)
     filled = 0
@@ -538,40 +560,46 @@ def isoperimetric_sweep(
     )
 
 
-def _closed_cycles(complex_, cap):
+def _closed_cycles(complex_, cap, budget=DEFAULT_BALL_BUDGET):
     """Distinct nonzero cycles of closed non-backtracking walks at the center.
 
-    Depth-first over the window's step table, moves ordered by generator
+    Depth-first over the window's step arrays, moves ordered by generator
     index then sign, so discovery order is deterministic.  A move is
     skipped when its target lies farther from the center than the moves
-    left, since no walk from there closes within the cap.
+    left, since no walk from there closes within the cap.  Raises
+    ``BudgetError`` once more than ``budget`` distinct cycles are found.
     """
     center = 0   # ``ball`` lists the identity first
-    neighbors = complex_.neighbors
+    steps = complex_.steps
+    moves = list(steps.items())
     distances = complex_.distances
-    edge_index = complex_.edge_index
+    edge_ids = complex_.edge_ids
     found: dict = {}
     walk: list = []
 
     def visit(vertex, last_move):
         if walk and vertex == center:
-            _, coefficients = _trace(neighbors, edge_index, center, walk)
+            _, coefficients = _trace(steps, edge_ids, center, walk)
             key = tuple(sorted(coefficients.items()))
             if key and key not in found:
+                if len(found) == budget:
+                    raise BudgetError(
+                        f"closed walks up to length {cap} exceeded budget "
+                        f"{budget} distinct cycles"
+                    )
                 found[key] = (tuple(walk), OneCycle(complex_, coefficients))
         left = cap - len(walk) - 1     # moves left after the next one
         if left < 0:
             return
-        for move, target in neighbors[vertex].items():
-            if last_move is not None and move == -last_move:
-                continue
-            if distances[target] > left:
+        for move, column in moves:
+            target = column[vertex]
+            if target < 0 or move == -last_move or distances[target] > left:
                 continue
             walk.append(move)
             visit(target, move)
             walk.pop()
 
-    visit(center, None)
+    visit(center, 0)
     return list(found.values())
 
 

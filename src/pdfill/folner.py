@@ -188,20 +188,22 @@ def _connected_series(oracle, size_max, budget):
     """
     if size_max < 1:
         raise SpecParseError("size_max must be >= 1")
+    # the Ball list is dropped at once: only its step arrays are read
     steps = ball(oracle, size_max - 1, budget=budget).steps
-    n = len(steps)
     inverse_letters = range(-1, -oracle.generator_count - 1, -1)
 
     # graph adjacency (both directions) and one-directional boundary tests
-    neighbors = [None] * n
-    test_nbrs = [None] * n                  # indices of g s_i^-1, -1 if outside
+    neighbors = [
+        sorted({j for j in row if j >= 0 and j != i})
+        for i, row in enumerate(zip(*steps.values()))
+    ]
+    # indices of g s_i^-1, -1 if outside
+    test_nbrs = list(zip(*(steps[letter] for letter in inverse_letters)))
+    del steps
+    n = len(neighbors)
     rev_test = [[] for _ in range(n)]       # vertices whose test points here
-    for i in range(n):
-        step = steps[i]
-        steps[i] = None     # drop each dict once derived; both tables never coexist
-        neighbors[i] = sorted({j for j in step.values() if j != i})
-        test_nbrs[i] = [step.get(letter, -1) for letter in inverse_letters]
-        for inv in test_nbrs[i]:
+    for i, tests in enumerate(test_nbrs):
+        for inv in tests:
             if inv >= 0 and inv != i:
                 rev_test[inv].append(i)
 

@@ -26,6 +26,7 @@ series in the tests.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -512,26 +513,30 @@ def ball(oracle: GroupOracle, radius: int, budget: int = DEFAULT_BALL_BUDGET) ->
     sphere comes out in shortlex order.  Raises ``BudgetError`` naming
     the last completed radius if the ball outgrows the budget.
 
-    ``steps[i]`` maps each letter s with g_i s in the ball to the index of
-    g_i s, keyed 1, -1, 2, -2, ...  Each product g s formed is a step both
-    ways.  With even relators, letter -> 1 extends to G -> Z/2, so no step
-    stays in a sphere and the outer sphere needs no products; without a
-    presentation or with an odd relator, it is multiplied by the generators.
+    ``steps`` holds one integer array per signed letter, keyed 1, -1, 2,
+    -2, ...: ``steps[s][i]`` is the index of g_i s, or -1 when g_i s lies
+    outside the ball.  Each product g s formed is a step both ways.  With
+    even relators, letter -> 1 extends to G -> Z/2, so no step stays in a
+    sphere and the outer sphere needs no products; its entries are filled
+    from the sphere inside it.  Without a presentation or with an odd
+    relator, the outer sphere is multiplied by the generators.
     """
     if radius < 0:
         raise SpecParseError("radius must be >= 0")
     letters = list(oracle.letters)
     images = list(oracle.letters.values())
     out = Ball([(oracle.identity(), 0)])
-    steps = out.steps = []
+    steps = out.steps = {s: array("i") for s in letters}
     index = {oracle.identity(): 0}
     inner = start = 0    # out[inner:start] and out[start:]: the last two spheres
     for r in range(1, radius + 1):
-        rows, nxt = [], []
+        products = [[] for _ in letters]    # one column of products per letter
+        nxt = []
         first = len(out)    # where sphere r will start
         for g, _ in out[start:]:
-            rows.append([oracle.multiply(g, image) for image in images])
-            for h in rows[-1]:
+            for column, image in zip(products, images):
+                h = oracle.multiply(g, image)
+                column.append(h)
                 if h not in index:
                     index[h] = first + len(nxt)
                     nxt.append(h)
@@ -546,23 +551,26 @@ def ball(oracle: GroupOracle, radius: int, budget: int = DEFAULT_BALL_BUDGET) ->
             index.update((h, first + k) for k, h in enumerate(nxt))
         inner, start = start, first
         out.extend((h, r) for h in nxt)
-        steps.extend({s: index[h] for s, h in zip(letters, row)} for row in rows)
-        rows.clear()    # freed before the outer sphere's steps are built
-    steps.extend({} for _ in range(start, len(out)))
-    for i in range(inner, start):
-        for s, j in steps[i].items():
+        for step, column in zip(steps.values(), products):
+            step.extend(map(index.__getitem__, column))
+        del products    # freed before the outer sphere's steps are built
+    outside = array("i", [-1]) * (len(out) - start)
+    for step in steps.values():
+        step.extend(outside)
+    for s, step in steps.items():
+        back = steps[-s]
+        for i in range(inner, start):
+            j = step[i]
             if j >= start:
-                steps[j][-s] = i
+                back[j] = i
     presentation = oracle.presentation
     if presentation is None or any(len(rel) % 2 for rel in presentation.relators):
-        for j in range(start, len(out)):
-            for gen, image in zip(letters[::2], images[::2]):
+        for gen, image in zip(letters[::2], images[::2]):
+            forward, back = steps[gen], steps[-gen]
+            for j in range(start, len(out)):
                 k = index.get(oracle.multiply(out[j][0], image), -1)
                 if k >= start:
-                    steps[j][gen], steps[k][-gen] = k, j
-    for j in range(start, len(out)):    # back to key order 1, -1, 2, -2, ...
-        if len(steps[j]) > 1:
-            steps[j] = {s: steps[j][s] for s in letters if s in steps[j]}
+                    forward[j], back[k] = k, j
     return out
 
 

@@ -21,8 +21,8 @@ lookup, and the sides keyed by the ordered corner pair (the side from a
 to b need not be the side from b to a reversed).  The all-geodesic
 cross-check reads the same distances, and keeps the geodesic families
 per ordered corner pair in the same memo.  A sampled sweep draws
-triple indices and unranks them, so the list of every triple is never
-built.
+triple indices and unranks them, and a full sweep walks
+``itertools.combinations``, so the list of every triple is never built.
 """
 
 from __future__ import annotations
@@ -239,7 +239,9 @@ def slimness_sweep(
     them (``DEFAULT_TRIPLE_BUDGET`` when not given); otherwise a seeded
     uniform sample of that many.
     Free and free abelian groups, where geodesic families are small, also
-    get the all-geodesic variant when at most 200 triangles are examined.
+    get the all-geodesic variant when 1 to 200 triangles are examined;
+    otherwise both cross-check fields are None.  Triples are generated
+    one at a time, never listed.
     """
     if radius < 0:
         raise SpecParseError("radius must be >= 0")
@@ -255,13 +257,16 @@ def slimness_sweep(
         # random.sample reads population[j] only at the indices it draws,
         # so these are the triples it would draw from the full list
         indices = random.Random(seed).sample(range(count), limit)
-        triples = [_unrank(corners, 3, j) for j in indices]
+        triples = (_unrank(corners, 3, j) for j in indices)
     else:
-        triples = list(itertools.combinations(corners, 3))
+        triples = itertools.combinations(corners, 3)
+    examined = limit if sampled else count
     cross_check = (
         isinstance(oracle, (FreeGroupOracle, FreeAbelianOracle))
-        and len(triples) <= 200
+        and 0 < examined <= 200
     )
+    if cross_check:
+        triples = list(triples)    # at most 200, and read twice
 
     metric = _SweepMetric(oracle)
     delta_hat = 0
@@ -283,7 +288,7 @@ def slimness_sweep(
     return SlimnessReport(
         group=oracle.name,
         radius=radius,
-        triangles_examined=len(triples),
+        triangles_examined=examined,
         delta_hat=delta_hat,
         witness=tuple(word_to_string(oracle.as_word(g)) for g in witness)
         if witness

@@ -1,16 +1,17 @@
-"""Sparse boundary matrices of a Cayley window, built from its edge list and
+"""Sparse boundary matrices of a Cayley window, built from its edges and
 face boundaries.  Only the tests read them, as a linear-algebra reference
 for the dict-based solver and checks; numpy and scipy are test dependencies.
 """
 
 import numpy as np
 from scipy import sparse
+from step_tables import edge_list
 
 
 def boundary1(complex_):
     """The edges x vertices incidence matrix (self-loops give zero rows)."""
     rows, cols, vals = [], [], []
-    for e, (s, _, t) in enumerate(complex_.edges):
+    for e, (s, _, t) in enumerate(edge_list(complex_)):
         if s == t:
             continue
         rows.extend([e, e])

@@ -96,6 +96,7 @@ def test_usage_errors_exit_2(runner):
     + [
         ["complex", "Klein", "Q", "--twist", "a:1/0,b:1"],
         ["slim", "Z^2", "--radius", "2", "--samples", "-1"],
+        ["fill", "Z^2", "Z", "--radius", "2", "--max-word", "-3"],
     ]
     # a threshold outside (0, 1), whatever verdict the family would reach
     + [
@@ -143,6 +144,19 @@ def test_budget_errors_exit_3(runner):
     assert result.exit_code == 3
     result = invoke(runner, ["folner", "F2", "--family", "connected:13"])
     assert result.exit_code == 3
+
+
+def test_closed_walk_budget_exit_3(runner):
+    # the 85-vertex window fits the budget of 100, but its 1,978 distinct
+    # cycles do not; nothing is printed before the error
+    result = invoke(
+        runner,
+        ["fill", "Z^2", "Z", "--radius", "6", "--max-word", "10"],
+        env={"PDFILL_BUDGET": "100"},
+    )
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "exceeded budget 100 distinct cycles" in result.stderr
 
 
 def test_filling_search_bound_exit_3(runner, monkeypatch):

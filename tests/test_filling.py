@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 from boundary_matrices import boundary1, boundary2, cycle_vector
 from reference_filling import reference_filling
+from step_tables import edge_list, step_items
 
 from pdfill import (
     build_ball_complex,
@@ -65,6 +68,7 @@ def walked_face_boundaries(complex_):
     every vertex with the group's own multiplication."""
     group = complex_.group
     vertex_index = {g: i for i, g in enumerate(complex_.vertices)}
+    edges = edge_list(complex_)
     faces, boundaries = [], []
     for start, base in enumerate(complex_.vertices):
         for r, relator in enumerate(group.presentation.relators):
@@ -75,8 +79,8 @@ def walked_face_boundaries(complex_):
                     break
                 gen = abs(letter)
                 s, t = (g, h) if letter > 0 else (h, g)
-                e = complex_.edge_index[(vertex_index[s], gen)]
-                assert complex_.edges[e] == (vertex_index[s], gen, vertex_index[t])
+                e = complex_.edge_ids[gen][vertex_index[s]]
+                assert edges[e] == (vertex_index[s], gen, vertex_index[t])
                 coefficients[e] = coefficients.get(e, 0) + (1 if letter > 0 else -1)
                 g = h
             else:
@@ -125,8 +129,9 @@ def test_boundary_matrices_shape_and_composition():
         assert (d2 @ d1).count_nonzero() == 0
         # entry by entry against dense arrays read off the edge and face
         # lists; boundary1 goes in row blocks to keep the dense copies small
+        edges = edge_list(x)
         for lo in range(0, x.edge_count, 512):
-            block = x.edges[lo:lo + 512]
+            block = edges[lo:lo + 512]
             expected = np.zeros((len(block), x.vertex_count), dtype=np.int64)
             for row, (s, _, t) in enumerate(block):
                 expected[row, t] += 1
@@ -140,9 +145,9 @@ def test_boundary_matrices_shape_and_composition():
         # the net-boundary routine accepts every face and rejects a face
         # with one coefficient flipped
         for boundary in x.face_boundaries:
-            assert _is_cycle(x.edges, boundary)
+            assert _is_cycle(x, boundary)
             e = next(iter(boundary))
-            assert not _is_cycle(x.edges, {**boundary, e: -boundary[e]})
+            assert not _is_cycle(x, {**boundary, e: -boundary[e]})
     assert x.face_count == 8   # the Sigma2 radius-4 window
 
 
@@ -150,8 +155,8 @@ def test_build_rejects_face_boundaries_that_are_not_cycles(monkeypatch):
     # flip one coefficient of every traced face: the d1 o d2 check must trip
     real_trace = filling._trace
 
-    def flipped_trace(neighbors, edge_index, start, word):
-        traced = real_trace(neighbors, edge_index, start, word)
+    def flipped_trace(steps, edge_ids, start, word):
+        traced = real_trace(steps, edge_ids, start, word)
         if traced is None:
             return None
         end, boundary = traced
@@ -344,11 +349,12 @@ def test_doubled_square_tries_every_coefficient_of_a_face():
     assert sorted(cycle.coefficients.values()) == [-2, -2, 2, 2]
     once = minimal_filling(z3, cycle, coefficient_bound=1)
     assert once.filler_norm == 6
+    edges = edge_list(z3)
     corners = {
         z3.vertices[v]
         for f in once.filler
         for e in z3.face_boundaries[f]
-        for v in (z3.edges[e][0], z3.edges[e][2])
+        for v in (edges[e][0], edges[e][2])
     }
     spans = [sorted({corner[k] for corner in corners}) for k in range(3)]
     assert len(corners) == 8 and all(hi - lo == 1 for lo, hi in spans)
@@ -403,6 +409,56 @@ def test_one_relator_windows_collapse_completely(spec, radius):
 def test_z3_windows_keep_a_core(radius, faces, core):
     x = build_ball_complex(free_abelian(3), radius)
     assert (x.face_count, len(x.core)) == (faces, core)
+
+
+@pytest.mark.parametrize("spec, radius", [("Z^2", 4), ("Sigma2", 4), ("Klein", 3), ("Z^3", 2)])
+def test_edge_ids_run_densely_in_vertex_generator_order(spec, radius):
+    x = build_ball_complex(make_group(spec), radius)
+    edges = edge_list(x)
+    assert edges == [
+        (i, g, j)
+        for i, step in enumerate(step_items(x.steps))
+        for g, j in step.items()
+        if g > 0
+    ]
+    assert list(zip(x.edge_sources, x.edge_generators)) == [(s, g) for s, g, _ in edges]
+    for g, ids in x.edge_ids.items():
+        assert [e >= 0 for e in ids] == [j >= 0 for j in x.steps[g]]
+
+
+# sha256 of (face_boundaries, collapse_order, core), as built when the
+# window kept a dict of steps per vertex and a dict of edge ids
+WINDOW_DIGESTS = {
+    ("Sigma2", 5): "1918080fe2c9d4fee4a43d45eec7f69656b0876ea019b264fb9f3e37839a6638",
+    ("Z^3", 3): "9ac6b18e88b1f811a79901e2c1b49c5c532cf80bbf5a5c47b5f7a6e0f2aa473b",
+}
+
+
+@pytest.mark.parametrize("spec, radius", sorted(WINDOW_DIGESTS))
+def test_window_matches_pinned_digest(spec, radius):
+    x = build_ball_complex(make_group(spec), radius)
+    text = repr((x.face_boundaries, x.collapse_order, x.core))
+    assert hashlib.sha256(text.encode()).hexdigest() == WINDOW_DIGESTS[spec, radius]
+
+
+def test_surface_sweep_traced_peak():
+    # the 22,289-vertex window with step dicts per vertex and a
+    # tuple-keyed edge dict peaked at 16 MB; its step arrays at about 7.2
+    group = surface_group(2)
+    tracemalloc.start()
+    try:
+        isoperimetric_sweep(group, 5, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11_000_000
+
+
+def test_closed_walks_stop_past_the_budget():
+    x = build_ball_complex(free_abelian(2), 6)
+    assert len(_closed_cycles(x, 10, budget=1978)) == 1978
+    with pytest.raises(BudgetError, match="exceeded budget 1977"):
+        _closed_cycles(x, 10, budget=1977)
 
 
 def sweep_against_reference(spec, radius, cap, bound):

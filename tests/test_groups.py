@@ -4,6 +4,7 @@ import time
 from itertools import product
 
 import pytest
+from step_tables import step_items
 
 from pdfill import (
     INTEGERS,
@@ -372,10 +373,11 @@ def assert_steps_match_multiplication(oracle, radius):
     elements = ball(oracle, radius)
     vertices = [g for g, _ in elements]
     index = {g: i for i, g in enumerate(vertices)}
-    steps = elements.steps
-    assert len(steps) == len(vertices)
     m = oracle.generator_count
     letters = [letter for gen in range(1, m + 1) for letter in (gen, -gen)]
+    assert list(elements.steps) == letters
+    assert all(len(column) == len(vertices) for column in elements.steps.values())
+    steps = step_items(elements.steps)
     for i, g in enumerate(vertices):
         expected = {}
         for letter in letters:
@@ -416,7 +418,7 @@ def test_every_step_changes_word_length_by_one(spec):
     elements = ball(oracle, 4)
     lengths = [oracle.word_length(g) for g, _ in elements]
     assert lengths == [d for _, d in elements]
-    for i, step in enumerate(elements.steps):
+    for i, step in enumerate(step_items(elements.steps)):
         assert step
         for j in step.values():
             assert abs(lengths[j] - lengths[i]) == 1
@@ -455,7 +457,8 @@ BALL_DIGESTS = {
 @pytest.mark.parametrize("spec, radius", sorted(BALL_DIGESTS))
 def test_ball_and_steps_match_pinned_digest(spec, radius):
     elements = ball(make_group(spec), radius)
-    text = repr((list(elements), [list(step.items()) for step in elements.steps]))
+    steps = step_items(elements.steps)
+    text = repr((list(elements), [list(step.items()) for step in steps]))
     assert hashlib.sha256(text.encode()).hexdigest() == BALL_DIGESTS[spec, radius]
 
 

@@ -4,8 +4,13 @@
 methods by name before it runs a command, so a rename in ``src/`` breaks
 the traced benchmark run.  Each command here runs through the probe in a
 fresh interpreter with the checkout's ``src/`` first on PYTHONPATH.
+
+The benchmark's fill-surface check also runs here, on a smaller window of
+the same command, so a change to the window that would fail it shows in
+the tests.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -19,6 +24,20 @@ PROBE = ROOT / "perfbench" / "probe.py"
 LAYER_METRICS = 33
 
 
+def run_probe(tmp_path, *args):
+    """(completed process, report) of one probe run from a scratch directory."""
+    path = os.environ.get("PYTHONPATH")
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    report_path = tmp_path / "report.json"
+    result = subprocess.run(
+        [sys.executable, str(PROBE), "--report", str(report_path), *args],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result, json.loads(report_path.read_text())
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -29,19 +48,19 @@ LAYER_METRICS = 33
     ids=lambda args: " ".join(args[args.index("--") + 1:]),
 )
 def test_traced_probe_runs(args, tmp_path):
-    path = os.environ.get("PYTHONPATH")
-    src = str(ROOT / "src")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    report_path = tmp_path / "report.json"
-    result = subprocess.run(
-        [sys.executable, str(PROBE), "--report", str(report_path),
-         "--trace", str(tmp_path / "trace.json"), *args],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    report = json.loads(report_path.read_text())
+    _, report = run_probe(tmp_path, "--trace", str(tmp_path / "trace.json"), *args)
     assert report["exit_code"] == 0
     assert isinstance(report["layers"], dict)
     assert len(report["layers"]) == LAYER_METRICS
     if "--facts" in args:
         assert report["facts"]["vertices"] > 0
+
+
+def test_fill_surface_check_passes_on_a_small_window(tmp_path, monkeypatch):
+    # the benchmark's own check of fill-surface, against its octagon model
+    # of the surface, on the radius-4 window of the same command
+    argv = ["fill", "Sigma2", "Z", "--radius", "4", "--max-word", "8"]
+    result, report = run_probe(tmp_path, "--facts", "--", *argv)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    checks = importlib.import_module("checks")
+    assert checks.check_fill_surface(json.loads(result.stdout), report["facts"], argv) == []

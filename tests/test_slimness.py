@@ -1,5 +1,7 @@
+import itertools
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +17,7 @@ from pdfill import (
     surface_group,
     triangle_slimness,
 )
+from pdfill import slimness
 from pdfill.errors import SpecParseError
 from pdfill.groups import Presentation, ball
 from pdfill.slimness import (
@@ -89,6 +92,37 @@ def test_cross_check_runs_on_free_and_free_abelian_groups_up_to_200_triangles(
     report = slimness_sweep(make_group(spec), radius, sample=sample)
     assert (report.all_geodesic_delta_hat is not None) == checked
     assert (report.geodesic_choice_agrees is not None) == checked
+
+
+@pytest.mark.parametrize("spec, radius, sample", [("Z^2", 0, None), ("F2", 2, 0), ("F2", 1, None)])
+def test_no_cross_check_over_no_triangles(spec, radius, sample):
+    # radius 0 and 1 leave one corner; a zero sample draws no triple
+    report = slimness_sweep(make_group(spec), radius, sample=sample)
+    assert report.triangles_examined == 0
+    assert report.all_geodesic_delta_hat is None
+    assert report.geodesic_choice_agrees is None
+
+
+def test_full_sweep_measures_triples_as_they_are_generated(monkeypatch):
+    # 220 triples of Z^2 radius 6, never listed: the first is measured
+    # when only one has been generated
+    drawn = [0]
+    measured = []
+
+    def counted_combinations(items, r):
+        for triple in itertools.combinations(items, r):
+            drawn[0] += 1
+            yield triple
+
+    def measure(oracle, corners, metric=None):
+        measured.append(drawn[0])
+        return triangle_slimness(oracle, corners, metric)
+
+    monkeypatch.setattr(slimness, "itertools", SimpleNamespace(combinations=counted_combinations))
+    monkeypatch.setattr(slimness, "triangle_slimness", measure)
+    report = slimness_sweep(free_abelian(2), 6)
+    assert report.triangles_examined == 220 == drawn[0]
+    assert measured == list(range(1, 221))
 
 
 def test_sweep_surface_stabilizes():
