@@ -7,8 +7,8 @@ invocations with identical seeds produce byte-identical output.
 
 Exit codes: 0 success, 2 usage or spec error, 3 budget exceeded,
 4 internal invariant violation.  The PDFILL_BUDGET environment variable
-overrides the default budget on the ball's size and, for fill, on the
-number of distinct cycles.
+overrides the default budget on the ball's size, on fill's distinct
+cycles, and, 25 times over, on fill's walk visits and folner's grown sets.
 """
 
 from __future__ import annotations

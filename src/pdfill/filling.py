@@ -56,6 +56,7 @@ from .rings import frac_str
 from .words import word_to_string
 
 MAX_SEARCH_NODES = 1_000_000
+WALK_VISITS_PER_BUDGET = 25    # closed-walk search: at most this many visits per unit of budget
 
 
 @dataclass
@@ -513,7 +514,8 @@ def isoperimetric_sweep(
     center), deduplicated by their signed edge vectors, and each distinct
     nonzero cycle is filled.  Cycles with no filling at the coefficient
     bound are reported and excluded from the ratio statistics.  ``budget``
-    bounds both the window's vertices and the distinct cycles; past either,
+    bounds the window's vertices, the distinct cycles and, scaled by
+    ``WALK_VISITS_PER_BUDGET``, the walk search; past any of them,
     ``BudgetError`` is raised before any cycle is filled.
     """
     if coefficient_bound < 1:
@@ -567,7 +569,9 @@ def _closed_cycles(complex_, cap, budget=DEFAULT_BALL_BUDGET):
     index then sign, so discovery order is deterministic.  A move is
     skipped when its target lies farther from the center than the moves
     left, since no walk from there closes within the cap.  Raises
-    ``BudgetError`` once more than ``budget`` distinct cycles are found.
+    ``BudgetError`` once more than ``budget`` distinct cycles are found,
+    or once the search makes more than ``WALK_VISITS_PER_BUDGET * budget``
+    visits.
     """
     center = 0   # ``ball`` lists the identity first
     steps = complex_.steps
@@ -576,8 +580,17 @@ def _closed_cycles(complex_, cap, budget=DEFAULT_BALL_BUDGET):
     edge_ids = complex_.edge_ids
     found: dict = {}
     walk: list = []
+    max_visits = WALK_VISITS_PER_BUDGET * budget
+    visits = 0
 
     def visit(vertex, last_move):
+        nonlocal visits
+        visits += 1
+        if visits > max_visits:
+            raise BudgetError(
+                f"closed walks up to length {cap} exceeded {max_visits} visits "
+                f"({WALK_VISITS_PER_BUDGET} per unit of budget {budget})"
+            )
         if walk and vertex == center:
             _, coefficients = _trace(steps, edge_ids, center, walk)
             key = tuple(sorted(coefficients.items()))

@@ -14,6 +14,7 @@ Nothing here claims amenability or non-amenability of the group itself.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,18 +25,14 @@ from .rings import Ring, frac_str
 
 DEFAULT_VANISHING_THRESHOLD = Fraction(1, 10)
 MAX_EXHAUSTIVE_SIZE = 12
+GROWN_SETS_PER_BUDGET = 25    # the enumeration grows at most this many sets per unit of budget
 
 
 def folner_boundary(oracle: GroupOracle, subset) -> set:
     """Elements g of the set with g s_i^-1 outside it for some generator."""
     members = set(subset)
-    boundary = set()
-    for g in members:
-        for i in range(1, oracle.generator_count + 1):
-            if oracle.multiply(g, oracle.letter(-i)) not in members:
-                boundary.add(g)
-                break
-    return boundary
+    inverses = [oracle.letter(-i) for i in range(1, oracle.generator_count + 1)]
+    return {g for g in members if any(oracle.multiply(g, s) not in members for s in inverses)}
 
 
 @dataclass
@@ -93,28 +90,34 @@ def folner_sweep(
     if not 0 < threshold < 1:
         raise SpecParseError(f"threshold must lie strictly between 0 and 1, got {threshold}")
     name, limit = parse_family(family)
-    if name == "balls":
-        series, sets_examined = _ball_series(oracle, limit, budget)
-        exhaustive = False
-    elif name == "boxes":
-        if not isinstance(oracle, FreeAbelianOracle):
-            raise SpecParseError("the box family is defined for free abelian groups")
-        series, sets_examined = _box_series(oracle, limit)
-        exhaustive = False
-    else:
+    exhaustive = name == "connected"
+    if exhaustive:
         if limit > MAX_EXHAUSTIVE_SIZE:
             raise BudgetError(
                 f"exhaustive connected family capped at size {MAX_EXHAUSTIVE_SIZE}",
             )
         series, sets_examined = _connected_series(oracle, limit, budget)
-        exhaustive = True
+    else:
+        if name == "balls":
+            elements = ball(oracle, limit, budget=budget)
+            sets = ([g for g, d in elements if d <= r] for r in range(limit + 1))
+        else:
+            if not isinstance(oracle, FreeAbelianOracle):
+                raise SpecParseError("the box family is defined for free abelian groups")
+            rank = oracle.generator_count
+            boxes = range(1, limit + 1)
+            sets = (list(itertools.product(range(n), repeat=rank)) for n in boxes)
+        series = [
+            (len(members), Fraction(len(folner_boundary(oracle, members)), len(members)))
+            for members in sets
+        ]
+        sets_examined = len(series)
 
     best_size, best_ratio = min(series, key=lambda item: (item[1], item[0]))
-    epsilon_hat = best_ratio
-    kappa_hat = 1 / epsilon_hat if epsilon_hat > 0 else None
+    kappa_hat = 1 / best_ratio if best_ratio > 0 else None
     if exhaustive:
-        verdict = "ratio-bounded-below" if epsilon_hat > 0 else "ratio-vanishing"
-    elif epsilon_hat < threshold:
+        verdict = "ratio-bounded-below" if best_ratio > 0 else "ratio-vanishing"
+    elif best_ratio < threshold:
         verdict = "ratio-vanishing"
     else:
         verdict = "inconclusive"
@@ -124,38 +127,11 @@ def folner_sweep(
         sets_examined=sets_examined,
         best_set_size=best_size,
         best_ratio=best_ratio,
-        epsilon_hat=epsilon_hat,
+        epsilon_hat=best_ratio,
         kappa_hat=kappa_hat,
         verdict=verdict,
         series=series,
     )
-
-
-def _ball_series(oracle, radius_max, budget):
-    elements = ball(oracle, radius_max, budget=budget)
-    series = []
-    for r in range(radius_max + 1):
-        members = [g for g, d in elements if d <= r]
-        boundary = folner_boundary(oracle, members)
-        series.append((len(members), Fraction(len(boundary), len(members))))
-    return series, radius_max + 1
-
-
-def _box_series(oracle, n_max):
-    rank = oracle.generator_count
-    series = []
-    for n in range(1, n_max + 1):
-        members = set(_box_elements(rank, n))
-        boundary = folner_boundary(oracle, members)
-        series.append((len(members), Fraction(len(boundary), len(members))))
-    return series, n_max
-
-
-def _box_elements(rank, n):
-    if rank == 1:
-        return [(c,) for c in range(n)]
-    tails = _box_elements(rank - 1, n)
-    return [(c,) + t for c in range(n) for t in tails]
 
 
 def _connected_series(oracle, size_max, budget):
@@ -185,9 +161,10 @@ def _connected_series(oracle, size_max, budget):
     gains more than one plus the most tests pointing at a vertex, so when
     even that gain cannot lower the size-``size_max`` minimum the gains
     are skipped; the skipped sets could not have changed it.
+
+    Raises ``BudgetError`` once more than ``GROWN_SETS_PER_BUDGET * budget``
+    sets are grown (the last size is counted, not grown).
     """
-    if size_max < 1:
-        raise SpecParseError("size_max must be >= 1")
     # the Ball list is dropped at once: only its step arrays are read
     steps = ball(oracle, size_max - 1, budget=budget).steps
     inverse_letters = range(-1, -oracle.generator_count - 1, -1)
@@ -213,6 +190,8 @@ def _connected_series(oracle, size_max, budget):
     # size + 1 stays only for sizes no connected set reaches (finite groups)
     best_boundary = [size + 1 for size in range(size_max + 1)]
     gain_cap = 1 + max(map(len, rev_test))    # no new member makes more vertices interior
+    max_grown = GROWN_SETS_PER_BUDGET * budget
+    grown = 1    # the root
 
     def grow(v, untried, size, interior):
         """Add v as the size-th member, record the set, extend it; count sets.
@@ -220,6 +199,7 @@ def _connected_series(oracle, size_max, budget):
         A set one short of ``size_max`` is not extended: its extensions are
         counted, and their best boundary is read off the candidates' gains.
         """
+        nonlocal grown
         in_set[v] = True
         miss = 0
         for t in test_nbrs[v]:
@@ -241,6 +221,12 @@ def _connected_series(oracle, size_max, budget):
             for u in new:
                 reached[u] = True
             untried = untried + new
+            grown += len(untried)    # each is grown below, so check before growing any
+            if grown > max_grown:
+                raise BudgetError(
+                    f"connected sets up to size {size_max} exceeded {max_grown} grown sets "
+                    f"({GROWN_SETS_PER_BUDGET} per unit of budget {budget})"
+                )
             while untried:
                 count += grow(untried.pop(), untried, size + 1, interior)
             for u in new:
@@ -295,13 +281,11 @@ def boundary_differential(
     group = element.group
     if coefficients is None:
         coefficients = [ring.one] * group.generator_count
-    entries = []
-    for i in range(1, group.generator_count + 1):
-        shift = GroupRingElement.monomial(
-            ring, group, group.generator(i), coefficients[i - 1]
-        )
-        entries.append(element - element * shift)
-    return entries
+    shifts = [
+        GroupRingElement.monomial(ring, group, group.generator(i), coefficients[i - 1])
+        for i in range(1, group.generator_count + 1)
+    ]
+    return [element - element * shift for shift in shifts]
 
 
 def verify_filling_bound(
@@ -334,9 +318,7 @@ def verify_filling_bound(
         entries = boundary_differential(d)
         gamma_norm = sum(entry.support_norm() for entry in entries)
         boundary = folner_boundary(oracle, d.support())
-        covered = set()
-        for entry in entries:
-            covered |= entry.support()
+        covered = set().union(*(entry.support() for entry in entries))
         if not boundary <= covered:
             inclusion_failures.append(trial)
         if epsilon_hat * d.support_norm() > gamma_norm:

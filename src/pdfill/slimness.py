@@ -57,13 +57,8 @@ def lex_geodesic(oracle: GroupOracle, start, end) -> list:
 
 
 def all_geodesics(oracle: GroupOracle, start, end, metric: _SweepMetric | None = None) -> list:
-    """Every geodesic vertex path between two elements (small distances only).
-
-    ``metric`` is the memo of the sweep that asks; without one, the call
-    gets a memo of its own.
-    """
-    if metric is None:
-        metric = _SweepMetric(oracle)
+    """Every geodesic vertex path between two elements (small distances only)."""
+    metric = metric or _SweepMetric(oracle)
     out = []
     path = [start]
 
@@ -73,12 +68,12 @@ def all_geodesics(oracle: GroupOracle, start, end, metric: _SweepMetric | None =
             return
         for image in oracle.letters.values():
             candidate = oracle.multiply(current, image)
-            if metric.row(candidate)[end] == remaining - 1:
+            if metric.rows[candidate][end] == remaining - 1:
                 path.append(candidate)
                 descend(candidate, remaining - 1)
                 path.pop()
 
-    descend(start, metric.row(start)[end])
+    descend(start, metric.rows[start][end])
     return out
 
 
@@ -127,70 +122,45 @@ class SlimnessReport:
         }
 
 
-class _DistanceRow(dict):
-    """Distances from one element, each computed on first lookup."""
+class _Memo(dict):
+    """A dict that makes a missing value on first lookup, and keeps it."""
 
-    def __init__(self, oracle: GroupOracle, origin):
+    def __init__(self, make):
         super().__init__()
-        self.oracle = oracle
-        self.origin = origin
+        self.make = make
 
-    def __missing__(self, target) -> int:
-        value = self[target] = self.oracle.distance(self.origin, target)
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
         return value
 
 
 class _SweepMetric:
-    """Distances, lex-geodesic sides and geodesic families, each computed
-    once per sweep.
+    """Distances, lex-geodesic sides and geodesic families, each made once
+    per sweep.
 
-    All are keyed by the ordered pair: distances as ``row(x)[y]``, sides
-    as ``side(a, b)``, families as ``geodesics(a, b)``.
+    All are keyed by the ordered pair: distances as ``rows[x][y]``, sides
+    as ``sides[a, b]``, families as ``families[a, b]``.  Sides and
+    families are made through the module's functions, looked up when made.
+    A function given no ``metric`` makes one for its own call.
     """
 
     def __init__(self, oracle: GroupOracle):
-        self.oracle = oracle
-        self._rows: dict = {}
-        self._sides: dict = {}
-        self._families: dict = {}
-
-    def row(self, x) -> _DistanceRow:
-        row = self._rows.get(x)
-        if row is None:
-            row = self._rows[x] = _DistanceRow(self.oracle, x)
-        return row
-
-    def side(self, a, b) -> list:
-        key = (a, b)
-        path = self._sides.get(key)
-        if path is None:
-            path = self._sides[key] = lex_geodesic(self.oracle, a, b)
-        return path
-
-    def geodesics(self, a, b) -> list:
-        key = (a, b)
-        family = self._families.get(key)
-        if family is None:
-            family = self._families[key] = all_geodesics(self.oracle, a, b, self)
-        return family
+        self.rows = _Memo(lambda x: _Memo(lambda y: oracle.distance(x, y)))
+        self.sides = _Memo(lambda pair: lex_geodesic(oracle, *pair))
+        self.families = _Memo(lambda pair: all_geodesics(oracle, *pair, self))
 
 
 def triangle_slimness(oracle: GroupOracle, corners, metric: _SweepMetric | None = None) -> int:
-    """Minimal d such that the lex-geodesic triangle on the corners is d-slim.
-
-    ``metric`` is the memo of the sweep this triangle belongs to; without
-    one, the triangle gets a memo of its own.
-    """
-    if metric is None:
-        metric = _SweepMetric(oracle)
-    row = metric.row
+    """Minimal d such that the lex-geodesic triangle on the corners is d-slim."""
+    metric = metric or _SweepMetric(oracle)
+    rows = metric.rows
     a, b, c = corners
-    sides = [metric.side(a, b), metric.side(b, c), metric.side(c, a)]
+    sides = [metric.sides[a, b], metric.sides[b, c], metric.sides[c, a]]
     worst = 0
     for i in range(3):
         others = sides[(i + 1) % 3] + sides[(i + 2) % 3]
         for x in sides[i]:
-            nearest = min(map(row(x).__getitem__, others))
+            nearest = min(map(rows[x].__getitem__, others))
             if nearest > worst:
                 worst = nearest
     return worst
@@ -199,28 +169,21 @@ def triangle_slimness(oracle: GroupOracle, corners, metric: _SweepMetric | None 
 def triangle_slimness_all_geodesics(
     oracle: GroupOracle, corners, metric: _SweepMetric | None = None
 ) -> int:
-    """Worst slimness over every choice of geodesic for every side.
-
-    ``metric`` is the memo of the sweep this triangle belongs to; without
-    one, the triangle gets a memo of its own.
-    """
-    if metric is None:
-        metric = _SweepMetric(oracle)
+    """Worst slimness over every choice of geodesic for every side."""
+    metric = metric or _SweepMetric(oracle)
     a, b, c = corners
-    families = [metric.geodesics(a, b), metric.geodesics(b, c), metric.geodesics(c, a)]
+    families = [metric.families[a, b], metric.families[b, c], metric.families[c, a]]
     vertex_pool = [{x for path in family for x in path} for family in families]
     # farthest one can sit from the worst-case geodesic of a side
     def worst_distance(x, family):
-        distance = metric.row(x).__getitem__
+        distance = metric.rows[x].__getitem__
         return max(min(map(distance, path)) for path in family)
 
     worst = 0
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         for x in vertex_pool[i]:
-            value = min(
-                worst_distance(x, families[j]), worst_distance(x, families[k])
-            )
+            value = min(worst_distance(x, families[j]), worst_distance(x, families[k]))
             if value > worst:
                 worst = value
     return worst
@@ -276,14 +239,9 @@ def slimness_sweep(
         if value > delta_hat:
             delta_hat = value
             witness = triple
-    all_delta = None
-    agrees = None
+    all_delta = agrees = None
     if cross_check:
-        all_delta = 0
-        for triple in triples:
-            value = triangle_slimness_all_geodesics(oracle, triple, metric)
-            if value > all_delta:
-                all_delta = value
+        all_delta = max(triangle_slimness_all_geodesics(oracle, t, metric) for t in triples)
         agrees = all_delta == delta_hat
     return SlimnessReport(
         group=oracle.name,
@@ -312,12 +270,14 @@ class SlimnessConstants:
 
     N: int
     kappa: int
-    k: int
-    m: int
 
-    def __post_init__(self):
-        if self.k != self.kappa * self.N**2 + 1 or self.m != self.kappa * self.N:
-            raise SpecParseError("constants out of sync with their defining formulas")
+    @property
+    def k(self) -> int:
+        return self.kappa * self.N**2 + 1
+
+    @property
+    def m(self) -> int:
+        return self.kappa * self.N
 
     @property
     def contradiction_threshold(self) -> int:
@@ -338,5 +298,4 @@ def slimness_constants(presentation: Presentation, kappa: int) -> SlimnessConsta
         raise SpecParseError("kappa must be a positive integer")
     if not presentation.relators:
         raise SpecParseError("no relators: the maximal attaching length is undefined")
-    n = max(len(rel) for rel in presentation.relators)
-    return SlimnessConstants(N=n, kappa=kappa, k=kappa * n * n + 1, m=kappa * n)
+    return SlimnessConstants(N=max(map(len, presentation.relators)), kappa=kappa)

@@ -159,6 +159,31 @@ def test_closed_walk_budget_exit_3(runner):
     assert "exceeded budget 100 distinct cycles" in result.stderr
 
 
+def test_walk_visit_bound_exit_3(runner):
+    # the 13-vertex window and its few hundred distinct cycles fit a
+    # budget of 5,000 at both caps; the search makes 24,729 visits at cap
+    # 16 and 221,401 at cap 20, against a bound of 25 x 5,000
+    env = {"PDFILL_BUDGET": "5000"}
+    args = ["fill", "Z^2", "Z", "--radius", "2", "--max-word"]
+    assert invoke(runner, args + ["16"], env=env).exit_code == 0
+    result = invoke(runner, args + ["20"], env=env)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "exceeded 125000 visits" in result.stderr
+
+
+def test_grown_set_bound_exit_3(runner):
+    # the Z^3 balls of radius 6 and 8 (377 and 833 elements) fit a budget
+    # of 1,000; connected:7 grows 23,952 sets and connected:9 1,491,770,
+    # against a bound of 25 x 1,000
+    env = {"PDFILL_BUDGET": "1000"}
+    assert invoke(runner, ["folner", "Z^3", "--family", "connected:7"], env=env).exit_code == 0
+    result = invoke(runner, ["folner", "Z^3", "--family", "connected:9"], env=env)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "exceeded 25000 grown sets" in result.stderr
+
+
 def test_filling_search_bound_exit_3(runner, monkeypatch):
     # Z^3 windows keep a core, which is searched; plane windows never are
     monkeypatch.setattr(filling, "MAX_SEARCH_NODES", 2)
@@ -321,12 +346,32 @@ GOLDEN_FOLNER_STDOUT = [
      "de0e5fd8697983fe2a50db36c0473f147b00b87123931744756951f9ad3240e8"),
 ]
 
+# the ball and box families and the corridor constants, pinned before
+# the folner ratio series and the constants were each stated once
+GOLDEN_FAMILY_STDOUT = [
+    (["folner", "Klein", "--family", "balls:6"],
+     "0a383b15a2333b1c10762029b00c224ce192fc06853afb1849650048bfd24766"),
+    (["folner", "Sigma2", "--family", "balls:4"],
+     "583218bf6852eeede524f1c5164ad2013be39fee0eaac580a9ece98f71a3982f"),
+    (["folner", "T11b:2", "--family", "balls:5"],
+     "1707137f6afe1d513a8be1f5cbfa6db08cf84b83a27bed05b17220a35be3d22b"),
+    (["folner", "Z^3", "--family", "boxes:8"],
+     "35ff728cb3f98962589c17332c7c56242b6fae74751e73eab4815a02a20692a1"),
+    (["folner", "Z^2", "--family", "boxes:20"],
+     "cf2a45d5377ab5cb2b11b1ec7b4357f08592ce33ebee5bc47a1cc968bcfac1dd"),
+    (["constants", "Sigma2", "--kappa", "1"],
+     "b6f53eda1b65c264b5391ee197561fd16b91b28220ef7c1f816db2d6a65900c6"),
+    (["constants", "T11b:3", "--kappa", "2"],
+     "f7091cd6e16e994825b4dc85aadb4e3cc4c97ef67bf86585687c663f0dc64613"),
+]
+WHOLE_COMMAND_GOLDEN = GOLDEN_FILL_STDOUT + GOLDEN_FOLNER_STDOUT + GOLDEN_FAMILY_STDOUT
+
 
 @pytest.mark.parametrize(
     "args, digest",
-    GOLDEN_STDOUT + GOLDEN_FILL_STDOUT + GOLDEN_FOLNER_STDOUT,
+    GOLDEN_STDOUT + WHOLE_COMMAND_GOLDEN,
     ids=[a[0] + ":" + "-".join(a[1:3]) for a, _ in GOLDEN_STDOUT]
-    + [" ".join(a) for a, _ in GOLDEN_FILL_STDOUT + GOLDEN_FOLNER_STDOUT],
+    + [" ".join(a) for a, _ in WHOLE_COMMAND_GOLDEN],
 )
 def test_golden_stdout(runner, args, digest):
     result = invoke(runner, args)

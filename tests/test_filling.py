@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
@@ -29,7 +30,13 @@ from pdfill.errors import (
     SpecParseError,
 )
 from pdfill import filling
-from pdfill.filling import OneCycle, _closed_cycles, _is_cycle, _verify_filler
+from pdfill.filling import (
+    WALK_VISITS_PER_BUDGET,
+    OneCycle,
+    _closed_cycles,
+    _is_cycle,
+    _verify_filler,
+)
 from pdfill.words import word_from_string
 
 
@@ -363,6 +370,25 @@ def test_doubled_square_tries_every_coefficient_of_a_face():
     assert list(twice.filler.values()) in ([2], [-2])
 
 
+def test_doubled_square_on_the_radius_4_window():
+    # the larger Z^3 window has more cubes to go round, but the minimal
+    # fillings keep their norms: 6 faces at bound 1, one face twice at 2
+    z3 = build_ball_complex(free_abelian(3), 4)
+    cycle = word_cycle(z3, word_from_string("a*b^-1*a^-1*b*a*b^-1*a^-1*b"))
+    assert minimal_filling(z3, cycle, coefficient_bound=1).filler_norm == 6
+    assert minimal_filling(z3, cycle, coefficient_bound=2).filler_norm == 1
+
+
+@pytest.mark.parametrize("radius, faces, rank", [(3, 60, 52), (4, 168, 136)])
+def test_z3_two_cycles_have_the_pinned_dimension(radius, faces, rank):
+    # the 2-cycles of the window (the kernel of its face boundary map)
+    # have dimension 8 at radius 3 and 32 at radius 4, one per unit cube
+    x = build_ball_complex(free_abelian(3), radius)
+    d2 = boundary2(x).toarray()
+    assert d2.shape[0] == faces
+    assert np.linalg.matrix_rank(d2) == rank
+
+
 def test_exact_search_node_bound(monkeypatch):
     # plane windows collapse completely and never search; a unit square of
     # Z^3 lies on the core of the radius-3 window
@@ -459,6 +485,17 @@ def test_closed_walks_stop_past_the_budget():
     assert len(_closed_cycles(x, 10, budget=1978)) == 1978
     with pytest.raises(BudgetError, match="exceeded budget 1977"):
         _closed_cycles(x, 10, budget=1977)
+
+
+def test_closed_walks_stop_past_the_visit_bound():
+    # on the radius-2 window, cap 16 closes 492 distinct cycles in 24,729
+    # visits: the budget that just admits the visits passes, one less stops
+    x = build_ball_complex(free_abelian(2), 2)
+    budget = math.ceil(24_729 / WALK_VISITS_PER_BUDGET)
+    assert len(_closed_cycles(x, 16, budget=budget)) == 492
+    smaller = WALK_VISITS_PER_BUDGET * (budget - 1)
+    with pytest.raises(BudgetError, match=f"exceeded {smaller} visits"):
+        _closed_cycles(x, 16, budget=budget - 1)
 
 
 def sweep_against_reference(spec, radius, cap, bound):

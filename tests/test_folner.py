@@ -19,6 +19,7 @@ from pdfill import (
     verify_filling_bound,
 )
 from pdfill.errors import BudgetError, SpecParseError
+from pdfill.folner import GROWN_SETS_PER_BUDGET
 from pdfill.group_ring import GroupRingElement
 from pdfill.groups import ball
 
@@ -181,6 +182,17 @@ def test_sweep_family_validation():
         folner_sweep(free_group(2), "boxes:5")   # boxes need a free abelian group
     with pytest.raises(BudgetError):
         folner_sweep(free_group(2), "connected:13")
+
+
+def test_connected_sets_stop_past_the_grown_set_bound():
+    # connected:7 on Z^3 grows the 23,952 sets of size 1 to 6 and counts
+    # the rest: the budget that just admits them passes, one less stops
+    budget = math.ceil(23_952 / GROWN_SETS_PER_BUDGET)
+    report = folner_sweep(free_abelian(3), "connected:7", budget=budget)
+    assert report == folner_sweep(free_abelian(3), "connected:7")
+    smaller = GROWN_SETS_PER_BUDGET * (budget - 1)
+    with pytest.raises(BudgetError, match=f"exceeded {smaller} grown sets"):
+        folner_sweep(free_abelian(3), "connected:7", budget=budget - 1)
 
 
 @pytest.mark.parametrize("spec", builtin_group_specs()[:6])

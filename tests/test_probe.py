@@ -22,6 +22,18 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PROBE = ROOT / "perfbench" / "probe.py"
 LAYER_METRICS = 33
+# counts the traced probe reports, measured before the slim memo and the
+# folner ratio series were restated; the distance calls and lex-geodesic
+# sides are the memo's misses, so a memo that stops caching, or that
+# reaches lex_geodesic other than through the module global the tracer
+# wraps, changes them
+TRACED_LAYERS = {
+    "slim Sigma2 --radius 2 --samples 10 --seed 1": {
+        "slimness.triangles": 10, "groups.distance_calls": 63,
+    },
+    "folner F2 --family connected:4": {"folner.sets": 111},
+}
+TRACED_CALLS = {"slim Sigma2 --radius 2 --samples 10 --seed 1": {"lex_geodesic": 22}}
 
 
 def run_probe(tmp_path, *args):
@@ -48,12 +60,19 @@ def run_probe(tmp_path, *args):
     ids=lambda args: " ".join(args[args.index("--") + 1:]),
 )
 def test_traced_probe_runs(args, tmp_path):
-    _, report = run_probe(tmp_path, "--trace", str(tmp_path / "trace.json"), *args)
+    trace_path = tmp_path / "trace.json"
+    _, report = run_probe(tmp_path, "--trace", str(trace_path), *args)
     assert report["exit_code"] == 0
     assert isinstance(report["layers"], dict)
     assert len(report["layers"]) == LAYER_METRICS
     if "--facts" in args:
         assert report["facts"]["vertices"] > 0
+    command = " ".join(args[args.index("--") + 1:])
+    for name, count in TRACED_LAYERS.get(command, {}).items():
+        assert report["layers"][name] == count, name
+    calls = json.loads(trace_path.read_text())["calls"]
+    for name, count in TRACED_CALLS.get(command, {}).items():
+        assert calls[name]["calls"] == count, name
 
 
 def test_fill_surface_check_passes_on_a_small_window(tmp_path, monkeypatch):

@@ -178,7 +178,10 @@ def test_constants_validation():
         slimness_constants(s2.presentation, 0)
     with pytest.raises(SpecParseError):
         slimness_constants(Presentation(2, ()), 1)
-    with pytest.raises(SpecParseError):
+    # k, m and the threshold are derived from N and kappa, never passed
+    c = SlimnessConstants(8, 1)
+    assert (c.k, c.m, c.contradiction_threshold) == (65, 8, 390)
+    with pytest.raises(TypeError):
         SlimnessConstants(N=8, kappa=1, k=64, m=8)
 
 
