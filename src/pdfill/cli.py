@@ -20,7 +20,6 @@ import sys
 
 import click
 
-from .complexes import presentation_complex
 from .errors import (
     BudgetError,
     InvalidCharacterError,
@@ -28,12 +27,21 @@ from .errors import (
     PdfillError,
     SpecParseError,
 )
-from .filling import isoperimetric_sweep, transfer_constant
-from .folner import folner_sweep
-from .group_ring import Character
 from .groups import DEFAULT_BALL_BUDGET, make_group
-from .rings import RATIONALS, frac_str, parse_ring
-from .slimness import slimness_constants, slimness_sweep
+
+# Every other library name comes from the package, which imports its
+# module on first use, so a command loads only its own layer.  Commands
+# read these names through ``_module``, so a caller that replaces one on
+# this module (as perfbench/probe.py times a library call) sees every call.
+_module = sys.modules[__name__]
+
+
+def __getattr__(name):
+    package = sys.modules[__package__]
+    if name not in package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(package, name)
+    return value
 
 
 def _budget() -> int:
@@ -100,15 +108,15 @@ def main():
 def cmd_complex(group_spec, ring_spec, dualize, twist_spec, euler, homology_field, output):
     """Presentation chain complex of GROUP over RING, with optional transforms."""
     group = make_group(group_spec)
-    ring = parse_ring(ring_spec)
-    complex_ = presentation_complex(group, ring)
+    ring = _module.parse_ring(ring_spec)
+    complex_ = _module.presentation_complex(group, ring)
     applied = []
     if dualize:
         complex_ = complex_.dualize()
         applied.append("dualize")
     character = None
     if twist_spec is not None:
-        character = Character.parse(twist_spec, ring, group.generator_count)
+        character = _module.Character.parse(twist_spec, ring, group.generator_count)
         if group.presentation is not None and not character.is_valid_on(group.presentation):
             raise InvalidCharacterError(
                 f"character {twist_spec!r} does not kill every relator of {group.name}"
@@ -126,7 +134,7 @@ def cmd_complex(group_spec, ring_spec, dualize, twist_spec, euler, homology_fiel
     if euler:
         payload["euler"] = complex_.euler_characteristic()
     if homology_field:
-        field = parse_ring(homology_field)
+        field = _module.parse_ring(homology_field)
         payload["homology"] = {
             "field": field.name,
             "dimensions": complex_.homology_dimensions(field),
@@ -149,10 +157,10 @@ def cmd_fill(group_spec, ring_spec, radius, max_word, coeff_bound, as_csv, outpu
     Fillings are integral: RING must be Z.
     """
     group = make_group(group_spec)
-    ring = parse_ring(ring_spec)
+    ring = _module.parse_ring(ring_spec)
     if ring.name != "Z":
         raise SpecParseError(f"fill works over Z only, got {ring.name}")
-    report = isoperimetric_sweep(
+    report = _module.isoperimetric_sweep(
         group, radius, max_word, coefficient_bound=coeff_bound, budget=_budget()
     )
     if as_csv:
@@ -172,8 +180,8 @@ def cmd_fill(group_spec, ring_spec, radius, max_word, coeff_bound, as_csv, outpu
 def cmd_folner(group_spec, family, threshold, as_csv, output):
     """Boundary-to-size ratios over a family of finite sets."""
     group = make_group(group_spec)
-    threshold = RATIONALS.parse_value(threshold).payload
-    report = folner_sweep(group, family, threshold=threshold, budget=_budget())
+    threshold = _module.RATIONALS.parse_value(threshold).payload
+    report = _module.folner_sweep(group, family, threshold=threshold, budget=_budget())
     if as_csv:
         _emit_csv(report.csv_rows(), output)
     else:
@@ -196,11 +204,11 @@ def cmd_slim(group_spec, radius, samples, seed, as_csv, output):
     if as_csv:
         rows = [("radius", "delta_hat")]
         for r in range(radius + 1):
-            report = slimness_sweep(group, r, sample=samples, seed=seed, budget=_budget())
+            report = _module.slimness_sweep(group, r, sample=samples, seed=seed, budget=_budget())
             rows.append((r, report.delta_hat))
         _emit_csv(rows, output)
         return
-    report = slimness_sweep(group, radius, sample=samples, seed=seed, budget=_budget())
+    report = _module.slimness_sweep(group, radius, sample=samples, seed=seed, budget=_budget())
     _emit_json(report.to_json_dict(), output)
 
 
@@ -214,7 +222,7 @@ def cmd_constants(group_spec, kappa, output):
     group = make_group(group_spec)
     if group.presentation is None:
         raise SpecParseError(f"group {group.name} has no presentation")
-    constants = slimness_constants(group.presentation, kappa)
+    constants = _module.slimness_constants(group.presentation, kappa)
     _emit_json(constants.to_json_dict(), output)
 
 
@@ -227,9 +235,9 @@ def cmd_constants(group_spec, kappa, output):
 @_handle_errors
 def cmd_transfer(kappa, norm_x, norm_z, norm_h, output):
     """kappa*|X|*|Z| + |H|: carry a filling constant across chain maps."""
-    kappa = RATIONALS.parse_value(kappa).payload
-    value = transfer_constant(kappa, norm_x, norm_z, norm_h)
-    _emit_json({"constant": frac_str(value)}, output)
+    kappa = _module.RATIONALS.parse_value(kappa).payload
+    value = _module.transfer_constant(kappa, norm_x, norm_z, norm_h)
+    _emit_json({"constant": _module.frac_str(value)}, output)
 
 
 if __name__ == "__main__":

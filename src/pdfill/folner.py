@@ -17,11 +17,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import BudgetError, SpecParseError
-from .group_ring import GroupRingElement
 from .groups import DEFAULT_BALL_BUDGET, FreeAbelianOracle, GroupOracle, ball
 from .rings import Ring, frac_str
+
+# only the differential needs the group ring, so only it imports it
+if TYPE_CHECKING:
+    from .group_ring import GroupRingElement
 
 DEFAULT_VANISHING_THRESHOLD = Fraction(1, 10)
 MAX_EXHAUSTIVE_SIZE = 12
@@ -277,6 +281,8 @@ def boundary_differential(
     element: GroupRingElement, coefficients=None
 ) -> list:
     """The entries (d - d r_i s_i) of the one-step differential applied to d."""
+    from .group_ring import GroupRingElement
+
     ring = element.ring
     group = element.group
     if coefficients is None:
@@ -304,6 +310,8 @@ def verify_filling_bound(
     the differential.  A norm violation refutes epsilon for this family of
     supports, not the inclusion property, so both counts are reported.
     """
+    from .group_ring import GroupRingElement
+
     elements = [g for g, _ in ball(oracle, support_radius)]
     norm_violations = []
     inclusion_failures = []

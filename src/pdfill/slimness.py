@@ -23,6 +23,19 @@ cross-check reads the same distances, and keeps the geodesic families
 per ordered corner pair in the same memo.  A sampled sweep draws
 triple indices and unranks them, and a full sweep walks
 ``itertools.combinations``, so the list of every triple is never built.
+
+The sweep keeps as witness the first triangle whose slimness exceeds the
+running maximum, so it measures each triangle only as far as that
+maximum: ``triangle_slimness`` takes it as a floor and returns the larger
+of the floor and the slimness.  Both ends of a side lie on the other two
+sides, so the vertex at position t of a side of length L is within
+min(t, L - t) of them.  Three exact prunes follow.  A triangle whose
+longest side has floor(L/2) at most the floor returns the floor, its side
+lengths read from the distance memo and no side built.  A side vertex
+with min(t, L - t) at most the current worst is skipped.  A vertex's
+scan of the other sides stops at the first distance at most the current
+worst.  None of them can skip a value above the running maximum, so
+every report is the unpruned one.
 """
 
 from __future__ import annotations
@@ -77,25 +90,28 @@ def all_geodesics(oracle: GroupOracle, start, end, metric: _SweepMetric | None =
     return out
 
 
-def _unrank(items, r: int, index: int) -> tuple:
-    """The index-th entry of ``itertools.combinations(items, r)``."""
+def _unranker(items, r: int):
+    """A function from index to the index-th entry of
+    ``itertools.combinations(items, r)``."""
     n = len(items)
-    out = []
-    lo = 0
-    for left in range(r, 0, -1):
-        # the combinations left in this block whose next item lies below c
-        # number total - comb(n - c, left); take the last c with at most
-        # ``index`` of them
-        total = math.comb(n - lo, left)
+    # the combinations in a block whose next item lies below c number
+    # total - comb(n - c, left); negated, comb(n - c, left) rises with c,
+    # so a plain bisect finds the last c with at most ``index`` of them
+    negated = {left: [-math.comb(n - c, left) for c in range(n + 1)] for left in range(1, r + 1)}
 
-        def below(c):
-            return total - math.comb(n - c, left)
+    def unrank(index: int) -> tuple:
+        out = []
+        lo = 0
+        for left in range(r, 0, -1):
+            row = negated[left]
+            total = -row[lo]
+            c = bisect.bisect_right(row, index - total, lo, n - left + 1) - 1
+            index -= total + row[c]
+            out.append(items[c])
+            lo = c + 1
+        return tuple(out)
 
-        c = bisect.bisect_right(range(lo, n - left + 1), index, key=below) - 1 + lo
-        index -= below(c)
-        out.append(items[c])
-        lo = c + 1
-    return tuple(out)
+    return unrank
 
 
 @dataclass
@@ -150,18 +166,35 @@ class _SweepMetric:
         self.families = _Memo(lambda pair: all_geodesics(oracle, *pair, self))
 
 
-def triangle_slimness(oracle: GroupOracle, corners, metric: _SweepMetric | None = None) -> int:
-    """Minimal d such that the lex-geodesic triangle on the corners is d-slim."""
+def triangle_slimness(
+    oracle: GroupOracle, corners, metric: _SweepMetric | None = None, floor: int = 0
+) -> int:
+    """The larger of ``floor`` and the minimal d such that the lex-geodesic
+    triangle on the corners is d-slim; with no floor, that d itself."""
     metric = metric or _SweepMetric(oracle)
     rows = metric.rows
     a, b, c = corners
-    sides = [metric.sides[a, b], metric.sides[b, c], metric.sides[c, a]]
-    worst = 0
+    pairs = ((a, b), (b, c), (c, a))
+    if max(rows[x][y] for x, y in pairs) // 2 <= floor:
+        return floor
+    sides = [metric.sides[pair] for pair in pairs]
+    worst = floor
     for i in range(3):
         others = sides[(i + 1) % 3] + sides[(i + 2) % 3]
-        for x in sides[i]:
-            nearest = min(map(rows[x].__getitem__, others))
-            if nearest > worst:
+        length = len(sides[i]) - 1
+        for t, x in enumerate(sides[i]):
+            # both ends of the side lie on the other two
+            nearest = min(t, length - t)
+            if nearest <= worst:
+                continue
+            row = rows[x]
+            for y in others:
+                distance = row[y]
+                if distance <= worst:
+                    break
+                if distance < nearest:
+                    nearest = distance
+            else:
                 worst = nearest
     return worst
 
@@ -220,7 +253,7 @@ def slimness_sweep(
         # random.sample reads population[j] only at the indices it draws,
         # so these are the triples it would draw from the full list
         indices = random.Random(seed).sample(range(count), limit)
-        triples = (_unrank(corners, 3, j) for j in indices)
+        triples = map(_unranker(corners, 3), indices)
     else:
         triples = itertools.combinations(corners, 3)
     examined = limit if sampled else count
@@ -235,7 +268,7 @@ def slimness_sweep(
     delta_hat = 0
     witness = None
     for triple in triples:
-        value = triangle_slimness(oracle, triple, metric)
+        value = triangle_slimness(oracle, triple, metric, delta_hat)
         if value > delta_hat:
             delta_hat = value
             witness = triple

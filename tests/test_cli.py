@@ -364,7 +364,15 @@ GOLDEN_FAMILY_STDOUT = [
     (["constants", "T11b:3", "--kappa", "2"],
      "f7091cd6e16e994825b4dc85aadb4e3cc4c97ef67bf86585687c663f0dc64613"),
 ]
-WHOLE_COMMAND_GOLDEN = GOLDEN_FILL_STDOUT + GOLDEN_FOLNER_STDOUT + GOLDEN_FAMILY_STDOUT
+# every triangle of the Sigma2 radius-6 window, pinned before the sweep
+# pruned what cannot raise its maximum
+GOLDEN_SLIM_STDOUT = [
+    (["slim", "Sigma2", "--radius", "6"],
+     "6efdd12112afbb1d397fddf640340c4fc1af6bb20c7376fdb04124ab33f21aa6"),
+]
+WHOLE_COMMAND_GOLDEN = (
+    GOLDEN_FILL_STDOUT + GOLDEN_FOLNER_STDOUT + GOLDEN_FAMILY_STDOUT + GOLDEN_SLIM_STDOUT
+)
 
 
 @pytest.mark.parametrize(
@@ -412,6 +420,19 @@ def test_bounded_canonical_cache_keeps_fill_stdout(runner, monkeypatch):
     assert max(sizes) <= limit + closures[0]
 
 
+def run_python(code, *args):
+    """stdout of a fresh interpreter running code, with this checkout's src/
+    first on PYTHONPATH."""
+    src = str(Path(pdfill.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 # numpy and scipy are test dependencies only (the reference boundary
 # matrices in tests/boundary_matrices.py); no command may import them
 NO_NUMPY_PROBE = """
@@ -433,12 +454,68 @@ print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
 
 
 def test_commands_load_no_numpy_or_scipy():
-    src = str(Path(pdfill.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    result = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY_PROBE],
-        capture_output=True, text=True, env=env, timeout=120,
+    assert run_python(NO_NUMPY_PROBE).strip() == "[]"
+
+
+# each command imports only its own layer: the benchmark's set-up sample
+# (import pdfill.cli, build the group) loads none of these, and a command
+# loads none but its own
+LAYERS = {"complexes", "filling", "folner", "group_ring", "slimness"}
+LOADED_LAYERS_PROBE = """
+import contextlib, io, sys
+import pdfill.cli
+from pdfill.groups import make_group
+make_group("Sigma2")
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        pdfill.cli.main(sys.argv[1:], standalone_mode=False)
+print(" ".join(sorted(m.split(".")[1] for m in sys.modules if m.startswith("pdfill."))))
+"""
+
+
+@pytest.mark.parametrize(
+    "args, layer",
+    [
+        ([], None),
+        (["slim", "Sigma2", "--radius", "2", "--samples", "10"], "slimness"),
+        (["fill", "Z^2", "Z", "--radius", "2", "--max-word", "4"], "filling"),
+        (["folner", "F2", "--family", "connected:4"], "folner"),
+    ],
+    ids=["set-up", "slim", "fill", "folner"],
+)
+def test_a_command_loads_only_its_own_layer(args, layer):
+    loaded = set(run_python(LOADED_LAYERS_PROBE, *args).split())
+    assert {"cli", "errors", "groups"} <= loaded
+    assert loaded & LAYERS == ({layer} if layer else set())
+
+
+# the package's exports, as listed when it imported every module eagerly
+PACKAGE_EXPORTS = [
+    "BudgetError", "CayleyBallComplex", "ChainComplex", "Character", "FillingResult",
+    "FolnerReport", "GroupMismatchError", "GroupOracle", "GroupRingElement",
+    "GroupRingMatrix", "INTEGERS", "InvalidCharacterError", "InvariantError",
+    "NoFillingError", "NotACycleError", "NotAFieldError", "OneCycle",
+    "OutOfWindowError", "PdfillError", "Presentation", "QUATERNIONS", "RATIONALS",
+    "Ring", "RingMismatchError", "RingValue", "SlimnessConstants", "SlimnessReport",
+    "SpecParseError", "SweepReport", "UnsupportedTwistError", "all_geodesics", "ball",
+    "boundary_differential", "build_ball_complex", "builtin_group_specs", "complexes",
+    "cyclic_table", "errors", "filling", "finite_table", "folner", "folner_boundary",
+    "folner_sweep", "fox_derivatives_all", "fox_jacobian", "frac_str", "free_abelian",
+    "free_group", "group_ring", "groups", "isoperimetric_sweep", "klein_bottle",
+    "lex_geodesic", "make_group", "minimal_filling", "nonorientable_type",
+    "orientable_type", "parse_element", "parse_ring", "presentation_complex",
+    "residue_ring", "rings", "slimness", "slimness_constants", "slimness_sweep",
+    "surface_group", "transfer_constant", "triangle_slimness", "verify_filling_bound",
+    "word_cycle", "word_from_string", "word_to_string", "words"
+]
+
+
+def test_package_exports_resolve_on_first_use():
+    code = (
+        "import json, pdfill; "
+        "names = sorted(pdfill.__all__); "
+        "print(json.dumps([names, [n for n in names if getattr(pdfill, n, None) is None]]))"
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    names, unresolved = json.loads(run_python(code))
+    assert names == PACKAGE_EXPORTS
+    assert unresolved == []

@@ -19,14 +19,17 @@ from pdfill import (
 )
 from pdfill import slimness
 from pdfill.errors import SpecParseError
-from pdfill.groups import Presentation, ball
+from pdfill.groups import Presentation, ball, builtin_group_specs
 from pdfill.slimness import (
     SlimnessConstants,
     _SweepMetric,
-    _unrank,
+    _unranker,
     all_geodesics,
     triangle_slimness_all_geodesics,
 )
+from pdfill.words import word_to_string
+
+BUILTINS = builtin_group_specs()
 
 
 def test_lex_geodesic_trivial_and_tree():
@@ -114,9 +117,9 @@ def test_full_sweep_measures_triples_as_they_are_generated(monkeypatch):
             drawn[0] += 1
             yield triple
 
-    def measure(oracle, corners, metric=None):
+    def measure(oracle, corners, metric=None, floor=0):
         measured.append(drawn[0])
-        return triangle_slimness(oracle, corners, metric)
+        return triangle_slimness(oracle, corners, metric, floor)
 
     monkeypatch.setattr(slimness, "itertools", SimpleNamespace(combinations=counted_combinations))
     monkeypatch.setattr(slimness, "triangle_slimness", measure)
@@ -315,12 +318,80 @@ def test_all_geodesic_slimness_shares_the_sweep_memo(spec, sphere_radius, monkey
     assert asked and len(asked) == len(set(asked))
 
 
+def reference_slimness(oracle, corners):
+    """Slimness of the lex-geodesic triangle by its definition: every side
+    vertex, its distance to every vertex of the other two sides."""
+    a, b, c = corners
+    sides = [lex_geodesic(oracle, a, b), lex_geodesic(oracle, b, c), lex_geodesic(oracle, c, a)]
+    return max(
+        min(oracle.distance(x, y) for y in sides[(i + 1) % 3] + sides[(i + 2) % 3])
+        for i in range(3)
+        for x in sides[i]
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, sphere_radius", [("Sigma2", 2), ("T11b:3", 2), ("Z^2", 3), ("Klein", 3), ("F2", 2)]
+)
+def test_triangle_slimness_without_a_floor_is_exact(spec, sphere_radius):
+    oracle = make_group(spec)
+    corners = [g for g, d in ball(oracle, sphere_radius) if d == sphere_radius]
+    triples = list(combinations(corners, 3))
+    if len(triples) > 200:
+        triples = random.Random(1).sample(triples, 200)
+    shared = _SweepMetric(oracle)
+    values = [reference_slimness(oracle, t) for t in triples]
+    assert [triangle_slimness(oracle, t) for t in triples] == values
+    assert [triangle_slimness(oracle, t, shared) for t in triples] == values
+
+
+# every builtin group at two radii, sampled where there are more than 400
+# triangles, and the seeded Sigma2 samples of the benchmark and the README
+PRUNED_SWEEPS = [(spec, radius, 400, 0) for spec in BUILTINS for radius in (4, 6)] + [
+    ("Sigma2", 4, 2000, 1),
+    ("Sigma2", 6, 300, 5),
+]
+
+
+@pytest.mark.parametrize("spec, radius, sample, seed", PRUNED_SWEEPS)
+def test_pruned_sweep_matches_every_triangle_at_floor_0(spec, radius, sample, seed, monkeypatch):
+    # the sweep passes its running maximum as the floor; each triangle must
+    # return the larger of that floor and its slimness measured at floor 0,
+    # and the report must name the first triangle whose slimness exceeds
+    # every earlier one
+    oracle = make_group(spec)
+    unpruned = _SweepMetric(oracle)
+    measured = []
+    pruned = slimness.triangle_slimness
+
+    def measure(oracle, corners, metric=None, floor=0):
+        value = pruned(oracle, corners, metric, floor)
+        exact = pruned(oracle, corners, unpruned)
+        assert value == max(floor, exact), (corners, floor)
+        measured.append((corners, exact))
+        return value
+
+    monkeypatch.setattr(slimness, "triangle_slimness", measure)
+    report = slimness_sweep(oracle, radius, sample=sample, seed=seed)
+    delta_hat, witness = 0, None
+    for corners, exact in measured:
+        if exact > delta_hat:
+            delta_hat, witness = exact, corners
+    assert report.triangles_examined == len(measured)
+    assert report.delta_hat == delta_hat
+    if witness is None:
+        assert report.witness is None
+    else:
+        assert report.witness == tuple(word_to_string(oracle.as_word(g)) for g in witness)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12])
 def test_unrank_matches_itertools(n):
     items = [f"c{i}" for i in range(n)]
     for r in range(5):
         expected = list(combinations(items, r))
-        assert [_unrank(items, r, i) for i in range(len(expected))] == expected
+        unrank = _unranker(items, r)
+        assert [unrank(i) for i in range(len(expected))] == expected
 
 
 @pytest.mark.parametrize("n", [12, 20, 30, 56])
@@ -330,8 +401,9 @@ def test_sampled_indices_match_sampling_the_list(n):
     # random.sample's strategies
     items = list(range(n))
     triples = list(combinations(items, 3))
+    unrank = _unranker(items, 3)
     for k in (1, 17, 300, 2000, 20000):
         k = min(k, len(triples))
         for seed in (0, 5):
             drawn = random.Random(seed).sample(range(len(triples)), k)
-            assert [_unrank(items, 3, j) for j in drawn] == random.Random(seed).sample(triples, k)
+            assert [unrank(j) for j in drawn] == random.Random(seed).sample(triples, k)
