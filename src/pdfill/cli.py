@@ -6,9 +6,10 @@ strings); the two sweep commands can emit CSV instead.  Identical
 invocations with identical seeds produce byte-identical output.
 
 Exit codes: 0 success, 2 usage or spec error, 3 budget exceeded,
-4 internal invariant violation.  The PDFILL_BUDGET environment variable
-overrides the default budget on the ball's size, on fill's distinct
-cycles, and, 25 times over, on fill's walk visits and folner's grown sets.
+4 internal invariant violation.  The PDFILL_BUDGET environment variable,
+a positive integer, overrides the default budget on the ball's size, on
+fill's distinct cycles, and, 25 times over, on fill's walk visits and
+folner's grown sets; any other value is a usage error.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ def _budget() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise BudgetError(f"PDFILL_BUDGET must be an integer, got {raw!r}") from None
+        value = 0
     if value < 1:
-        raise BudgetError("PDFILL_BUDGET must be positive")
+        raise SpecParseError(f"PDFILL_BUDGET must be a positive integer, got {raw!r}")
     return value
 
 
@@ -117,7 +118,7 @@ def cmd_complex(group_spec, ring_spec, dualize, twist_spec, euler, homology_fiel
     character = None
     if twist_spec is not None:
         character = _module.Character.parse(twist_spec, ring, group.generator_count)
-        if group.presentation is not None and not character.is_valid_on(group.presentation):
+        if not character.is_valid_on(group.presentation):
             raise InvalidCharacterError(
                 f"character {twist_spec!r} does not kill every relator of {group.name}"
             )

@@ -5,18 +5,18 @@ presentation 2-complex: vertices are group elements of the ball, there is
 one directed edge per (vertex, generator) whose endpoint stays in the
 ball, and one 2-cell per (vertex, relator) whose whole attaching path
 stays in the ball.  Every solver and check works on the per-face boundary
-dicts (``face_boundaries``) over dense edge ids; no matrix is built.
+dicts (``face_boundaries``) over edge ids; no matrix is built.
 
 The group is consulted once, through ``groups.ball``, which grows the
 window and its step table together: one integer array per signed letter,
--1 where a step leaves the ball.  Edges are numbered densely in (vertex,
-generator) order, through one id array per generator (-1 where no edge
-starts); two arrays indexed by edge id give each edge's source and
-generator, and its target is read off that generator's step array.  After that every walk
-(attaching paths, ``word_cycle``, the closed-walk enumeration) is an
-array lookup through one tracer, ``_trace``, which also sums the walk's
-signed edge coefficients.  Each face's boundary is summed once, when the
-face is traced.
+-1 where a step leaves the ball.  The edge that leaves vertex v by
+generator g (of m) has the id ``v*m + g - 1`` and exists where
+``steps[g][v] >= 0``; its target is ``steps[g][v]``.  So the window keeps
+no edge table, and its ids, though not dense, increase in (vertex,
+generator) order.  Every walk (attaching paths, ``word_cycle``, the
+closed-walk enumeration) is an array lookup through one tracer,
+``_trace``, which also sums the walk's signed edge coefficients.  Each
+face's boundary is summed once, when the face is traced.
 
 When the window is built it is collapsed once (Whitehead's elementary
 collapses): while some edge is used by exactly one live face, that face
@@ -39,7 +39,6 @@ by construction and ties break by index.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -68,12 +67,8 @@ class CayleyBallComplex:
     vertices: list
     distances: list
     steps: dict          # signed letter -> array: index of vertex * letter, -1 outside
-    edge_ids: dict       # generator -> array: id of the edge leaving each vertex, -1 if none
-    edge_sources: array  # per edge id: its source vertex
-    edge_generators: array  # per edge id: its generator; the target is steps[g][source]
     faces: list          # (base vertex index, relator index)
-    face_boundaries: list  # per face: {edge id: nonzero coefficient}
-    max_face_length: int
+    face_boundaries: list  # per face: {edge id v*m + g - 1: nonzero coefficient}
 
     def __post_init__(self):
         edge_faces: dict = {}
@@ -90,11 +85,15 @@ class CayleyBallComplex:
 
     @property
     def edge_count(self):
-        return len(self.edge_sources)
+        return sum(len(s) - s.count(-1) for g, s in self.steps.items() if g > 0)
 
     @property
     def face_count(self):
         return len(self.faces)
+
+    @property
+    def max_face_length(self):
+        return max((len(rel) for rel in self.group.presentation.relators), default=0)
 
 
 def _collapse(face_boundaries, edge_faces):
@@ -137,18 +136,7 @@ def build_ball_complex(
     distances = [d for _, d in elements]
     steps = elements.steps
     del elements    # the (element, distance) pairs: vertices and distances hold them
-
-    # edge ids in (vertex, generator) order, with no gaps
-    generators = range(1, group.generator_count + 1)
-    edge_ids = {g: array("i", [-1]) * len(vertices) for g in generators}
-    edge_sources, edge_generators = array("i"), array("i")
-    forward = [(g, steps[g], edge_ids[g]) for g in generators]
-    for i in range(len(vertices)):
-        for g, step, ids in forward:
-            if step[i] >= 0:
-                ids[i] = len(edge_sources)
-                edge_sources.append(i)
-                edge_generators.append(g)
+    m = group.generator_count
 
     faces = []
     face_boundaries = []
@@ -163,7 +151,7 @@ def build_ball_complex(
         for r, relator, first, last in ends:
             if first[i] < 0 or last[i] < 0:
                 continue
-            traced = _trace(steps, edge_ids, i, relator)
+            traced = _trace(steps, m, i, relator)
             if traced is None:
                 continue
             end, boundary = traced
@@ -178,24 +166,21 @@ def build_ball_complex(
         vertices=vertices,
         distances=distances,
         steps=steps,
-        edge_ids=edge_ids,
-        edge_sources=edge_sources,
-        edge_generators=edge_generators,
         faces=faces,
         face_boundaries=face_boundaries,
-        max_face_length=max((len(rel) for rel in presentation.relators), default=0),
     )
     if not all(_is_cycle(window, boundary) for boundary in face_boundaries):
         raise InvariantError("face boundaries are not cycles: d1 o d2 != 0")
     return window
 
 
-def _trace(steps, edge_ids, start, word):
+def _trace(steps, m, start, word):
     """Read a word from a start vertex through the step arrays.
 
     Returns (end vertex, {edge id: nonzero coefficient}), where a letter
     s adds +1 on the s-edge it crosses forwards and s^-1 adds -1 on the
     s-edge it crosses backwards; None when the path leaves the window.
+    The s-edge leaving v has the id v*m + s - 1, for m generators.
     """
     current = start
     coefficients: dict = {}
@@ -204,10 +189,10 @@ def _trace(steps, edge_ids, start, word):
         if target < 0:
             return None
         if letter > 0:
-            e = edge_ids[letter][current]
+            e = current * m + letter - 1
             coefficients[e] = coefficients.get(e, 0) + 1
         else:
-            e = edge_ids[-letter][target]
+            e = target * m - letter - 1
             coefficients[e] = coefficients.get(e, 0) - 1
         current = target
     return current, {e: c for e, c in coefficients.items() if c}
@@ -217,15 +202,16 @@ def _is_cycle(complex_, coefficients) -> bool:
     """Whether a 1-chain {edge id: coefficient} has zero boundary.
 
     Each edge adds +c at its target and -c at its source, so a self-loop
-    nets to zero at its one vertex.
+    nets to zero at its one vertex.  An id with no edge in the window
+    makes no cycle.
     """
-    sources, generators, steps = (
-        complex_.edge_sources, complex_.edge_generators, complex_.steps
-    )
+    m, steps = complex_.group.generator_count, complex_.steps
     net: dict = {}
     for e, c in coefficients.items():
-        s = sources[e]
-        t = steps[generators[e]][s]
+        s, g = divmod(e, m)
+        t = steps[g + 1][s]
+        if t < 0:
+            return False
         net[t] = net.get(t, 0) + c
         net[s] = net.get(s, 0) - c
     return not any(net.values())
@@ -256,7 +242,7 @@ def word_cycle(complex_: CayleyBallComplex, word) -> OneCycle:
         if not 1 <= abs(letter) <= complex_.group.generator_count:
             raise SpecParseError(f"letter {letter} out of range")
     center = 0   # ``ball`` lists the identity first
-    traced = _trace(complex_.steps, complex_.edge_ids, center, word)
+    traced = _trace(complex_.steps, complex_.group.generator_count, center, word)
     if traced is None:
         raise OutOfWindowError(f"path leaves the radius-{complex_.radius} window")
     end, coefficients = traced
@@ -577,7 +563,7 @@ def _closed_cycles(complex_, cap, budget=DEFAULT_BALL_BUDGET):
     steps = complex_.steps
     moves = list(steps.items())
     distances = complex_.distances
-    edge_ids = complex_.edge_ids
+    m = complex_.group.generator_count
     found: dict = {}
     walk: list = []
     max_visits = WALK_VISITS_PER_BUDGET * budget
@@ -592,7 +578,7 @@ def _closed_cycles(complex_, cap, budget=DEFAULT_BALL_BUDGET):
                 f"({WALK_VISITS_PER_BUDGET} per unit of budget {budget})"
             )
         if walk and vertex == center:
-            _, coefficients = _trace(steps, edge_ids, center, walk)
+            _, coefficients = _trace(steps, m, center, walk)
             key = tuple(sorted(coefficients.items()))
             if key and key not in found:
                 if len(found) == budget:

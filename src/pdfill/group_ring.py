@@ -370,8 +370,10 @@ class Character:
 
     @classmethod
     def parse(cls, text: str, ring: Ring, generator_count: int) -> "Character":
-        """Parse ``"a:-1,b:1"``; unmentioned generators default to 1."""
+        """Parse ``"a:-1,b:1"``; unmentioned generators default to 1, and
+        naming a generator twice is an error."""
         values = [ring.one] * generator_count
+        named = set()
         if text.strip():
             for chunk in text.split(","):
                 name, _, literal = chunk.partition(":")
@@ -381,6 +383,9 @@ class Character:
                 index = word[0]
                 if index > generator_count:
                     raise InvalidCharacterError(f"generator {name!r} out of range")
+                if index in named:
+                    raise InvalidCharacterError(f"generator {name!r} named twice")
+                named.add(index)
                 values[index - 1] = ring.parse_value(literal.strip())
         return cls(ring, tuple(values))
 

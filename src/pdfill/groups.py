@@ -241,19 +241,16 @@ class FreeGroupOracle(_WordElementOracle):
 
 
 class FreeAbelianOracle(GroupOracle):
-    def __init__(self, rank: int, name: str | None = None,
-                 presentation: Presentation | None = None):
+    def __init__(self, rank: int, name: str | None = None):
         if rank < 1:
             raise SpecParseError("free abelian rank must be >= 1")
         self.name = name or f"Z^{rank}"
-        if presentation is None:
-            relators = tuple(
-                commutator_word(i, j)
-                for i in range(1, rank + 1)
-                for j in range(i + 1, rank + 1)
-            )
-            presentation = Presentation(rank, relators)
-        self.presentation = presentation
+        relators = tuple(
+            commutator_word(i, j)
+            for i in range(1, rank + 1)
+            for j in range(i + 1, rank + 1)
+        )
+        self.presentation = Presentation(rank, relators)
         self._set_generators(
             [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
         )
@@ -615,11 +612,10 @@ def orientable_type(genus: int) -> GroupOracle:
     """<g1..g2n | prod [g(2i-1), g(2i)]> for n >= 1."""
     if genus < 1:
         raise SpecParseError("orientable type needs genus >= 1")
-    presentation = Presentation(2 * genus, (surface_relator(genus),))
     if genus == 1:
-        return FreeAbelianOracle(2, name="T11a:1", presentation=presentation)
-    oracle = DehnOracle(f"T11a:{genus}", presentation)
-    return oracle
+        return FreeAbelianOracle(2, name="T11a:1")
+    presentation = Presentation(2 * genus, (surface_relator(genus),))
+    return DehnOracle(f"T11a:{genus}", presentation)
 
 
 def nonorientable_type(genus: int) -> GroupOracle:

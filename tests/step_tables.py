@@ -1,6 +1,6 @@
-"""The step and edge arrays of a ball or window, read back as plain
-containers: per vertex a {signed letter: index} dict keyed 1, -1, 2, -2,
-..., and per edge id a (source, generator, target) tuple.  Tests compare
+"""The step arrays of a ball or window, read back as plain containers:
+per vertex a {signed letter: index} dict keyed 1, -1, 2, -2, ..., and
+the window's edges as (source, generator, target) tuples.  Tests compare
 and pin these, so a pin made on either form holds for the other.
 """
 
@@ -14,10 +14,18 @@ def step_items(steps):
 
 
 def edge_list(complex_):
-    """(source, generator, target) per edge id, read off the id arrays."""
-    edges = [None] * complex_.edge_count
-    for g, ids in complex_.edge_ids.items():
-        for s, e in enumerate(ids):
-            if e >= 0:
-                edges[e] = (s, g, complex_.steps[g][s])
-    return edges
+    """(source, generator, target) per edge, in (vertex, generator) order."""
+    return [
+        (i, g, j)
+        for i, step in enumerate(step_items(complex_.steps))
+        for g, j in step.items()
+        if g > 0
+    ]
+
+
+def edge_ranks(complex_):
+    """{edge id: its index in ``edge_list``}.  An edge's id is v*m + g - 1,
+    with gaps where no edge starts; the rank is dense, so it indexes the
+    test matrices' edge columns, and the pinned window digests hash it."""
+    m = complex_.group.generator_count
+    return {s * m + g - 1: rank for rank, (s, g, _) in enumerate(edge_list(complex_))}

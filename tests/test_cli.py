@@ -135,6 +135,31 @@ def test_constants_without_presentation_exit_2(runner, monkeypatch):
     assert "no presentation" in result.output
 
 
+@pytest.mark.parametrize("budget", ["abc", "0", "-5"])
+def test_malformed_budget_exits_2(runner, budget):
+    args = ["fill", "Z^2", "Z", "--radius", "2", "--max-word", "4"]
+    result = invoke(runner, args, env={"PDFILL_BUDGET": budget})
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "PDFILL_BUDGET must be a positive integer" in result.stderr
+
+
+def test_twist_naming_a_generator_twice_exits_2(runner):
+    # the later value used to overwrite the earlier one without a word
+    result = invoke(runner, ["complex", "Klein", "Z", "--twist", "a:-1,a:1"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "named twice" in result.stderr
+
+
+def test_twist_without_presentation_exit_2(runner, monkeypatch):
+    # the complex is refused before the character is checked against it
+    monkeypatch.setattr(cli, "make_group", lambda spec: finite_table(cyclic_table(6)))
+    result = invoke(runner, ["complex", "C6", "Z", "--twist", "a:1"])
+    assert result.exit_code == 2
+    assert "no presentation" in result.output
+
+
 def test_budget_errors_exit_3(runner):
     result = invoke(
         runner,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from boundary_matrices import boundary1, boundary2, cycle_vector
 from reference_filling import reference_filling
-from step_tables import edge_list, step_items
+from step_tables import edge_list, edge_ranks, step_items
 
 from pdfill import (
     build_ball_complex,
@@ -74,8 +74,9 @@ def walked_face_boundaries(complex_):
     """Faces and their edge coefficients, found by reading every relator from
     every vertex with the group's own multiplication."""
     group = complex_.group
+    m = group.generator_count
     vertex_index = {g: i for i, g in enumerate(complex_.vertices)}
-    edges = edge_list(complex_)
+    edges, ranks = edge_list(complex_), edge_ranks(complex_)
     faces, boundaries = [], []
     for start, base in enumerate(complex_.vertices):
         for r, relator in enumerate(group.presentation.relators):
@@ -86,8 +87,8 @@ def walked_face_boundaries(complex_):
                     break
                 gen = abs(letter)
                 s, t = (g, h) if letter > 0 else (h, g)
-                e = complex_.edge_ids[gen][vertex_index[s]]
-                assert edges[e] == (vertex_index[s], gen, vertex_index[t])
+                e = vertex_index[s] * m + gen - 1
+                assert edges[ranks[e]] == (vertex_index[s], gen, vertex_index[t])
                 coefficients[e] = coefficients.get(e, 0) + (1 if letter > 0 else -1)
                 g = h
             else:
@@ -136,7 +137,7 @@ def test_boundary_matrices_shape_and_composition():
         assert (d2 @ d1).count_nonzero() == 0
         # entry by entry against dense arrays read off the edge and face
         # lists; boundary1 goes in row blocks to keep the dense copies small
-        edges = edge_list(x)
+        edges, ranks = edge_list(x), edge_ranks(x)
         for lo in range(0, x.edge_count, 512):
             block = edges[lo:lo + 512]
             expected = np.zeros((len(block), x.vertex_count), dtype=np.int64)
@@ -147,7 +148,7 @@ def test_boundary_matrices_shape_and_composition():
         expected = np.zeros((x.face_count, x.edge_count), dtype=np.int64)
         for f, boundary in enumerate(x.face_boundaries):
             for e, c in boundary.items():
-                expected[f, e] = c
+                expected[f, ranks[e]] = c
         assert np.array_equal(d2.toarray(), expected)
         # the net-boundary routine accepts every face and rejects a face
         # with one coefficient flipped
@@ -162,8 +163,8 @@ def test_build_rejects_face_boundaries_that_are_not_cycles(monkeypatch):
     # flip one coefficient of every traced face: the d1 o d2 check must trip
     real_trace = filling._trace
 
-    def flipped_trace(steps, edge_ids, start, word):
-        traced = real_trace(steps, edge_ids, start, word)
+    def flipped_trace(steps, m, start, word):
+        traced = real_trace(steps, m, start, word)
         if traced is None:
             return None
         end, boundary = traced
@@ -188,6 +189,11 @@ def test_word_cycle_examples():
         word_cycle(z2, (1,))
     with pytest.raises(NotACycleError):
         OneCycle(z2, {0: 1})
+    # both steps from (3, 0) leave the window, so neither id is an edge;
+    # read as edges into one outside vertex they would net to zero
+    v = z2.vertices.index((3, 0))
+    with pytest.raises(NotACycleError):
+        OneCycle(z2, {2 * v: 1, 2 * v + 1: -1})
     for word in ((3, -3), (-3, 3), (0,)):
         with pytest.raises(SpecParseError):
             word_cycle(z2, word)
@@ -356,12 +362,12 @@ def test_doubled_square_tries_every_coefficient_of_a_face():
     assert sorted(cycle.coefficients.values()) == [-2, -2, 2, 2]
     once = minimal_filling(z3, cycle, coefficient_bound=1)
     assert once.filler_norm == 6
-    edges = edge_list(z3)
+    edges, ranks = edge_list(z3), edge_ranks(z3)
     corners = {
         z3.vertices[v]
         for f in once.filler
         for e in z3.face_boundaries[f]
-        for v in (edges[e][0], edges[e][2])
+        for v in (edges[ranks[e]][0], edges[ranks[e]][2])
     }
     spans = [sorted({corner[k] for corner in corners}) for k in range(3)]
     assert len(corners) == 8 and all(hi - lo == 1 for lo, hi in spans)
@@ -438,22 +444,34 @@ def test_z3_windows_keep_a_core(radius, faces, core):
 
 
 @pytest.mark.parametrize("spec, radius", [("Z^2", 4), ("Sigma2", 4), ("Klein", 3), ("Z^3", 2)])
-def test_edge_ids_run_densely_in_vertex_generator_order(spec, radius):
+def test_edge_ids_decode_to_steps_inside_the_ball(spec, radius):
+    # the edge leaving vertex v by generator g of m has the id v*m + g - 1
     x = build_ball_complex(make_group(spec), radius)
-    edges = edge_list(x)
-    assert edges == [
-        (i, g, j)
-        for i, step in enumerate(step_items(x.steps))
-        for g, j in step.items()
-        if g > 0
-    ]
-    assert list(zip(x.edge_sources, x.edge_generators)) == [(s, g) for s, g, _ in edges]
-    for g, ids in x.edge_ids.items():
-        assert [e >= 0 for e in ids] == [j >= 0 for j in x.steps[g]]
+    m = x.group.generator_count
+    steps = step_items(x.steps)
+    ids = {e for boundary in x.face_boundaries for e in boundary}
+    assert ids
+    for e in ids:
+        v, g = divmod(e, m)
+        assert g + 1 in steps[v]
+    assert x.edge_count == sum(1 for step in steps for g in step if g > 0)
+
+
+def test_word_cycle_reads_the_edge_id_rule():
+    # the unit square a b a^-1 b^-1 crosses a and b forwards from the
+    # identity and from a, then b and a backwards into b and the identity
+    z2 = build_ball_complex(free_abelian(2), 2)
+    index = {g: i for i, g in enumerate(z2.vertices)}
+    a, b = index[(1, 0)], index[(0, 1)]
+    assert word_cycle(z2, (1, 2, -1, -2)).coefficients == {
+        0: 1, 2 * a + 1: 1, 2 * b: -1, 1: -1,
+    }
+    assert (z2.vertex_count, z2.edge_count, z2.face_count) == (13, 16, 4)
 
 
 # sha256 of (face_boundaries, collapse_order, core), as built when the
-# window kept a dict of steps per vertex and a dict of edge ids
+# window kept a dict of steps per vertex and a dict of dense edge ids; the
+# test hashes each edge by its rank, which is that dense id
 WINDOW_DIGESTS = {
     ("Sigma2", 5): "1918080fe2c9d4fee4a43d45eec7f69656b0876ea019b264fb9f3e37839a6638",
     ("Z^3", 3): "9ac6b18e88b1f811a79901e2c1b49c5c532cf80bbf5a5c47b5f7a6e0f2aa473b",
@@ -463,7 +481,10 @@ WINDOW_DIGESTS = {
 @pytest.mark.parametrize("spec, radius", sorted(WINDOW_DIGESTS))
 def test_window_matches_pinned_digest(spec, radius):
     x = build_ball_complex(make_group(spec), radius)
-    text = repr((x.face_boundaries, x.collapse_order, x.core))
+    ranks = edge_ranks(x)
+    boundaries = [{ranks[e]: c for e, c in b.items()} for b in x.face_boundaries]
+    order = [(face, ranks[e], c) for face, e, c in x.collapse_order]
+    text = repr((boundaries, order, x.core))
     assert hashlib.sha256(text.encode()).hexdigest() == WINDOW_DIGESTS[spec, radius]
 
 

@@ -226,6 +226,12 @@ def test_character_validation():
         Character.parse("a:2", INTEGERS, 2)
 
 
+@pytest.mark.parametrize("text", ["a:-1,a:1", "a:1,b:1,a:1", "b:-1, b:-1"])
+def test_character_rejects_a_generator_named_twice(text):
+    with pytest.raises(InvalidCharacterError, match="named twice"):
+        Character.parse(text, INTEGERS, 2)
+
+
 def test_mismatch_errors():
     f2 = free_group(2)
     other = free_group(2)
