@@ -153,27 +153,9 @@ def _augment_to_field(value: RingValue, field: Ring) -> RingValue:
     return field.value(value.payload)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _check_field(field: Ring):
-    if field.kind == "Q":
-        return
-    if field.kind == "Zmod" and _is_prime(field.modulus):
-        return
-    raise NotAFieldError(f"{field.name} is not a supported field")
-
-
 def _augmented_matrix(matrix: GroupRingMatrix, field: Ring):
-    _check_field(field)
+    if not field.is_field:
+        raise NotAFieldError(f"{field.name} is not a supported field")
     return [
         [_augment_to_field(e.augmentation(), field) for e in row]
         for row in matrix.entries

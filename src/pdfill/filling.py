@@ -202,10 +202,14 @@ def _is_cycle(complex_, coefficients) -> bool:
     """Whether a 1-chain {edge id: coefficient} has zero boundary.
 
     Each edge adds +c at its target and -c at its source, so a self-loop
-    nets to zero at its one vertex.  An id with no edge in the window
-    makes no cycle.
+    nets to zero at its one vertex.  An id with no edge in the window,
+    whether outside [0, vertex count * m) or a step that leaves the
+    window, makes no cycle.
     """
     m, steps = complex_.group.generator_count, complex_.steps
+    ids = coefficients.keys()
+    if ids and not 0 <= min(ids) <= max(ids) < complex_.vertex_count * m:
+        return False
     net: dict = {}
     for e, c in coefficients.items():
         s, g = divmod(e, m)

@@ -46,6 +46,8 @@ class GroupRingElement:
 
     def __init__(self, ring: Ring, group: GroupOracle, terms=()):
         for _, coeff in terms:
+            if not isinstance(coeff, RingValue):
+                raise RingMismatchError(f"expected a ring value, got {coeff!r}")
             if coeff.ring != ring:
                 raise RingMismatchError(
                     f"coefficient from {coeff.ring.name} in a {ring.name} group ring"

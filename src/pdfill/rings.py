@@ -6,8 +6,16 @@ first three are commutative and carry the identity involution; ``H``
 carries quaternion conjugation and is the one genuinely noncommutative
 ring in the family.
 
-All arithmetic is exact: Python ints, ``Fraction`` and integer 4-tuples,
-never floats.  Values are immutable.
+A value's payload is a number that carries its own arithmetic: an ``int``
+in Z, a ``Fraction`` in Q, an ``int`` reduced mod m in Z/m, and a private
+integer quaternion type in H.  So every ring shares one arithmetic: ``+``,
+``-`` and ``*`` act on the payloads (in Z/m the result is reduced mod m),
+the involution is the payload's ``conjugate()``, zero is the falsy
+payload, and a value prints as ``str`` of its payload.  The rings differ
+only in their units and inverses, and in ``Ring.is_field``: Q, or Z/p
+with p prime, the rings homology is taken over.
+
+All arithmetic is exact, never floats.  Values are immutable.
 """
 
 from __future__ import annotations
@@ -15,18 +23,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+from typing import NamedTuple
 
 from .errors import RingMismatchError, SpecParseError
 
-_QUATERNION_UNITS = frozenset(
-    [
-        (1, 0, 0, 0), (-1, 0, 0, 0),
-        (0, 1, 0, 0), (0, -1, 0, 0),
-        (0, 0, 1, 0), (0, 0, -1, 0),
-        (0, 0, 0, 1), (0, 0, 0, -1),
-    ]
-)
+
+def _is_integer(raw) -> bool:
+    """An integer is an ``int`` that is not a ``bool``, in every ring."""
+    return isinstance(raw, int) and not isinstance(raw, bool)
 
 
 @dataclass(frozen=True)
@@ -60,29 +65,38 @@ class Ring:
     def commutative(self) -> bool:
         return self.kind != "H"
 
-    def value(self, raw) -> RingValue:
-        """Wrap a raw payload, normalising it into canonical form."""
-        if self.kind == "Z":
-            if isinstance(raw, bool) or not isinstance(raw, int):
-                raise SpecParseError(f"integer ring got {raw!r}")
-            return RingValue(self, raw)
-        if self.kind == "Q":
-            if isinstance(raw, Fraction):
-                return RingValue(self, raw)
-            if isinstance(raw, int):
-                return RingValue(self, Fraction(raw))
-            raise SpecParseError(f"rational ring got {raw!r}")
+    @property
+    def is_field(self) -> bool:
+        """Whether every nonzero value is a unit: Q, or Z/p with p prime."""
         if self.kind == "Zmod":
-            if not isinstance(raw, int):
-                raise SpecParseError(f"residue ring got {raw!r}")
-            return RingValue(self, raw % self.modulus)
-        # quaternions
-        if isinstance(raw, int):
-            raw = (raw, 0, 0, 0)
-        raw = tuple(raw)
-        if len(raw) != 4 or not all(isinstance(c, int) for c in raw):
-            raise SpecParseError(f"quaternion ring got {raw!r}")
-        return RingValue(self, raw)
+            return all(self.modulus % d for d in range(2, isqrt(self.modulus) + 1))
+        return self.kind == "Q"
+
+    def value(self, raw) -> RingValue:
+        """Wrap a raw payload, normalising it into canonical form.
+
+        Every ring takes an integer; Q also takes a ``Fraction``, and H a
+        4-tuple of integers.
+        """
+        if self.kind == "Q" and isinstance(raw, Fraction):
+            return RingValue(self, raw)
+        if self.kind == "H" and isinstance(raw, (tuple, list)):
+            if len(raw) != 4 or not all(_is_integer(c) for c in raw):
+                raise SpecParseError(f"quaternion ring got {raw!r}")
+            return RingValue(self, _Quaternion(*raw))
+        if not _is_integer(raw):
+            raise SpecParseError(f"ring {self.name} got {raw!r}")
+        if self.kind == "Q":
+            return RingValue(self, Fraction(raw))
+        if self.kind == "H":
+            return RingValue(self, _Quaternion(raw, 0, 0, 0))
+        return self._make(raw)
+
+    def _make(self, payload) -> RingValue:
+        """Wrap a payload that arithmetic produced; in Z/m, reduce it mod m."""
+        if self.modulus is not None:
+            payload %= self.modulus
+        return RingValue(self, payload)
 
     @property
     def zero(self) -> RingValue:
@@ -159,15 +173,41 @@ def parse_ring(spec: str) -> Ring:
     raise SpecParseError(f"unknown ring spec {spec!r}")
 
 
-def _quat_mul(a, b):
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return (
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    )
+class _Quaternion(NamedTuple):
+    """The integer quaternion w + x i + y j + z k.
+
+    It equals the 4-tuple (w, x, y, z), and is false only when zero.
+    """
+
+    w: int
+    x: int
+    y: int
+    z: int
+
+    def __add__(self, other):
+        return _Quaternion(*(a + b for a, b in zip(self, other)))
+
+    def __neg__(self):
+        return _Quaternion(*(-a for a in self))
+
+    def __mul__(self, other):
+        w1, x1, y1, z1 = self
+        w2, x2, y2, z2 = other
+        return _Quaternion(
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        )
+
+    def conjugate(self):
+        return _Quaternion(self.w, -self.x, -self.y, -self.z)
+
+    def __bool__(self):
+        return any(self)
+
+    def __str__(self):
+        return "(" + ",".join(str(c) for c in self) + ")"
 
 
 class RingValue:
@@ -194,66 +234,41 @@ class RingValue:
 
     def __add__(self, other):
         self._check(other)
-        if self.ring.kind == "H":
-            payload = tuple(a + b for a, b in zip(self.payload, other.payload))
-        elif self.ring.kind == "Zmod":
-            payload = (self.payload + other.payload) % self.ring.modulus
-        else:
-            payload = self.payload + other.payload
-        return RingValue(self.ring, payload)
+        return self.ring._make(self.payload + other.payload)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        if self.ring.kind == "H":
-            payload = tuple(-a for a in self.payload)
-        elif self.ring.kind == "Zmod":
-            payload = (-self.payload) % self.ring.modulus
-        else:
-            payload = -self.payload
-        return RingValue(self.ring, payload)
+        return self.ring._make(-self.payload)
 
     def __mul__(self, other):
         self._check(other)
-        if self.ring.kind == "H":
-            payload = _quat_mul(self.payload, other.payload)
-        elif self.ring.kind == "Zmod":
-            payload = (self.payload * other.payload) % self.ring.modulus
-        else:
-            payload = self.payload * other.payload
-        return RingValue(self.ring, payload)
+        return self.ring._make(self.payload * other.payload)
 
     def star(self) -> "RingValue":
         """The involution: identity on commutative rings, conjugation on H."""
-        if self.ring.kind == "H":
-            w, x, y, z = self.payload
-            return RingValue(self.ring, (w, -x, -y, -z))
-        return self
+        return RingValue(self.ring, self.payload.conjugate())
 
     def is_zero(self) -> bool:
-        if self.ring.kind == "H":
-            return self.payload == (0, 0, 0, 0)
-        return self.payload == 0
+        return not self.payload
 
     def is_unit(self) -> bool:
-        if self.ring.kind == "Z":
-            return self.payload in (1, -1)
         if self.ring.kind == "Q":
-            return self.payload != 0
+            return not self.is_zero()
         if self.ring.kind == "Zmod":
-            return self.payload != 0 and gcd(self.payload, self.ring.modulus) == 1
-        return self.payload in _QUATERNION_UNITS
+            return gcd(self.payload, self.ring.modulus) == 1
+        # in Z and H a value is a unit exactly when its norm is one
+        return self * self.star() == self.ring.one
 
     def inverse(self) -> "RingValue":
         if not self.is_unit():
             raise SpecParseError(f"{self!r} is not a unit in {self.ring.name}")
-        if self.ring.kind == "Z":
-            return self
         if self.ring.kind == "Q":
             return RingValue(self.ring, 1 / self.payload)
         if self.ring.kind == "Zmod":
             return RingValue(self.ring, pow(self.payload, -1, self.ring.modulus))
+        # a unit of norm one is inverted by its conjugate
         return self.star()
 
     def __eq__(self, other):
@@ -267,12 +282,6 @@ class RingValue:
         return hash((self.ring, self.payload))
 
     def format(self) -> str:
-        if self.ring.kind == "Q":
-            if self.payload.denominator == 1:
-                return str(self.payload.numerator)
-            return f"{self.payload.numerator}/{self.payload.denominator}"
-        if self.ring.kind == "H":
-            return "(" + ",".join(str(c) for c in self.payload) + ")"
         return str(self.payload)
 
     def __repr__(self):
@@ -284,7 +293,5 @@ def frac_str(value) -> int | str:
     if isinstance(value, int):
         return value
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
+        return int(value) if value.denominator == 1 else str(value)
     raise TypeError(f"not an exact number: {value!r}")

@@ -395,8 +395,31 @@ GOLDEN_SLIM_STDOUT = [
     (["slim", "Sigma2", "--radius", "6"],
      "6efdd12112afbb1d397fddf640340c4fc1af6bb20c7376fdb04124ab33f21aa6"),
 ]
+# complex commands over every ring kind, pinned before each ring value's
+# payload carried its own arithmetic: H conjugation under --dualize,
+# Q and Z/p homology, residue twists and a fractional character
+GOLDEN_COMPLEX_STDOUT = [
+    (["complex", "Sigma2", "H", "--dualize"],
+     "152358ac6a6157155c98f34b34d22be700d9e663a8165f1303622f6a444a2d3e"),
+    (["complex", "Klein", "Q", "--twist", "a:-1", "--euler", "--homology", "Q"],
+     "71c840fc7b7ace038ac3ae9b3b9709e3c4e43063a20fc3253ead5147b0faa125"),
+    (["complex", "Sigma2", "Z/7", "--twist", "a:3,c:5", "--homology", "Z/7"],
+     "00050e7d8aa137ee9e4589aea12cea07008e9fa0f16daa1c2228aa281e9017cf"),
+    (["complex", "T11b:3", "Z/4", "--dualize"],
+     "3124af9f09a1f01f443f1077f3027d01041383408d91775ef3403dcbdc3bdf74"),
+    (["complex", "Klein", "Z/2", "--homology", "Z/2"],
+     "78fdb67f2a55465b7c4e456f5caaeae7a3c20255eb489cd4cea2017aff15740b"),
+    (["complex", "T11b:2", "H", "--dualize", "--euler"],
+     "46c328306d47278068f5d8295a82c66c441592b0a6b3cf24c6a080bcaf7c7212"),
+    (["complex", "Klein", "Q", "--twist", "a:-1/1,b:3/2"],
+     "139dc1ac0f82f78fd84b2ece18edfd777db9314bf307511ba88eefbe27ba8d51"),
+]
 WHOLE_COMMAND_GOLDEN = (
-    GOLDEN_FILL_STDOUT + GOLDEN_FOLNER_STDOUT + GOLDEN_FAMILY_STDOUT + GOLDEN_SLIM_STDOUT
+    GOLDEN_FILL_STDOUT
+    + GOLDEN_FOLNER_STDOUT
+    + GOLDEN_FAMILY_STDOUT
+    + GOLDEN_SLIM_STDOUT
+    + GOLDEN_COMPLEX_STDOUT
 )
 
 

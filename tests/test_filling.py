@@ -201,6 +201,16 @@ def test_word_cycle_examples():
         word_cycle(z2, (1, 1, 1, 1, -1, -1, -1, -1))
 
 
+def test_an_id_outside_the_window_names_no_edge():
+    # the radius-2 window of Z^2 has 13 vertices and 26 edge ids, 0 to 25
+    z2 = build_ball_complex(free_abelian(2), 2)
+    past_the_end = z2.vertex_count * z2.group.generator_count
+    for edge in (10**6, past_the_end, -1):
+        assert not _is_cycle(z2, {edge: 1})
+        with pytest.raises(NotACycleError):
+            OneCycle(z2, {edge: 1})
+
+
 def test_minimal_filling_zero_cycle():
     z2 = build_ball_complex(free_abelian(2), 2)
     result = minimal_filling(z2, word_cycle(z2, (1, -1)))

@@ -240,6 +240,8 @@ def test_mismatch_errors():
         x + GroupRingElement.one(INTEGERS, other)
     with pytest.raises(RingMismatchError):
         x + GroupRingElement.one(RATIONALS, f2)
+    with pytest.raises(RingMismatchError):
+        GroupRingElement(INTEGERS, f2, [((1,), 3)])
 
 
 def test_format_and_parse_round_trip():

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 
-from pdfill import INTEGERS, QUATERNIONS, RATIONALS, parse_ring, residue_ring
+from pdfill import INTEGERS, QUATERNIONS, RATIONALS, frac_str, parse_ring, residue_ring
 from pdfill.errors import RingMismatchError, SpecParseError
 
 
@@ -128,3 +130,51 @@ BAD_LITERALS = [
 def test_bad_literals_raise_spec_errors(ring, text):
     with pytest.raises(SpecParseError):
         ring.parse_value(text)
+
+
+ALL_RINGS = [INTEGERS, RATIONALS, residue_ring(4), QUATERNIONS]
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda ring: ring.name)
+@pytest.mark.parametrize("raw", [True, False, (True, 0, 0, 0), (0, 0, False, 1)], ids=repr)
+def test_bools_are_not_integers_in_any_ring(ring, raw):
+    with pytest.raises(SpecParseError):
+        ring.value(raw)
+
+
+def test_quaternion_units_are_the_eight_signed_basis_elements():
+    # the units of the integer quaternions, listed by hand
+    basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    expected = {b for e in basis for b in (e, tuple(-c for c in e))}
+    units = set()
+    for raw in product(range(-2, 3), repeat=4):
+        v = QUATERNIONS.value(raw)
+        if v.is_unit():
+            units.add(raw)
+            assert v * v.inverse() == QUATERNIONS.one == v.inverse() * v
+    assert units == expected
+
+
+@pytest.mark.parametrize("modulus", range(2, 13))
+def test_residue_units_are_the_residues_coprime_to_the_modulus(modulus):
+    ring = residue_ring(modulus)
+    for raw in range(modulus):
+        v = ring.value(raw)
+        assert v.is_unit() == (gcd(raw, modulus) == 1)
+        if v.is_unit():
+            assert v * v.inverse() == ring.one
+
+
+def test_fields_are_q_and_prime_residue_rings():
+    primes = {2, 3, 5, 7, 11}
+    assert RATIONALS.is_field
+    assert not INTEGERS.is_field and not QUATERNIONS.is_field
+    for modulus in range(2, 13):
+        assert residue_ring(modulus).is_field == (modulus in primes)
+
+
+def test_integral_fractions_print_as_integers():
+    assert RATIONALS.value(Fraction(4, 2)).format() == "2"
+    assert RATIONALS.value(Fraction(-4, 2)).format() == "-2"
+    assert frac_str(Fraction(4, 2)) == 2 and isinstance(frac_str(Fraction(4, 2)), int)
+    assert frac_str(Fraction(-3, 2)) == "-3/2"
