@@ -138,6 +138,64 @@ def folner_sweep(
     )
 
 
+def _cayley_graph(oracle, radius, budget=DEFAULT_BALL_BUDGET):
+    """The ball of ``radius`` as three lists over its ``ball`` indices.
+
+    Per vertex: its distinct neighbors in the ball (itself excluded), its
+    tests (the indices of g s_i^-1, -1 if outside), and its distance from
+    vertex 0, the identity.
+    """
+    elements = ball(oracle, radius, budget=budget)
+    steps = elements.steps
+    distance = [d for _, d in elements]
+    del elements    # only the distances and the step arrays are read
+    inverse_letters = range(-1, -oracle.generator_count - 1, -1)
+    neighbors = [
+        sorted({j for j in row if j >= 0 and j != i})
+        for i, row in enumerate(zip(*steps.values()))
+    ]
+    tests = list(zip(*(steps[letter] for letter in inverse_letters)))
+    return neighbors, tests, distance
+
+
+def _has_short_cycle(neighbors, distance, length) -> bool:
+    """Whether the Cayley graph has a simple cycle of at most ``length`` vertices.
+
+    A Cayley graph is vertex-transitive, so a shortest cycle may be taken
+    through the identity, and then the ball's distances along it are its
+    distances around the cycle.  A shortest cycle of odd length 2d + 1 so
+    has an edge between two vertices at distance d, and one of even length
+    2d a vertex at distance d with two neighbors at distance d - 1.
+    Conversely either pattern closes a cycle of at most that length
+    through the two shortest paths back to their last common vertex.  The
+    ball must reach distance ``length // 2``.
+    """
+    for v, row in enumerate(neighbors):
+        d = distance[v]
+        if 2 * d > length:
+            return False    # the ball lists vertices by distance
+        nearer = 0
+        for u in row:
+            if distance[u] == d - 1:
+                nearer += 1
+            elif distance[u] == d and 2 * d + 1 <= length:
+                return True
+        if nearer > 1:
+            return True
+    return False
+
+
+def _gain_cap(neighbors, tests, distance, size_max) -> int:
+    """The most vertices one candidate turns interior in a set below ``size_max``."""
+    if _has_short_cycle(neighbors, distance, size_max):
+        # the candidate, and each vertex whose test points at it; the
+        # identity's tests are the inverse generators
+        return 1 + sum(t != 0 for t in tests[0])
+    # the candidate touches the set at one vertex, its only member that
+    # can turn interior; it turns interior itself only with one test
+    return 1 + (len(set(tests[0]) - {0}) <= 1)
+
+
 def _connected_series(oracle, size_max, budget):
     """Exhaustive minimum boundary ratio over connected sets containing 1.
 
@@ -161,26 +219,39 @@ def _connected_series(oracle, size_max, budget):
     vertices interior: u itself when all its test points are in the set
     or are u, and each member w whose last missing test point is u.
     Gains are taken by decrementing ``missing`` and restoring it, so a
-    generator listed twice is counted with multiplicity.  No candidate
-    gains more than one plus the most tests pointing at a vertex, so when
-    even that gain cannot lower the size-``size_max`` minimum the gains
-    are skipped; the skipped sets could not have changed it.
+    generator listed twice is counted with multiplicity.  When even a
+    gain of ``gain_cap`` cannot lower the size-``size_max`` minimum the
+    gains are skipped; the skipped sets could not have changed it.
+
+    The last two levels are counted whenever they cannot lower either
+    minimum.  Interior vertices stay interior as a set grows, so a set
+    of size ``size_max - 2`` with I interior vertices has extensions with
+    boundary at least ``size_max - 1 - I - gain_cap`` and ``size_max - I
+    - 2 gain_cap``.  If neither is below its size's minimum so far, its
+    L candidates are not grown.  The candidate at position i of the list
+    would be grown with the i - 1 before it still untried, plus its own
+    unreached neighbors, which backtracking unflags before the next.  So
+    the subtree holds L + L(L - 1)/2 sets plus, for each candidate, its
+    neighbors not reached.
+
+    ``gain_cap`` is one plus the number of tests pointing at a vertex,
+    unless the Cayley graph has no simple cycle of length ``size_max``
+    or less (``_has_short_cycle``).  Then a candidate x touches a
+    connected set S of size below ``size_max`` at one vertex, since two
+    would close a cycle of length at most |S| + 1 through a path in S.
+    A member that x turns interior has x as a test, so it is a neighbor
+    of x; there is one.  x turns interior only if all its tests lie in S
+    or are x, and two distinct tests other than x would be two neighbors
+    of x in S.  So ``gain_cap`` is 1, or 2 when the inverse generators
+    name at most one element other than 1.
 
     Raises ``BudgetError`` once more than ``GROWN_SETS_PER_BUDGET * budget``
-    sets are grown (the last size is counted, not grown).
+    sets are grown.  The sets a counted subtree would have grown are
+    added first, so the bound counts every set below the last size.
     """
-    # the Ball list is dropped at once: only its step arrays are read
-    steps = ball(oracle, size_max - 1, budget=budget).steps
-    inverse_letters = range(-1, -oracle.generator_count - 1, -1)
-
-    # graph adjacency (both directions) and one-directional boundary tests
-    neighbors = [
-        sorted({j for j in row if j >= 0 and j != i})
-        for i, row in enumerate(zip(*steps.values()))
-    ]
-    # indices of g s_i^-1, -1 if outside
-    test_nbrs = list(zip(*(steps[letter] for letter in inverse_letters)))
-    del steps
+    neighbors, test_nbrs, distance = _cayley_graph(oracle, size_max - 1, budget)
+    gain_cap = _gain_cap(neighbors, test_nbrs, distance, size_max)
+    del distance
     n = len(neighbors)
     rev_test = [[] for _ in range(n)]       # vertices whose test points here
     for i, tests in enumerate(test_nbrs):
@@ -193,7 +264,10 @@ def _connected_series(oracle, size_max, budget):
     missing = [0] * n        # per member: how many of its test points are absent
     # size + 1 stays only for sizes no connected set reaches (finite groups)
     best_boundary = [size + 1 for size in range(size_max + 1)]
-    gain_cap = 1 + max(map(len, rev_test))    # no new member makes more vertices interior
+    # plus I, the least boundary that a set of size size_max - 2 with I
+    # interior vertices extends to at the last size and the one before
+    bound_last = size_max - 2 * gain_cap
+    bound_next = size_max - 1 - gain_cap
     max_grown = GROWN_SETS_PER_BUDGET * budget
     grown = 1    # the root
 
@@ -202,6 +276,8 @@ def _connected_series(oracle, size_max, budget):
 
         A set one short of ``size_max`` is not extended: its extensions are
         counted, and their best boundary is read off the candidates' gains.
+        A set two short is not extended when its subtree cannot lower a
+        minimum: its subtree is counted from its candidates.
         """
         nonlocal grown
         in_set[v] = True
@@ -225,14 +301,27 @@ def _connected_series(oracle, size_max, budget):
             for u in new:
                 reached[u] = True
             untried = untried + new
-            grown += len(untried)    # each is grown below, so check before growing any
+            # each counts as grown, also when the subtree is counted below
+            grown += len(untried)
             if grown > max_grown:
                 raise BudgetError(
                     f"connected sets up to size {size_max} exceeded {max_grown} grown sets "
                     f"({GROWN_SETS_PER_BUDGET} per unit of budget {budget})"
                 )
-            while untried:
-                count += grow(untried.pop(), untried, size + 1, interior)
+            if (
+                size == size_max - 2
+                and bound_next - interior >= best_boundary[size_max - 1]
+                and bound_last - interior >= best_boundary[size_max]
+            ):
+                width = len(untried)
+                count += width * (width + 1) // 2
+                for u in untried:
+                    for w in neighbors[u]:
+                        if not reached[w]:
+                            count += 1
+            else:
+                while untried:
+                    count += grow(untried.pop(), untried, size + 1, interior)
             for u in new:
                 reached[u] = False
         elif size == size_max - 1:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import NamedTuple
 
 from .errors import RingMismatchError, SpecParseError
@@ -32,6 +32,40 @@ from .errors import RingMismatchError, SpecParseError
 def _is_integer(raw) -> bool:
     """An integer is an ``int`` that is not a ``bool``, in every ring."""
     return isinstance(raw, int) and not isinstance(raw, bool)
+
+
+# Miller-Rabin with the first 12 primes as bases decides every n below
+# PRIME_TEST_LIMIT, the least strong pseudoprime to all of them (Sorenson
+# and Webster, Strong pseudoprimes to twelve prime bases, Math. Comp. 86,
+# 2017)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_TEST_LIMIT = 318_665_857_834_031_151_167_461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 2 <= n < ``PRIME_TEST_LIMIT``."""
+    if n >= PRIME_TEST_LIMIT:
+        raise SpecParseError(
+            f"cannot decide whether {n} is prime: the test is exact below {PRIME_TEST_LIMIT}"
+        )
+    if n in PRIME_BASES:
+        return True
+    if any(n % p == 0 for p in PRIME_BASES):
+        return False
+    odd, twos = n - 1, 0    # n - 1 = odd * 2^twos
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in PRIME_BASES:
+        x = pow(base, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False    # base witnesses that n is composite
+    return True
 
 
 @dataclass(frozen=True)
@@ -67,9 +101,12 @@ class Ring:
 
     @property
     def is_field(self) -> bool:
-        """Whether every nonzero value is a unit: Q, or Z/p with p prime."""
+        """Whether every nonzero value is a unit: Q, or Z/p with p prime.
+
+        Raises ``SpecParseError`` for a modulus the prime test cannot decide.
+        """
         if self.kind == "Zmod":
-            return all(self.modulus % d for d in range(2, isqrt(self.modulus) + 1))
+            return _is_prime(self.modulus)
         return self.kind == "Q"
 
     def value(self, raw) -> RingValue:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,20 @@ def test_usage_errors_exit_2(runner):
     assert invoke(runner, ["complex", "F2", "Z", "--homology", "Z/4"]).exit_code == 2
     # the sweep is serial and takes no worker count
     args = ["fill", "Z^2", "Z", "--radius", "2", "--max-word", "4", "--threads", "1"]
+    assert invoke(runner, args).exit_code == 2
+
+
+def test_homology_over_a_large_prime_field(runner):
+    # 2^61 - 1 is decided by Miller-Rabin at once, where dividing by every
+    # d up to its square root took about 1.5e9 steps
+    started = time.perf_counter()
+    result = invoke(runner, ["complex", "F2", "Z", "--homology", "Z/2305843009213693951"])
+    assert result.exit_code == 0
+    assert time.perf_counter() - started < 1
+    assert json.loads(result.output)["homology"]["field"] == "Z/2305843009213693951"
+    # from the least strong pseudoprime to the first 12 prime bases on, no
+    # modulus is decided
+    args = ["complex", "F2", "Z", "--homology", "Z/318665857834031151167461"]
     assert invoke(runner, args).exit_code == 2
 
 
@@ -370,6 +385,14 @@ GOLDEN_FOLNER_STDOUT = [
     (["folner", "Z^3", "--family", "connected:6"],
      "de0e5fd8697983fe2a50db36c0473f147b00b87123931744756951f9ad3240e8"),
 ]
+# a tree of higher degree and a group with cycles of length 6, pinned
+# before the enumeration counted its last two levels
+GOLDEN_CONNECTED_STDOUT = [
+    (["folner", "F3", "--family", "connected:7"],
+     "c298e486c66cc91cae017ce971e461683a0ad705ec2a54a2eee84a757ea9e03a"),
+    (["folner", "T11b:3", "--family", "connected:7"],
+     "7688be111acb45d40f14ceff4d23cd4ccaeea97750a88035782e7f52be7474cb"),
+]
 
 # the ball and box families and the corridor constants, pinned before
 # the folner ratio series and the constants were each stated once
@@ -417,6 +440,7 @@ GOLDEN_COMPLEX_STDOUT = [
 WHOLE_COMMAND_GOLDEN = (
     GOLDEN_FILL_STDOUT
     + GOLDEN_FOLNER_STDOUT
+    + GOLDEN_CONNECTED_STDOUT
     + GOLDEN_FAMILY_STDOUT
     + GOLDEN_SLIM_STDOUT
     + GOLDEN_COMPLEX_STDOUT

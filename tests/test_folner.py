@@ -19,7 +19,12 @@ from pdfill import (
     verify_filling_bound,
 )
 from pdfill.errors import BudgetError, SpecParseError
-from pdfill.folner import GROWN_SETS_PER_BUDGET
+from pdfill.folner import (
+    GROWN_SETS_PER_BUDGET,
+    _cayley_graph,
+    _gain_cap,
+    _has_short_cycle,
+)
 from pdfill.group_ring import GroupRingElement
 from pdfill.groups import ball
 
@@ -148,8 +153,9 @@ CYCLIC_CASES = {
 @pytest.mark.parametrize(
     "spec, size_max",
     [
-        ("F2", 1), ("F2", 2), ("F2", 7), ("Z^2", 6), ("Z^3", 5), ("F3", 5),
-        ("Sigma2", 4), ("Klein", 6), ("C6", 6), ("C6", 8), ("C5-identity", 5),
+        ("F2", 1), ("F2", 2), ("F2", 3), ("F2", 7), ("F1", 6), ("Z^2", 3),
+        ("Z^2", 6), ("Z^3", 5), ("F3", 5), ("Sigma2", 4), ("Klein", 6),
+        ("T11b:3", 5), ("T11b:3", 6), ("C6", 6), ("C6", 8), ("C5-identity", 5),
         ("C5-identity-and-1", 5), ("C6-involution", 6), ("C6-involution", 7),
         ("C6-repeated", 6), ("C6-repeated", 7), ("C4-repeated", 4),
         ("C4-repeated", 5),
@@ -165,6 +171,49 @@ def test_connected_series_matches_naive_closure(spec, size_max):
     assert (report.series, report.sets_examined) == naive_connected_series(
         oracle, size_max
     )
+
+
+def test_connected_f2_series_is_the_tree_minimum():
+    # a subtree of the 4-regular tree with n vertices has at least n//2 + 1
+    # boundary vertices, and the sweep reaches that minimum at every size
+    report = folner_sweep(free_group(2), "connected:9")
+    assert report.series == [(n, Fraction(n // 2 + 1, n)) for n in range(1, 10)]
+
+
+@pytest.mark.parametrize(
+    "spec, girth",
+    [
+        ("Z^2", 4), ("Klein", 4), ("T11b:3", 6), ("Sigma2", 8), ("C6", 6),
+        ("C5-identity-and-1", 5), ("C6-involution", 3),
+    ],
+)
+def test_shortest_cycle_found_from_the_ball(spec, girth):
+    if spec in CYCLIC_CASES:
+        order, generators = CYCLIC_CASES[spec]
+        oracle = finite_table(cyclic_table(order), generators=generators, name=spec)
+    else:
+        oracle = make_group(spec)
+    neighbors, _, distance = _cayley_graph(oracle, girth // 2)
+    assert _has_short_cycle(neighbors, distance, girth)
+    assert not _has_short_cycle(neighbors, distance, girth - 1)
+
+
+def test_free_groups_have_no_short_cycle():
+    for rank in (2, 3):
+        neighbors, _, distance = _cayley_graph(free_group(rank), 6)
+        assert not _has_short_cycle(neighbors, distance, 12)
+
+
+def test_gain_cap_below_the_girth():
+    # below the girth a candidate touches the set at one vertex; on F1 it
+    # can also turn interior itself, as its one test may lie in the set
+    # (the girth check reads the ball to distance size_max // 2)
+    assert _gain_cap(*_cayley_graph(free_group(1), 4), 9) == 2
+    assert _gain_cap(*_cayley_graph(free_group(2), 4), 9) == 1
+    assert _gain_cap(*_cayley_graph(make_group("Sigma2"), 3), 7) == 1
+    # at or past it, one plus the tests pointing at a vertex
+    assert _gain_cap(*_cayley_graph(free_abelian(2), 3), 6) == 3
+    assert _gain_cap(*_cayley_graph(make_group("Sigma2"), 4), 8) == 5
 
 
 def test_sweep_connected_finite_group_reaches_zero():

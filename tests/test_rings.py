@@ -7,6 +7,7 @@ import pytest
 
 from pdfill import INTEGERS, QUATERNIONS, RATIONALS, frac_str, parse_ring, residue_ring
 from pdfill.errors import RingMismatchError, SpecParseError
+from pdfill.rings import PRIME_BASES, PRIME_TEST_LIMIT
 
 
 def test_parse_ring_specs():
@@ -171,6 +172,44 @@ def test_fields_are_q_and_prime_residue_rings():
     assert not INTEGERS.is_field and not QUATERNIONS.is_field
     for modulus in range(2, 13):
         assert residue_ring(modulus).is_field == (modulus in primes)
+
+
+def strong_probable_prime(n, base):
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    x = pow(base, odd, n)
+    return x in (1, n - 1) or any(
+        pow(x, 2**k, n) == n - 1 for k in range(1, twos)
+    )
+
+
+def test_prime_moduli_match_a_sieve():
+    size = 20_000
+    composite = [False] * size
+    for p in range(2, size):
+        for multiple in range(p * p, size, p):
+            composite[multiple] = True
+    for modulus in range(2, size):
+        assert residue_ring(modulus).is_field == (not composite[modulus])
+
+
+def test_prime_test_decides_large_moduli():
+    assert residue_ring(2**61 - 1).is_field
+    # 561 is a Carmichael number, and 3,215,031,751 = 151 * 751 * 28351 is
+    # a strong pseudoprime to bases 2, 3, 5 and 7; base 11 witnesses it
+    assert all(strong_probable_prime(3_215_031_751, b) for b in (2, 3, 5, 7))
+    assert not strong_probable_prime(3_215_031_751, 11)
+    for composite in (561, 3_215_031_751, (2**31 - 1) * 1_000_000_007):
+        assert not residue_ring(composite).is_field
+    # the least strong pseudoprime to the first 12 prime bases: no
+    # modulus from it on is decided
+    assert PRIME_TEST_LIMIT == 318_665_857_834_031_151_167_461
+    assert all(strong_probable_prime(PRIME_TEST_LIMIT, b) for b in PRIME_BASES)
+    assert not residue_ring(PRIME_TEST_LIMIT - 2).is_field    # 137 divides it
+    for modulus in (PRIME_TEST_LIMIT, PRIME_TEST_LIMIT + 2, 2**89 - 1):
+        with pytest.raises(SpecParseError, match="cannot decide"):
+            residue_ring(modulus).is_field
 
 
 def test_integral_fractions_print_as_integers():
