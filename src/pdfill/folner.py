@@ -15,6 +15,7 @@ Nothing here claims amenability or non-amenability of the group itself.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -141,18 +142,22 @@ def folner_sweep(
 def _cayley_graph(oracle, radius, budget=DEFAULT_BALL_BUDGET):
     """The ball of ``radius`` as three lists over its ``ball`` indices.
 
-    Per vertex: its distinct neighbors in the ball (itself excluded), its
-    tests (the indices of g s_i^-1, -1 if outside), and its distance from
-    vertex 0, the identity.
+    Per vertex: its tests (the indices of g s_i^-1, -1 if outside) and its
+    distance from vertex 0, the identity.  Per vertex inside the outer
+    sphere only: its distinct neighbors in the ball (itself excluded).
+    No reader asks for an outer vertex's neighbors: the connected-set
+    sweep reads them to distance ``radius - 1``, and ``_has_short_cycle``
+    to half the cycle length it looks for.
     """
     elements = ball(oracle, radius, budget=budget)
     steps = elements.steps
     distance = [d for _, d in elements]
     del elements    # only the distances and the step arrays are read
+    inside = bisect_left(distance, radius)    # the ball lists vertices by distance
     inverse_letters = range(-1, -oracle.generator_count - 1, -1)
     neighbors = [
         sorted({j for j in row if j >= 0 and j != i})
-        for i, row in enumerate(zip(*steps.values()))
+        for i, row in enumerate(zip(*(step[:inside] for step in steps.values())))
     ]
     tests = list(zip(*(steps[letter] for letter in inverse_letters)))
     return neighbors, tests, distance
@@ -167,8 +172,8 @@ def _has_short_cycle(neighbors, distance, length) -> bool:
     has an edge between two vertices at distance d, and one of even length
     2d a vertex at distance d with two neighbors at distance d - 1.
     Conversely either pattern closes a cycle of at most that length
-    through the two shortest paths back to their last common vertex.  The
-    ball must reach distance ``length // 2``.
+    through the two shortest paths back to their last common vertex.
+    ``neighbors`` must list every vertex to distance ``length // 2``.
     """
     for v, row in enumerate(neighbors):
         d = distance[v]
@@ -249,10 +254,12 @@ def _connected_series(oracle, size_max, budget):
     sets are grown.  The sets a counted subtree would have grown are
     added first, so the bound counts every set below the last size.
     """
+    # neighbors reach distance size_max - 2, so size_max // 2 from size 3
+    # on; below it a vertex at distance 1 closes no cycle of length 2
     neighbors, test_nbrs, distance = _cayley_graph(oracle, size_max - 1, budget)
     gain_cap = _gain_cap(neighbors, test_nbrs, distance, size_max)
     del distance
-    n = len(neighbors)
+    n = len(test_nbrs)    # neighbors stops short of the outer sphere
     rev_test = [[] for _ in range(n)]       # vertices whose test points here
     for i, tests in enumerate(test_nbrs):
         for inv in tests:

@@ -388,12 +388,23 @@ class DehnOracle(_WordElementOracle):
     def _canonical_miss(self, word) -> Word:
         """The canonical form of a freely reduced word the cache lacks.
 
-        Every cache entry is made here, after the size check, so the cache
-        never holds more than the limit plus one closure and its input.
+        A word with no half of a relator conjugate among its subwords of
+        that length admits no swap, so it is its own closure and its own
+        canonical form; only a word holding one runs the closure.  Every
+        cache entry is made here, after the size check, so the cache never
+        holds more than the limit plus one closure and its input.
         """
         cache = self._canonical_cache
         if len(cache) >= CANONICAL_CACHE_LIMIT:
             cache.clear()    # a pure memo: no answer changes
+        probe = self._swap_probe
+        half = self._half
+        for start in range(len(word) - half + 1):
+            if word[start:start + half] in probe:
+                break
+        else:
+            cache[word] = word
+            return word
         current = word
         while True:
             seen, shorter = self._swap_closure(current)
@@ -512,7 +523,11 @@ def ball(oracle: GroupOracle, radius: int, budget: int = DEFAULT_BALL_BUDGET) ->
 
     ``steps`` holds one integer array per signed letter, keyed 1, -1, 2,
     -2, ...: ``steps[s][i]`` is the index of g_i s, or -1 when g_i s lies
-    outside the ball.  Each product g s formed is a step both ways.  With
+    outside the ball.  Each product is looked up in the index once, when
+    it is formed, and its step entry is written then; a new element takes
+    the next index and is checked against the budget at once.  Oracles
+    that sort a sphere move its provisional indices to their sorted places
+    afterwards.  Each product g s formed is a step both ways.  With
     even relators, letter -> 1 extends to G -> Z/2, so no step stays in a
     sphere and the outer sphere needs no products; its entries are filled
     from the sphere inside it.  Without a presentation or with an odd
@@ -522,35 +537,41 @@ def ball(oracle: GroupOracle, radius: int, budget: int = DEFAULT_BALL_BUDGET) ->
         raise SpecParseError("radius must be >= 0")
     letters = list(oracle.letters)
     images = list(oracle.letters.values())
+    multiply = oracle.multiply
     out = Ball([(oracle.identity(), 0)])
     steps = out.steps = {s: array("i") for s in letters}
     index = {oracle.identity(): 0}
     inner = start = 0    # out[inner:start] and out[start:]: the last two spheres
     for r in range(1, radius + 1):
-        products = [[] for _ in letters]    # one column of products per letter
         nxt = []
-        first = len(out)    # where sphere r will start
+        first = len(out)    # where sphere r starts: index holds out, then nxt
         for g, _ in out[start:]:
-            for column, image in zip(products, images):
-                h = oracle.multiply(g, image)
-                column.append(h)
-                if h not in index:
-                    index[h] = first + len(nxt)
+            for step, image in zip(steps.values(), images):
+                h = multiply(g, image)
+                size = len(index)
+                k = index.setdefault(h, size)
+                if k == size:
                     nxt.append(h)
-                    if len(index) > budget:
+                    if size >= budget:
                         raise BudgetError(
                             f"ball of {oracle.name} exceeded budget {budget} "
                             f"at radius {r} (previous radius {r - 1} complete)",
                             attained_radius=r - 1,
                         )
+                step.append(k)
         if not oracle.shortlex_spheres:
+            # sphere r was indexed in order of discovery; move it to key order
             nxt.sort(key=oracle.sort_key)
-            index.update((h, first + k) for k, h in enumerate(nxt))
+            moved = [0] * len(nxt)
+            for k, h in enumerate(nxt, start=first):
+                moved[index[h] - first] = k
+                index[h] = k
+            for step in steps.values():
+                step[start:] = array(
+                    "i", [k if k < first else moved[k - first] for k in step[start:]]
+                )
         inner, start = start, first
         out.extend((h, r) for h in nxt)
-        for step, column in zip(steps.values(), products):
-            step.extend(map(index.__getitem__, column))
-        del products    # freed before the outer sphere's steps are built
     outside = array("i", [-1]) * (len(out) - start)
     for step in steps.values():
         step.extend(outside)
@@ -565,7 +586,7 @@ def ball(oracle: GroupOracle, radius: int, budget: int = DEFAULT_BALL_BUDGET) ->
         for gen, image in zip(letters[::2], images[::2]):
             forward, back = steps[gen], steps[-gen]
             for j in range(start, len(out)):
-                k = index.get(oracle.multiply(out[j][0], image), -1)
+                k = index.get(multiply(out[j][0], image), -1)
                 if k >= start:
                     forward[j], back[k] = k, j
     return out

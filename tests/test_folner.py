@@ -193,27 +193,28 @@ def test_shortest_cycle_found_from_the_ball(spec, girth):
         oracle = finite_table(cyclic_table(order), generators=generators, name=spec)
     else:
         oracle = make_group(spec)
-    neighbors, _, distance = _cayley_graph(oracle, girth // 2)
+    neighbors, _, distance = _cayley_graph(oracle, girth // 2 + 1)
     assert _has_short_cycle(neighbors, distance, girth)
     assert not _has_short_cycle(neighbors, distance, girth - 1)
 
 
 def test_free_groups_have_no_short_cycle():
     for rank in (2, 3):
-        neighbors, _, distance = _cayley_graph(free_group(rank), 6)
+        neighbors, _, distance = _cayley_graph(free_group(rank), 7)
         assert not _has_short_cycle(neighbors, distance, 12)
 
 
 def test_gain_cap_below_the_girth():
     # below the girth a candidate touches the set at one vertex; on F1 it
     # can also turn interior itself, as its one test may lie in the set
-    # (the girth check reads the ball to distance size_max // 2)
-    assert _gain_cap(*_cayley_graph(free_group(1), 4), 9) == 2
-    assert _gain_cap(*_cayley_graph(free_group(2), 4), 9) == 1
-    assert _gain_cap(*_cayley_graph(make_group("Sigma2"), 3), 7) == 1
+    # (the girth check reads neighbors to distance size_max // 2, and the
+    # graph lists them inside its outer sphere only)
+    assert _gain_cap(*_cayley_graph(free_group(1), 5), 9) == 2
+    assert _gain_cap(*_cayley_graph(free_group(2), 5), 9) == 1
+    assert _gain_cap(*_cayley_graph(make_group("Sigma2"), 4), 7) == 1
     # at or past it, one plus the tests pointing at a vertex
-    assert _gain_cap(*_cayley_graph(free_abelian(2), 3), 6) == 3
-    assert _gain_cap(*_cayley_graph(make_group("Sigma2"), 4), 8) == 5
+    assert _gain_cap(*_cayley_graph(free_abelian(2), 4), 6) == 3
+    assert _gain_cap(*_cayley_graph(make_group("Sigma2"), 5), 8) == 5
 
 
 def test_sweep_connected_finite_group_reaches_zero():

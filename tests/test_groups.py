@@ -447,19 +447,93 @@ def test_shortlex_balls_grow_sorted_spheres(spec, radius):
 
 
 # sha256 of the (element, distance) pairs and the step items, as grown
-# when every sphere was sorted by its canonical key
+# when every sphere was sorted by its canonical key and each product was
+# looked up again once its sphere was complete.  Sigma2 and T11b:4 skip the
+# sort; the others sort each sphere after indexing it in order of discovery
 BALL_DIGESTS = {
     ("Sigma2", 5): "178d68574ed822789e4a5b442f832543faf1a945752ba9f2f3fe1f8b9007aaaa",
     ("T11b:4", 4): "d8a6702af5b6503c7efa9163a9aead12989a172d1d874d59710cc175023cdc1b",
+    ("Z^3", 4): "16fd37ae9ef317cac7bc44f9f8f47bd423508c02afa2f94b5ad6c790557c413b",
+    ("Klein", 6): "a48b5b46cee8bc621fd43b8874429aee6415a13ee5dcab6c90285789c94b634a",
+    ("T11b:2", 5): "9dc4b69ced13707087ff7019c849d0736563345fa91d35eff3b6b3bc2522232a",
+    ("C12 by 2, 3", 3): "68c1bb62d17cfc68deef8671621c1fb20f6d1063006996d681eb8b34ebf22468",
 }
 
 
 @pytest.mark.parametrize("spec, radius", sorted(BALL_DIGESTS))
 def test_ball_and_steps_match_pinned_digest(spec, radius):
-    elements = ball(make_group(spec), radius)
+    if spec == "C12 by 2, 3":
+        oracle = finite_table(cyclic_table(12), [2, 3])
+    else:
+        oracle = make_group(spec)
+    elements = ball(oracle, radius)
     steps = step_items(elements.steps)
     text = repr((list(elements), [list(step.items()) for step in steps]))
     assert hashlib.sha256(text.encode()).hexdigest() == BALL_DIGESTS[spec, radius]
+
+
+@pytest.mark.parametrize(
+    "spec, radius, budget, products, attained",
+    [("Sigma2", 7, 30_000, 34_382, 5), ("Z^3", 20, 1_000, 4_189, 8)],
+)
+def test_ball_budget_fires_on_the_first_element_past_it(spec, radius, budget, products, attained):
+    # products: how many a ball that checks the budget on every new
+    # element forms before it raises
+    oracle = make_group(spec)
+    multiply = oracle.multiply
+    calls = 0
+
+    def counting(g, h):
+        nonlocal calls
+        calls += 1
+        return multiply(g, h)
+
+    oracle.multiply = counting
+    with pytest.raises(BudgetError) as err:
+        ball(oracle, radius, budget=budget)
+    assert calls <= products
+    assert err.value.attained_radius == attained
+    assert str(err.value) == (
+        f"ball of {spec} exceeded budget {budget} at radius {attained + 1} "
+        f"(previous radius {attained} complete)"
+    )
+
+
+def closure_canonical(oracle, word):
+    # the bare closure, restarted from each shorter word, with no cache
+    word = free_reduce(word)
+    while True:
+        seen, shorter = oracle._swap_closure(word)
+        if shorter is None:
+            return min(seen, key=shortlex)
+        word = shorter
+
+
+@pytest.mark.parametrize("spec", ["Sigma2", "T11b:3"])
+def test_canonical_forms_match_the_bare_closure(spec):
+    # a word with no half-relator subword skips the closure; every window
+    # of it is probed, the first and the last included
+    oracle = make_group(spec)
+    letters = all_letters(oracle)
+    words = frontier = [()]
+    for _ in range(5):
+        frontier = [w + (s,) for w in frontier for s in letters if not w or w[-1] != -s]
+        words = words + frontier
+    rng = random.Random(17)
+    words += [
+        tuple(rng.choice(letters) for _ in range(rng.randint(0, 14))) for _ in range(2000)
+    ]
+    for w in words:
+        assert oracle.canonical(w) == closure_canonical(oracle, w)
+
+
+@pytest.mark.parametrize(
+    "word, form",
+    [("a*b*a^-1*b^-1*c", "d*c*d^-1"), ("a*b*a^-1*b^-1*c*d*c^-1*d^-1*a*a", "a^2")],
+)
+def test_half_relator_before_the_last_window_is_swapped(word, form):
+    oracle = make_group("Sigma2")
+    assert oracle.canonical(word_from_string(word)) == word_from_string(form)
 
 
 @pytest.mark.parametrize("spec, radius", [("Sigma2", 4), ("T11b:3", 4), ("T11a:3", 3)])
