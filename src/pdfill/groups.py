@@ -42,7 +42,8 @@ from .words import (
 )
 
 DEFAULT_BALL_BUDGET = 200_000
-# DehnOracle's canonical memo is emptied at this size, far above any window's
+# DehnOracle's canonical memo is emptied at this size.  Only the products a
+# ball cannot form by extension enter it, so queries (slim distances) fill it
 CANONICAL_CACHE_LIMIT = 4 * DEFAULT_BALL_BUDGET
 
 
@@ -208,9 +209,15 @@ class _WordTable:
 
 
 class _WordElementOracle(GroupOracle):
-    """Elements are their own shortlex-least geodesic words (free and Dehn)."""
+    """Elements are their own shortlex-least geodesic words (free and Dehn).
+
+    ``halves`` is (keys, half): the first halves of the relator conjugates,
+    of length ``half``, the only subwords a half-swap rewrites.  A free
+    group has none, so ``ball`` extends its words with no product.
+    """
 
     shortlex_spheres = True
+    halves = (frozenset(), 1)
 
     def identity(self):
         return ()
@@ -360,12 +367,13 @@ class DehnOracle(_WordElementOracle):
         # to what each swap puts in its place, the inverse of the second
         # half, reduced already: free reduction ends at the same word
         # whichever cancellations it makes first
-        self._half = half = len(rel) // 2
+        half = len(rel) // 2
         self._swap_probe: dict = {}
         for rot in self._rotations:
             self._swap_probe.setdefault(rot[:half], []).append(
                 free_reduce(invert_word(rot[half:]))
             )
+        self.halves = (self._swap_probe.keys(), half)
         self._canonical_cache: dict = {}
         self._set_generators(
             [(i,) for i in range(1, presentation.generator_count + 1)]
@@ -388,19 +396,19 @@ class DehnOracle(_WordElementOracle):
     def _canonical_miss(self, word) -> Word:
         """The canonical form of a freely reduced word the cache lacks.
 
-        A word with no half of a relator conjugate among its subwords of
-        that length admits no swap, so it is its own closure and its own
-        canonical form; only a word holding one runs the closure.  Every
-        cache entry is made here, after the size check, so the cache never
-        holds more than the limit plus one closure and its input.
+        A word with none of ``halves`` among its subwords of that length
+        admits no swap, so it is its own closure and its own canonical form;
+        only a word holding one runs the closure.  ``ball`` forms most such
+        words by extension and never comes here.  Every cache entry is made
+        here, after the size check, so the cache never holds more than the
+        limit plus one closure and its input.
         """
         cache = self._canonical_cache
         if len(cache) >= CANONICAL_CACHE_LIMIT:
             cache.clear()    # a pure memo: no answer changes
-        probe = self._swap_probe
-        half = self._half
+        keys, half = self.halves
         for start in range(len(word) - half + 1):
-            if word[start:start + half] in probe:
+            if word[start:start + half] in keys:
                 break
         else:
             cache[word] = word
@@ -431,7 +439,7 @@ class DehnOracle(_WordElementOracle):
         here is freely reduced, so a swap cancels only at its two seams.
         """
         probe = self._swap_probe
-        half = self._half
+        half = self.halves[1]
         seen = {start_word}
         queue = [start_word]
         while queue:
@@ -521,6 +529,14 @@ def ball(oracle: GroupOracle, radius: int, budget: int = DEFAULT_BALL_BUDGET) ->
     sphere comes out in shortlex order.  Raises ``BudgetError`` naming
     the last completed radius if the ball outgrows the budget.
 
+    There most elements need no product.  An element's parent, the one it
+    was first formed from, is by the above its word's prefix, so the letter
+    that cancels its last letter steps back there.  A word is clean when it
+    holds none of the oracle's ``halves``.  A clean g times any other
+    letter s is clean and its own canonical form when the last window of
+    g s is no half, since its other windows lie in g.  The remaining
+    products call ``multiply``, and their elements are not clean.
+
     ``steps`` holds one integer array per signed letter, keyed 1, -1, 2,
     -2, ...: ``steps[s][i]`` is the index of g_i s, or -1 when g_i s lies
     outside the ball.  Each product is looked up in the index once, when
@@ -540,18 +556,37 @@ def ball(oracle: GroupOracle, radius: int, budget: int = DEFAULT_BALL_BUDGET) ->
     multiply = oracle.multiply
     out = Ball([(oracle.identity(), 0)])
     steps = out.steps = {s: array("i") for s in letters}
+    extensions = list(zip(letters, [(s,) for s in letters], images, steps.values()))
     index = {oracle.identity(): 0}
+    # per element: parent index and clean bit, read only in unsorted spheres
+    shortlex = oracle.shortlex_spheres
+    parent = array("i", [0])
+    clean = bytearray([shortlex])
+    halves, half = oracle.halves if shortlex else ((), 1)
     inner = start = 0    # out[inner:start] and out[start:]: the last two spheres
     for r in range(1, radius + 1):
         nxt = []
         first = len(out)    # where sphere r starts: index holds out, then nxt
-        for g, _ in out[start:]:
-            for step, image in zip(steps.values(), images):
-                h = multiply(g, image)
+        for i, (g, _) in enumerate(out[start:], start):
+            is_clean = clean[i]
+            back = -g[-1] if shortlex and g else 0    # 0 is no letter
+            for s, suffix, image, step in extensions:
+                if s == back:
+                    step.append(parent[i])
+                    continue
+                # a word shorter than half is no half, and its slice is all of it
+                if is_clean and (h := g + suffix)[-half:] not in halves:
+                    h_clean = 1
+                else:
+                    # not clean: a product is never scanned, and a canonical
+                    # word may hold a half that a swap of its length keeps
+                    h, h_clean = multiply(g, image), 0
                 size = len(index)
                 k = index.setdefault(h, size)
                 if k == size:
                     nxt.append(h)
+                    parent.append(i)
+                    clean.append(h_clean)
                     if size >= budget:
                         raise BudgetError(
                             f"ball of {oracle.name} exceeded budget {budget} "
@@ -559,7 +594,7 @@ def ball(oracle: GroupOracle, radius: int, budget: int = DEFAULT_BALL_BUDGET) ->
                             attained_radius=r - 1,
                         )
                 step.append(k)
-        if not oracle.shortlex_spheres:
+        if not shortlex:
             # sphere r was indexed in order of discovery; move it to key order
             nxt.sort(key=oracle.sort_key)
             moved = [0] * len(nxt)

@@ -109,8 +109,12 @@ def test_face_boundaries_match_relator_walks(spec, radius):
 
 
 def test_window_forms_each_product_once():
-    # 3,193 elements inside the outer sphere, times 8 letters; building the
-    # step table apart from the ball took 114,700 products here
+    # 3,193 elements inside the outer sphere, times 8 letters, make 25,544
+    # steps; building the step table apart from the ball took 114,700
+    # products here.  Only the steps the ball cannot take by extension
+    # call multiply: 112 letters that end a clean word in a half-relator,
+    # and the 7 non-cancelling letters of each of the 8 elements they form
+    # inside the outer sphere
     s2 = surface_group(2)
     calls = [0]
     multiply = s2.multiply
@@ -123,7 +127,7 @@ def test_window_forms_each_product_once():
     complex_ = build_ball_complex(s2, 5)
     assert complex_.vertex_count == 22289
     assert sum(1 for d in complex_.distances if d < 5) == 3193
-    assert calls[0] == 3193 * 8 == 25544
+    assert calls[0] == 112 + 8 * 7 == 168
 
 
 def test_boundary_matrices_shape_and_composition():

@@ -472,13 +472,19 @@ def test_ball_and_steps_match_pinned_digest(spec, radius):
     assert hashlib.sha256(text.encode()).hexdigest() == BALL_DIGESTS[spec, radius]
 
 
+BUDGET_MULTIPLY_CALLS = {"Sigma2": 312, "Z^3": 4_189}
+
+
 @pytest.mark.parametrize(
     "spec, radius, budget, products, attained",
     [("Sigma2", 7, 30_000, 34_382, 5), ("Z^3", 20, 1_000, 4_189, 8)],
 )
 def test_ball_budget_fires_on_the_first_element_past_it(spec, radius, budget, products, attained):
-    # products: how many a ball that checks the budget on every new
-    # element forms before it raises
+    # products: how many products a ball that checks the budget on every
+    # new element forms before it raises; BUDGET_MULTIPLY_CALLS: how many of
+    # them go through multiply.  Sigma2 extends most words with no product,
+    # yet a ball that formed the rest of sphere 6 before it checked would
+    # still make more calls
     oracle = make_group(spec)
     multiply = oracle.multiply
     calls = 0
@@ -492,11 +498,44 @@ def test_ball_budget_fires_on_the_first_element_past_it(spec, radius, budget, pr
     with pytest.raises(BudgetError) as err:
         ball(oracle, radius, budget=budget)
     assert calls <= products
+    assert calls == BUDGET_MULTIPLY_CALLS[spec]
     assert err.value.attained_radius == attained
     assert str(err.value) == (
         f"ball of {spec} exceeded budget {budget} at radius {attained + 1} "
         f"(previous radius {attained} complete)"
     )
+
+
+def ball_of_products(oracle, radius):
+    """``ball``'s (element, distance) pairs and step rows, with every
+    element and step formed by ``multiply`` and each sphere sorted here."""
+    letters = list(oracle.letters)
+    elements = [(oracle.identity(), 0)]
+    index = {oracle.identity(): 0}
+    sphere = [oracle.identity()]
+    for r in range(1, radius + 1):
+        products = {oracle.multiply(g, oracle.letter(s)) for g in sphere for s in letters}
+        sphere = sorted(products - index.keys(), key=shortlex)
+        for g in sphere:
+            index[g] = len(elements)
+            elements.append((g, r))
+    rows = [
+        {s: index[h] for s in letters if (h := oracle.multiply(g, oracle.letter(s))) in index}
+        for g, _ in elements
+    ]
+    return elements, rows
+
+
+@pytest.mark.parametrize(
+    "spec, radius",
+    [("F2", 9), ("Sigma2", 5), ("T11a:2", 5), ("T11a:3", 4), ("T11b:3", 6), ("T11b:4", 5)],
+)
+def test_ball_extensions_match_a_ball_of_products(spec, radius):
+    # ball forms most words by extending a word with no half-relator by one
+    # letter; the reference multiplies every product, on a fresh oracle
+    elements = ball(make_group(spec), radius)
+    expected = ball_of_products(make_group(spec), radius)
+    assert (list(elements), step_items(elements.steps)) == expected
 
 
 def closure_canonical(oracle, word):
