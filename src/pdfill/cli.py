@@ -203,6 +203,8 @@ def cmd_slim(group_spec, radius, samples, seed, as_csv, output):
     """Worst triangle slimness over a window."""
     group = make_group(group_spec)
     if as_csv:
+        if radius < 0:    # the series below would be empty, not an error
+            raise SpecParseError("radius must be >= 0")
         rows = [("radius", "delta_hat")]
         for r in range(radius + 1):
             report = _module.slimness_sweep(group, r, sample=samples, seed=seed, budget=_budget())

@@ -516,63 +516,71 @@ class Ball(list):
 def ball(oracle: GroupOracle, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> Ball:
     """All elements of word length <= radius, as (element, distance) pairs.
 
-    Each sphere is listed in the order of the oracle's canonical key, so
-    the output order is deterministic and the identity comes first.  Most
-    oracles sort each sphere by ``sort_key``.  Oracles with
-    ``shortlex_spheres`` (free and Dehn groups) need no sort.  There an
-    element's canonical form is its shortlex-least geodesic word w s, and
-    w is then the canonical form of the element one step in.  Any other
-    product g t reaching the same element spells a word no smaller, so g
-    comes after w in its sphere, or g = w and t comes after s.  Spheres
-    are read in order and letters as 1, -1, 2, -2, ..., the shortlex
-    letter order, so each element is first reached as w s and the new
-    sphere comes out in shortlex order.  Raises ``BudgetError`` naming
-    the last completed radius if the ball outgrows the budget.
-
-    There most elements need no product.  An element's parent, the one it
-    was first formed from, is by the above its word's prefix, so the letter
-    that cancels its last letter steps back there.  A word is clean when it
-    holds none of the oracle's ``halves``.  A clean g times any other
-    letter s is clean and its own canonical form when the last window of
-    g s is no half, since its other windows lie in g.  The remaining
-    products call ``multiply``, and their elements are not clean.
+    The pairs come by distance and, within a sphere, in the order of the
+    oracle's canonical key, so the output is deterministic and the
+    identity comes first.  Raises ``BudgetError`` naming the last
+    completed radius if the ball outgrows the budget.
 
     ``steps`` holds one integer array per signed letter, keyed 1, -1, 2,
     -2, ...: ``steps[s][i]`` is the index of g_i s, or -1 when g_i s lies
-    outside the ball.  Each product is looked up in the index once, when
-    it is formed, and its step entry is written then; a new element takes
-    the next index and is checked against the budget at once.  Oracles
-    that sort a sphere move its provisional indices to their sorted places
-    afterwards.  Each product g s formed is a step both ways.  With
-    even relators, letter -> 1 extends to G -> Z/2, so no step stays in a
-    sphere and the outer sphere needs no products; its entries are filled
-    from the sphere inside it.  Without a presentation or with an odd
-    relator, the outer sphere is multiplied by the generators.
+    outside the ball.  One rule grows it.  Sphere r is grown by walking
+    sphere r - 1 element by element and letter by letter, and each step
+    g s is formed once, from whichever end the walk reaches first: it is
+    looked up in the index then and written both ways, as ``steps[s]`` at
+    g and ``steps[-s]`` at g s.  A step already written is skipped; its
+    far end is indexed already.  A new element takes the next index and
+    is checked against the budget at once.  With even relators, letter ->
+    1 extends to G -> Z/2, so no step stays in a sphere, and the outer
+    sphere's steps inside the ball are all written from the sphere inside
+    it.  Without a presentation or with an odd relator, one more pass of
+    the walk over the outer sphere writes the rest and forms no element.
+
+    Oracles with ``shortlex_spheres`` (free and Dehn groups) grow each
+    sphere already in key order.  There an element's canonical form is
+    its shortlex-least geodesic word w s, and w is then the canonical form
+    of the element one step in.  Any other product g t reaching the same
+    element spells a word no smaller, so g comes after w in its sphere, or
+    g = w and t comes after s.  Spheres are walked in order and letters as
+    1, -1, 2, -2, ..., the shortlex letter order, so each element is first
+    reached as w s and the new sphere comes out in shortlex order.  Other
+    oracles index each sphere in order of discovery, and the whole ball is
+    sorted once at the end.
+
+    There most steps need no product.  The step that cancels the last
+    letter of g's word was written when g was formed from its prefix.  A
+    word is clean when it holds none of the oracle's ``halves``.  A clean
+    g times any other letter s is clean and its own canonical form when
+    the last window of g s is no half, since its other windows lie in g.
+    The remaining steps call ``multiply``, and the elements they form are
+    not clean.
     """
     if radius < 0:
         raise SpecParseError("radius must be >= 0")
-    letters = list(oracle.letters)
-    images = list(oracle.letters.values())
     multiply = oracle.multiply
     out = Ball([(oracle.identity(), 0)])
-    steps = out.steps = {s: array("i") for s in letters}
-    extensions = list(zip(letters, [(s,) for s in letters], images, steps.values()))
+    steps = out.steps = {s: array("i", [-1]) for s in oracle.letters}
+    extensions = [
+        ((s,), image, steps[s], steps[-s]) for s, image in oracle.letters.items()
+    ]
     index = {oracle.identity(): 0}
-    # per element: parent index and clean bit, read only in unsorted spheres
     shortlex = oracle.shortlex_spheres
-    parent = array("i", [0])
-    clean = bytearray([shortlex])
+    clean = bytearray([shortlex])    # per element: its word holds no half
     halves, half = oracle.halves if shortlex else ((), 1)
-    inner = start = 0    # out[inner:start] and out[start:]: the last two spheres
-    for r in range(1, radius + 1):
+    presentation = oracle.presentation
+    odd = presentation is None or any(len(rel) % 2 for rel in presentation.relators)
+    start = 0
+    for r in range(1, radius + 1 + odd):
+        first = len(out)    # sphere r - 1 is out[start:first]
+        # room for a new element per unwritten step of sphere r - 1: each
+        # element but the identity was formed by a step written both ways
+        room = (first - start) * (len(extensions) - 1) + 1
+        for step in steps.values():
+            step.extend(array("i", [-1]) * room)
         nxt = []
-        first = len(out)    # where sphere r starts: index holds out, then nxt
         for i, (g, _) in enumerate(out[start:], start):
             is_clean = clean[i]
-            back = -g[-1] if shortlex and g else 0    # 0 is no letter
-            for s, suffix, image, step in extensions:
-                if s == back:
-                    step.append(parent[i])
+            for suffix, image, step, back in extensions:
+                if step[i] >= 0:
                     continue
                 # a word shorter than half is no half, and its slice is all of it
                 if is_clean and (h := g + suffix)[-half:] not in halves:
@@ -581,49 +589,33 @@ def ball(oracle: GroupOracle, radius: int, budget: int = DEFAULT_BALL_BUDGET) ->
                     # not clean: a product is never scanned, and a canonical
                     # word may hold a half that a swap of its length keeps
                     h, h_clean = multiply(g, image), 0
-                size = len(index)
-                k = index.setdefault(h, size)
-                if k == size:
+                k = index.setdefault(h, len(index))
+                if k >= first + len(nxt):
+                    if r > radius:
+                        # the odd pass forms no element; index past out is unread
+                        continue
                     nxt.append(h)
-                    parent.append(i)
                     clean.append(h_clean)
-                    if size >= budget:
+                    if k >= budget:
                         raise BudgetError(
                             f"ball of {oracle.name} exceeded budget {budget} "
                             f"at radius {r} (previous radius {r - 1} complete)",
                             attained_radius=r - 1,
                         )
-                step.append(k)
-        if not shortlex:
-            # sphere r was indexed in order of discovery; move it to key order
-            nxt.sort(key=oracle.sort_key)
-            moved = [0] * len(nxt)
-            for k, h in enumerate(nxt, start=first):
-                moved[index[h] - first] = k
-                index[h] = k
-            for step in steps.values():
-                step[start:] = array(
-                    "i", [k if k < first else moved[k - first] for k in step[start:]]
-                )
-        inner, start = start, first
+                step[i], back[k] = k, i
         out.extend((h, r) for h in nxt)
-    outside = array("i", [-1]) * (len(out) - start)
-    for step in steps.values():
-        step.extend(outside)
-    for s, step in steps.items():
-        back = steps[-s]
-        for i in range(inner, start):
-            j = step[i]
-            if j >= start:
-                back[j] = i
-    presentation = oracle.presentation
-    if presentation is None or any(len(rel) % 2 for rel in presentation.relators):
-        for gen, image in zip(letters[::2], images[::2]):
-            forward, back = steps[gen], steps[-gen]
-            for j in range(start, len(out)):
-                k = index.get(multiply(out[j][0], image), -1)
-                if k >= start:
-                    forward[j], back[k] = k, j
+        for step in steps.values():
+            del step[len(out):]
+        start = first
+    if not shortlex:
+        sort_key = oracle.sort_key
+        order = sorted(range(len(out)), key=lambda i: (out[i][1], sort_key(out[i][0])))
+        moved = array("i", [-1]) * (len(out) + 1)    # moved[-1] stays -1
+        for k, i in enumerate(order):
+            moved[i] = k
+        out[:] = [out[i] for i in order]
+        for step in steps.values():
+            step[:] = array("i", [moved[step[i]] for i in order])
     return out
 
 

@@ -1,8 +1,24 @@
 """The step arrays of a ball or window, read back as plain containers:
 per vertex a {signed letter: index} dict keyed 1, -1, 2, -2, ..., and
 the window's edges as (source, generator, target) tuples.  Tests compare
-and pin these, so a pin made on either form holds for the other.
+and pin these, so a pin made on either form holds for the other.  Tests
+that pin how many products a ball forms count them with
+``counting_multiply``.
 """
+
+
+def counting_multiply(oracle):
+    """Wrap this oracle's ``multiply`` to count its calls; the returned
+    one-item list holds the count so far."""
+    calls = [0]
+    multiply = oracle.multiply
+
+    def counted(g, h):
+        calls[0] += 1
+        return multiply(g, h)
+
+    oracle.multiply = counted
+    return calls
 
 
 def step_items(steps):

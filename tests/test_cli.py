@@ -285,6 +285,14 @@ def test_slim_report_and_series(runner):
     assert lines[-1] == "4,2"
 
 
+@pytest.mark.parametrize("csv", [[], ["--csv"]])
+def test_slim_rejects_a_negative_radius(runner, csv):
+    result = invoke(runner, ["slim", "Z^2", "--radius", "-1", *csv])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: radius must be >= 0\n"
+
+
 def test_constants(runner):
     result = invoke(runner, ["constants", "Sigma2", "--kappa", "1"])
     payload = json.loads(result.output)
@@ -437,6 +445,16 @@ GOLDEN_COMPLEX_STDOUT = [
     (["complex", "Klein", "Q", "--twist", "a:-1/1,b:3/2"],
      "139dc1ac0f82f78fd84b2ece18edfd777db9314bf307511ba88eefbe27ba8d51"),
 ]
+# slim windows of a rank-3 lattice and of twisted-pair images, pinned
+# while each sphere was sorted before the next one grew from it; their
+# witnesses follow that sphere order, which the ball now reaches by one
+# sort at the end
+GOLDEN_SORTED_BALL_STDOUT = [
+    (["slim", "Z^3", "--radius", "6"],
+     "a885388482a7c2fda8583942151baba31c13843e60487e47b5696845001e96e5"),
+    (["slim", "T11b:2", "--radius", "6"],
+     "f343543130973a0591c44ed081d0491a5ce2ba76fab2d0c8a98b781f8ad967aa"),
+]
 WHOLE_COMMAND_GOLDEN = (
     GOLDEN_FILL_STDOUT
     + GOLDEN_FOLNER_STDOUT
@@ -444,6 +462,7 @@ WHOLE_COMMAND_GOLDEN = (
     + GOLDEN_FAMILY_STDOUT
     + GOLDEN_SLIM_STDOUT
     + GOLDEN_COMPLEX_STDOUT
+    + GOLDEN_SORTED_BALL_STDOUT
 )
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from boundary_matrices import boundary1, boundary2, cycle_vector
 from reference_filling import reference_filling
-from step_tables import edge_list, edge_ranks, step_items
+from step_tables import counting_multiply, edge_list, edge_ranks, step_items
 
 from pdfill import (
     build_ball_complex,
@@ -113,21 +113,16 @@ def test_window_forms_each_product_once():
     # steps; building the step table apart from the ball took 114,700
     # products here.  Only the steps the ball cannot take by extension
     # call multiply: 112 letters that end a clean word in a half-relator,
-    # and the 7 non-cancelling letters of each of the 8 elements they form
-    # inside the outer sphere
+    # and 6 letters of each of the 8 elements they form in sphere 4.  Each
+    # of those has two steps into sphere 3, both written from there: one
+    # cancels its last letter and one was a product (168 when that second
+    # step was formed again from sphere 4)
     s2 = surface_group(2)
-    calls = [0]
-    multiply = s2.multiply
-
-    def counted(g, h):
-        calls[0] += 1
-        return multiply(g, h)
-
-    s2.multiply = counted
+    calls = counting_multiply(s2)
     complex_ = build_ball_complex(s2, 5)
     assert complex_.vertex_count == 22289
     assert sum(1 for d in complex_.distances if d < 5) == 3193
-    assert calls[0] == 112 + 8 * 7 == 168
+    assert calls[0] == 112 + 8 * 6 == 160
 
 
 def test_boundary_matrices_shape_and_composition():

@@ -4,11 +4,12 @@ import time
 from itertools import product
 
 import pytest
-from step_tables import step_items
+from step_tables import counting_multiply, step_items
 
 from pdfill import (
     INTEGERS,
     ball,
+    build_ball_complex,
     builtin_group_specs,
     cyclic_table,
     finite_table,
@@ -449,7 +450,8 @@ def test_shortlex_balls_grow_sorted_spheres(spec, radius):
 # sha256 of the (element, distance) pairs and the step items, as grown
 # when every sphere was sorted by its canonical key and each product was
 # looked up again once its sphere was complete.  Sigma2 and T11b:4 skip the
-# sort; the others sort each sphere after indexing it in order of discovery
+# sort; the others index each sphere in order of discovery and are sorted
+# once at the end
 BALL_DIGESTS = {
     ("Sigma2", 5): "178d68574ed822789e4a5b442f832543faf1a945752ba9f2f3fe1f8b9007aaaa",
     ("T11b:4", 4): "d8a6702af5b6503c7efa9163a9aead12989a172d1d874d59710cc175023cdc1b",
@@ -472,7 +474,9 @@ def test_ball_and_steps_match_pinned_digest(spec, radius):
     assert hashlib.sha256(text.encode()).hexdigest() == BALL_DIGESTS[spec, radius]
 
 
-BUDGET_MULTIPLY_CALLS = {"Sigma2": 312, "Z^3": 4_189}
+# each step is formed from one end only, so these fell from 312 and 4,189
+# when a step already written from its far end stopped being formed again
+BUDGET_MULTIPLY_CALLS = {"Sigma2": 301, "Z^3": 2_474}
 
 
 @pytest.mark.parametrize(
@@ -486,24 +490,29 @@ def test_ball_budget_fires_on_the_first_element_past_it(spec, radius, budget, pr
     # yet a ball that formed the rest of sphere 6 before it checked would
     # still make more calls
     oracle = make_group(spec)
-    multiply = oracle.multiply
-    calls = 0
-
-    def counting(g, h):
-        nonlocal calls
-        calls += 1
-        return multiply(g, h)
-
-    oracle.multiply = counting
+    calls = counting_multiply(oracle)
     with pytest.raises(BudgetError) as err:
         ball(oracle, radius, budget=budget)
-    assert calls <= products
-    assert calls == BUDGET_MULTIPLY_CALLS[spec]
+    assert calls[0] <= products
+    assert calls[0] == BUDGET_MULTIPLY_CALLS[spec]
     assert err.value.attained_radius == attained
     assert str(err.value) == (
         f"ball of {spec} exceeded budget {budget} at radius {attained + 1} "
         f"(previous radius {attained} complete)"
     )
+
+
+@pytest.mark.parametrize(
+    "spec, radius, edges",
+    [("Z^2", 6, 144), ("Z^3", 4, 264), ("Klein", 6, 144), ("T11b:2", 5, 100)],
+)
+def test_ball_multiplies_once_per_edge(spec, radius, edges):
+    # every step of these balls is a product, and each is formed from one
+    # end only: the step back from the other end is written with it
+    oracle = make_group(spec)
+    calls = counting_multiply(oracle)
+    ball(oracle, radius)
+    assert calls[0] == build_ball_complex(make_group(spec), radius).edge_count == edges
 
 
 def ball_of_products(oracle, radius):
