@@ -34,6 +34,16 @@ is forced by back-substitution, and only what is left on the core is
 searched, by exhaustive branch and bound capped at ``MAX_SEARCH_NODES``
 nodes per cycle.  All of it is deterministic: faces and edges are ordered
 by construction and ties break by index.
+
+The sweep solves one cycle per symmetry orbit.  A signed permutation of
+the generators that reads every relator as a cyclic conjugate of a
+relator or of its inverse (``letter_automorphisms``) is an automorphism
+of the group.  It fixes the identity and keeps word length, so it maps
+the window onto itself, faces onto faces up to sign, and a closed walk
+from the identity onto a closed walk of the same length whose cycle is
+the image cycle.  A filling maps to a filling of the image with the same
+support and coefficients up to sign, so the minimal filling norm and the
+unfilled verdict are the same at every bound.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .errors import (
     BudgetError,
@@ -52,7 +63,7 @@ from .errors import (
 )
 from .groups import DEFAULT_BALL_BUDGET, GroupOracle, ball
 from .rings import frac_str
-from .words import word_to_string
+from .words import invert_word, word_to_string
 
 MAX_SEARCH_NODES = 1_000_000
 WALK_VISITS_PER_BUDGET = 25    # closed-walk search: at most this many visits per unit of budget
@@ -507,6 +518,16 @@ def isoperimetric_sweep(
     bounds the window's vertices, the distinct cycles and, scaled by
     ``WALK_VISITS_PER_BUDGET``, the walk search; past any of them,
     ``BudgetError`` is raised before any cycle is filled.
+
+    Each solved cycle's verdict is kept under the image of its walk by
+    each letter automorphism σ but the identity, drawing at most one σ per
+    cycle of the corpus: that walk, traced from the identity, is
+    σ(cycle), whose verdict is the same (see the module docstring).  A
+    later cycle whose first walk is such an image takes the verdict over
+    unsolved; its norm must equal the solved cycle's, or
+    ``InvariantError`` is raised.  Every other cycle is solved, so an
+    orbit whose members are first reached by walks that are not images of
+    each other is solved more than once.
     """
     if coefficient_bound < 1:
         raise SpecParseError("coefficient bound must be >= 1")
@@ -514,31 +535,52 @@ def isoperimetric_sweep(
         raise SpecParseError("word length cap must be >= 0")
     complex_ = build_ball_complex(group, radius, budget=budget)
     cycles = _closed_cycles(complex_, word_length_cap, budget)
+    # at most one map per cycle, so a group with many symmetries (Z^n has
+    # n!·2^n) costs no more than its corpus; a window with no cycle draws
+    # none.  Any subset of the maps is sound, each being an automorphism.
+    # The identity is left out: it maps a walk onto itself, already solved.
+    automorphisms = [
+        sigma for sigma in islice(letter_automorphisms(group.presentation), len(cycles))
+        if any(s != t for s, t in sigma.items())
+    ]
+    verdicts: dict = {}   # walk -> (cycle norm, ratio or None, report fields)
     per_cycle = []
     max_ratio = Fraction(0)
     filled = 0
     unfilled = 0
     for word, cycle in cycles:
-        entry = {
+        norm = cycle.support_norm()
+        # a walk is the first of one cycle only, so its verdict is read once
+        verdict = verdicts.pop(word, None)
+        if verdict is None:
+            try:
+                result = minimal_filling(complex_, cycle, coefficient_bound)
+            except NoFillingError as err:
+                verdict = norm, None, {"status": "unfilled", "reason": str(err)}
+            else:
+                verdict = norm, result.ratio, {
+                    "status": "filled",
+                    "filler_norm": result.filler_norm,
+                    "ratio": frac_str(result.ratio),
+                    "optimal": True,   # the search is exhaustive
+                }
+            for sigma in automorphisms:
+                verdicts[tuple([sigma[x] for x in word])] = verdict
+        elif verdict[0] != norm:
+            raise InvariantError("an automorphic image of a cycle changed its norm")
+        _, ratio, fields = verdict
+        per_cycle.append({
             "word": word_to_string(word),
             "word_length": len(word),
-            "cycle_norm": cycle.support_norm(),
-        }
-        try:
-            result = minimal_filling(complex_, cycle, coefficient_bound)
-        except NoFillingError as err:
-            entry["status"] = "unfilled"
-            entry["reason"] = str(err)
+            "cycle_norm": norm,
+            **fields,
+        })
+        if ratio is None:
             unfilled += 1
         else:
-            entry["status"] = "filled"
-            entry["filler_norm"] = result.filler_norm
-            entry["ratio"] = frac_str(result.ratio)
-            entry["optimal"] = True   # the search is exhaustive
             filled += 1
-            if result.ratio > max_ratio:
-                max_ratio = result.ratio
-        per_cycle.append(entry)
+            if ratio > max_ratio:
+                max_ratio = ratio
     return SweepReport(
         group=group.name,
         radius=radius,
@@ -550,6 +592,66 @@ def isoperimetric_sweep(
         max_ratio=max_ratio,
         per_cycle=per_cycle,
     )
+
+
+def letter_automorphisms(presentation):
+    """Yield the signed generator permutations that map the relators onto themselves.
+
+    Each is a dict from signed letter to signed letter, with
+    σ(-g) = -σ(g), under which every relator reads as a cyclic conjugate
+    of a relator or of that relator's inverse, distinct relators going to
+    distinct ones.  Each is an automorphism of the group.  The search picks
+    each relator's image among those conjugates, letter by letter,
+    consistent with the letters already fixed, so it never lists the
+    m!·2^m signed permutations; a generator that appears in no relator is
+    fixed.  The maps are yielded one at a time, so a caller that needs a
+    few of them pays for those only (Z^n has n!·2^n).  The identity is
+    among them.
+    """
+    relators = presentation.relators
+    images = list(dict.fromkeys(   # a periodic relator repeats its conjugates
+        (r, word[k:] + word[:k])
+        for r, relator in enumerate(relators)
+        for word in (relator, invert_word(relator))
+        for k in range(len(relator))
+    ))
+    starting: dict = {}   # first letter -> the images that start with it
+    for r, image in images:
+        starting.setdefault(image[0], []).append((r, image))
+    letters = range(1, presentation.generator_count + 1)
+    sigma: dict = {}
+    preimage: dict = {}
+    taken = [False] * len(relators)
+
+    def extend(i):
+        if i == len(relators):
+            yield {s: sigma.get(s, s) for g in letters for s in (g, -g)}
+            return
+        relator = relators[i]
+        first = sigma.get(relator[0])
+        for r, image in images if first is None else starting.get(first, ()):
+            if taken[r] or len(image) != len(relator):
+                continue
+            fixed = []
+            for x, y in zip(relator, image):
+                if x in sigma:
+                    if sigma[x] == y:
+                        continue
+                elif y not in preimage:
+                    sigma[x], sigma[-x] = y, -y
+                    preimage[y], preimage[-y] = x, -x
+                    fixed.append(x)
+                    continue
+                break
+            else:
+                taken[r] = True
+                yield from extend(i + 1)
+                taken[r] = False
+            for x in fixed:
+                y = sigma.pop(x)
+                del sigma[-x], preimage[y], preimage[-y]
+
+    return extend(0)
 
 
 def _closed_cycles(complex_, cap, budget=DEFAULT_BALL_BUDGET):

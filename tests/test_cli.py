@@ -455,6 +455,19 @@ GOLDEN_SORTED_BALL_STDOUT = [
     (["slim", "T11b:2", "--radius", "6"],
      "f343543130973a0591c44ed081d0491a5ce2ba76fab2d0c8a98b781f8ad967aa"),
 ]
+# fill windows with many letter automorphisms (Z^3 has 48, Z^4 384) and
+# a twisted one with 4, pinned while the sweep still solved every cycle
+# rather than one per symmetry orbit
+GOLDEN_ORBIT_STDOUT = [
+    (["fill", "Z^3", "Z", "--radius", "4", "--max-word", "8"],
+     "468ddf003ca03a19258dfbc9d1b524e169e13b1f90e1b038a0fbb7d054a42ea0"),
+    (["fill", "Z^3", "Z", "--radius", "4", "--max-word", "8", "--coeff-bound", "2"],
+     "497f9ba993c3d3b5134bd506d2d86eb9674edfa898bf4f6b588ec58e920c7875"),
+    (["fill", "Z^4", "Z", "--radius", "3", "--max-word", "6"],
+     "88b0893c5bacdc7bda6356741655a782fe35b46e23a801de5628a3c79fd5112b"),
+    (["fill", "Klein", "Z", "--radius", "6", "--max-word", "10"],
+     "7989490e2281be8a0c802ae0dd441d15882f40035b8d982698465ae8d7f3d3b0"),
+]
 WHOLE_COMMAND_GOLDEN = (
     GOLDEN_FILL_STDOUT
     + GOLDEN_FOLNER_STDOUT
@@ -463,6 +476,7 @@ WHOLE_COMMAND_GOLDEN = (
     + GOLDEN_SLIM_STDOUT
     + GOLDEN_COMPLEX_STDOUT
     + GOLDEN_SORTED_BALL_STDOUT
+    + GOLDEN_ORBIT_STDOUT
 )
 
 

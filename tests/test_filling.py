@@ -2,7 +2,7 @@ import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -36,8 +36,11 @@ from pdfill.filling import (
     _closed_cycles,
     _is_cycle,
     _verify_filler,
+    letter_automorphisms,
 )
-from pdfill.words import word_from_string
+from pdfill.groups import builtin_group_specs
+from pdfill.rings import frac_str
+from pdfill.words import invert_word, word_from_string, word_to_string
 
 
 def square_word(n):
@@ -593,6 +596,154 @@ def test_sweep_deterministic_order():
     first = isoperimetric_sweep(z2, 4, 8)
     second = isoperimetric_sweep(z2, 4, 8)
     assert first.to_json_dict() == second.to_json_dict()
+
+
+# signed generator permutations that map the relators onto themselves,
+# identity included: the square's and the cube's symmetries on Z^2, Z^3
+# and Z^4, and fewer on the one-relator groups, whose single relator must
+# be read again up to rotation and inversion
+AUTOMORPHISM_COUNTS = {
+    "Z^2": 8, "Klein": 4, "Sigma2": 4, "T11b:2": 4, "T11b:3": 6,
+    "T11a:3": 6, "Z^3": 48, "Z^4": 384,
+}
+
+
+@pytest.mark.parametrize("spec", sorted(AUTOMORPHISM_COUNTS))
+def test_letter_automorphism_counts(spec):
+    presentation = make_group(spec).presentation
+    found = list(letter_automorphisms(presentation))
+    assert len(found) == AUTOMORPHISM_COUNTS[spec]
+    identity = {s: s for g in range(1, presentation.generator_count + 1) for s in (g, -g)}
+    assert identity in found
+
+
+def blind_automorphisms(presentation):
+    """Every signed permutation of the generators under which each relator
+    reads as a cyclic conjugate of a relator or of its inverse."""
+    m = presentation.generator_count
+    conjugates = {
+        word[k:] + word[:k]
+        for relator in presentation.relators
+        for word in (relator, invert_word(relator))
+        for k in range(len(relator))
+    }
+    found = []
+    for images in permutations(range(1, m + 1)):
+        for signs in product((1, -1), repeat=m):
+            sigma = {}
+            for g, h, sign in zip(range(1, m + 1), images, signs):
+                sigma[g], sigma[-g] = sign * h, -sign * h
+            if all(tuple(sigma[x] for x in rel) in conjugates for rel in presentation.relators):
+                found.append(sigma)
+    return found
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [s for s in builtin_group_specs() + ["Z^3", "Z^4"] if make_group(s).generator_count <= 4],
+)
+def test_letter_automorphisms_match_a_blind_filter(spec):
+    # the relator-driven search against all m!·2^m signed permutations;
+    # a generator in no relator (F2 has none) is fixed by the search only
+    presentation = make_group(spec).presentation
+    listed = list(letter_automorphisms(presentation))
+    ours = {tuple(sorted(s.items())) for s in listed}
+    assert len(ours) == len(listed)
+    if not presentation.relators:
+        assert len(ours) == 1
+        return
+    assert ours == {tuple(sorted(s.items())) for s in blind_automorphisms(presentation)}
+
+
+def solve_every_cycle(spec, radius, cap, bound):
+    """The sweep's per-cycle entries, with minimal_filling called on every
+    distinct cycle rather than once per orbit."""
+    x = build_ball_complex(make_group(spec), radius)
+    entries = []
+    for word, cycle in _closed_cycles(x, cap):
+        entry = {
+            "word": word_to_string(word),
+            "word_length": len(word),
+            "cycle_norm": cycle.support_norm(),
+        }
+        try:
+            result = minimal_filling(x, cycle, bound)
+        except NoFillingError as err:
+            entry.update(status="unfilled", reason=str(err))
+        else:
+            entry.update(
+                status="filled",
+                filler_norm=result.filler_norm,
+                ratio=frac_str(result.ratio),
+                optimal=True,
+            )
+        entries.append(entry)
+    return entries
+
+
+@pytest.mark.parametrize(
+    "spec, radius, cap, bound",
+    [
+        ("Z^3", 3, 8, 1), ("Z^3", 3, 8, 2),
+        ("Z^4", 3, 6, 1), ("Klein", 6, 10, 1), ("T11b:3", 5, 10, 1),
+    ],
+)
+def test_orbit_verdicts_match_solving_every_cycle(spec, radius, cap, bound):
+    report = isoperimetric_sweep(make_group(spec), radius, cap, bound)
+    assert report.per_cycle == solve_every_cycle(spec, radius, cap, bound)
+
+
+def test_a_swap_that_is_no_automorphism_changes_the_klein_sweep(monkeypatch):
+    # a <-> b reads Klein's a b a b^-1 as b a b a^-1, which is no cyclic
+    # conjugate of the relator or its inverse; handing its images the
+    # verdicts of their preimages must show, as wrong entries or as an
+    # image whose norm differs
+    real = filling.letter_automorphisms
+    swap = {1: 2, -1: -2, 2: 1, -2: -1}
+    monkeypatch.setattr(filling, "letter_automorphisms", lambda p: [*real(p), swap])
+    try:
+        per_cycle = isoperimetric_sweep(make_group("Klein"), 6, 10).per_cycle
+    except InvariantError:
+        return
+    assert per_cycle != solve_every_cycle("Klein", 6, 10, 1)
+
+
+@pytest.mark.parametrize("n, radius, cap, corpus", [(8, 1, 4, 0), (8, 2, 4, 224), (6, 2, 4, 120)])
+def test_sweep_draws_at_most_one_automorphism_per_cycle(monkeypatch, n, radius, cap, corpus):
+    # Z^n has n!·2^n letter automorphisms (10,321,920 on Z^8); the sweep
+    # draws them lazily, at most one per cycle of its corpus, and none from
+    # a window with no cycle
+    drawn = []
+    real = filling.letter_automorphisms
+
+    def counting(presentation):
+        for sigma in real(presentation):
+            drawn.append(sigma)
+            yield sigma
+
+    monkeypatch.setattr(filling, "letter_automorphisms", counting)
+    report = isoperimetric_sweep(free_abelian(n), radius, cap)
+    assert report.corpus_size == corpus
+    assert len(drawn) <= corpus
+    assert report.per_cycle == solve_every_cycle(f"Z^{n}", radius, cap, 1)
+
+
+def test_plane_sweep_solves_each_orbit_about_once(monkeypatch):
+    # fill Z^2 Z --radius 6 --max-word 10: the square's 8 symmetries group
+    # the 1,978 cycles into 252 orbits.  A cycle is solved unless its first
+    # walk is the image of a solved cycle's first walk, and an image cycle
+    # is often first reached by another walk, so 66 orbits are solved twice
+    # or more: 318 solves in all
+    calls = []
+    real = filling.minimal_filling
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(filling, "minimal_filling", counting)
+    report = isoperimetric_sweep(free_abelian(2), 6, 10)
+    assert (report.corpus_size, len(calls)) == (1978, 318)
 
 
 def test_transfer_constant_examples():
