@@ -5,7 +5,7 @@ presentation 2-complex: vertices are group elements of the ball, there is
 one directed edge per (vertex, generator) whose endpoint stays in the
 ball, and one 2-cell per (vertex, relator) whose whole attaching path
 stays in the ball.  Every solver and check works on the per-face boundary
-dicts (``face_boundaries``) over edge ids; no matrix is built.
+dicts (``cells.boundaries``) over edge ids; no matrix is built.
 
 The group is consulted once, through ``groups.ball``, which grows the
 window and its step table together: one integer array per signed letter,
@@ -18,22 +18,27 @@ closed-walk enumeration) is an array lookup through one tracer,
 ``_trace``, which also sums the walk's signed edge coefficients.  Each
 face's boundary is summed once, when the face is traced.
 
-When the window is built it is collapsed once (Whitehead's elementary
-collapses): while some edge is used by exactly one live face, that face
-is retired through that free edge.  The retirements are kept in order as
-``collapse_order``; the faces never retired form the ``core``.  Every
-2-cycle of the window lies on the core, so with an empty core a cycle has
-at most one filling, and back-substitution through the collapse order
-finds it.  The one-relator windows in the tests all collapse completely
-(their presentation complexes are aspherical, Lyndon 1950); Z^3 keeps a
-core.
+The exact solver reads one level of cells, ``Cells``: each cell's
+boundary as a dict over the level below, here faces over edges.  It never
+asks what the cells are, so it fills a 2-cycle by 3-cells the same way.
+The level is collapsed once (Whitehead's elementary collapses): while
+some lower cell is used by exactly one live cell, that cell is retired
+through it.  The retirements are kept in order as ``collapse_order``; the
+cells never retired form the ``core``.  Every cycle of the level lies on
+the core, so with an empty core a chain has at most one filling, and
+back-substitution through the collapse order finds it.  The one-relator
+windows in the tests all collapse completely (their presentation
+complexes are aspherical, Lyndon 1950); Z^3 keeps a core.
 
-``minimal_filling`` finds a 2-chain of minimal support with a prescribed
-boundary and coefficients in [-bound, bound].  Each retired face's value
-is forced by back-substitution, and only what is left on the core is
-searched, by exhaustive branch and bound capped at ``MAX_SEARCH_NODES``
-nodes per cycle.  All of it is deterministic: faces and edges are ordered
-by construction and ties break by index.
+``fill`` finds a chain of minimal support with a prescribed boundary and
+coefficients in [-bound, bound], and ``minimal_filling`` calls it on a
+window's faces.  Each retired cell's value is forced by
+back-substitution, and only what is left on the core is searched, by
+exhaustive branch and bound capped at ``MAX_SEARCH_NODES`` nodes per
+chain.  A core cell tries first the values that cancel residual entries
+and then the rest lazily, so ``--coeff-bound`` costs time only through
+the node bound.  All of it is deterministic: cells and lower cells are
+ordered by construction and ties break by index.
 
 The sweep solves one cycle per symmetry orbit.  A signed permutation of
 the generators that reads every relator as a cyclic conjugate of a
@@ -69,6 +74,48 @@ MAX_SEARCH_NODES = 1_000_000
 WALK_VISITS_PER_BUDGET = 25    # closed-walk search: at most this many visits per unit of budget
 
 
+class Cells:
+    """One level of cells over the level below: faces over edges, say.
+
+    ``boundaries[i]`` is cell i's boundary, {lower cell id: nonzero
+    coefficient}.  Built once, it keeps what every fill reads: the
+    ``cofaces`` of each lower cell (the cells whose boundary uses it, in
+    index order), the ``collapse_order`` and ``core`` of the collapse, and
+    ``longest``, the largest boundary support.
+
+    The collapse retires a cell through a free lower cell, one that
+    exactly one live cell uses, until none is left.  ``collapse_order``
+    lists the retirements in order, as (cell, free lower cell, coefficient
+    of the lower cell in the cell); the ``core`` is the sorted cells never
+    retired.  Retiring a cell only frees more lower cells, so which cells
+    are retired does not depend on the order they are taken in.
+    """
+
+    def __init__(self, boundaries):
+        self.boundaries = boundaries
+        self.cofaces: dict = {}
+        for f, boundary in enumerate(boundaries):
+            for e in boundary:
+                self.cofaces.setdefault(e, []).append(f)
+        self.longest = max(map(len, boundaries), default=0)
+        users = {e: len(cells) for e, cells in self.cofaces.items()}
+        live = [True] * len(boundaries)
+        free = sorted((e for e, n in users.items() if n == 1), reverse=True)
+        self.collapse_order = []
+        while free:
+            e = free.pop()
+            if users[e] != 1:
+                continue
+            cell = next(f for f in self.cofaces[e] if live[f])
+            live[cell] = False
+            self.collapse_order.append((cell, e, boundaries[cell][e]))
+            for other in boundaries[cell]:
+                users[other] -= 1
+                if users[other] == 1:
+                    free.append(other)
+        self.core = [f for f, alive in enumerate(live) if alive]
+
+
 @dataclass
 class CayleyBallComplex:
     """A finite window of the Cayley 2-complex of a presentation."""
@@ -79,16 +126,7 @@ class CayleyBallComplex:
     distances: list
     steps: dict          # signed letter -> array: index of vertex * letter, -1 outside
     faces: list          # (base vertex index, relator index)
-    face_boundaries: list  # per face: {edge id v*m + g - 1: nonzero coefficient}
-
-    def __post_init__(self):
-        edge_faces: dict = {}
-        for f, boundary in enumerate(self.face_boundaries):
-            for e in boundary:
-                edge_faces.setdefault(e, []).append(f)
-        self.edge_faces = edge_faces
-        # (face, free edge, coefficient) per retirement, and the faces left
-        self.collapse_order, self.core = _collapse(self.face_boundaries, edge_faces)
+    cells: Cells         # the faces over edge ids v*m + g - 1
 
     @property
     def vertex_count(self):
@@ -101,37 +139,6 @@ class CayleyBallComplex:
     @property
     def face_count(self):
         return len(self.faces)
-
-    @property
-    def max_face_length(self):
-        return max((len(rel) for rel in self.group.presentation.relators), default=0)
-
-
-def _collapse(face_boundaries, edge_faces):
-    """Retire faces through free edges until none is left.
-
-    A free edge is one that exactly one live face uses.  Returns the
-    retirements in order, as (face, free edge, coefficient of the edge in
-    the face), and the sorted faces never retired.  Retiring a face only
-    frees more edges, so which faces are retired does not depend on the
-    order they are taken in.
-    """
-    users = {e: len(faces) for e, faces in edge_faces.items()}
-    live = [True] * len(face_boundaries)
-    free = sorted((e for e, n in users.items() if n == 1), reverse=True)
-    order = []
-    while free:
-        e = free.pop()
-        if users[e] != 1:
-            continue
-        face = next(f for f in edge_faces[e] if live[f])
-        live[face] = False
-        order.append((face, e, face_boundaries[face][e]))
-        for other in face_boundaries[face]:
-            users[other] -= 1
-            if users[other] == 1:
-                free.append(other)
-    return order, [f for f, alive in enumerate(live) if alive]
 
 
 def build_ball_complex(
@@ -178,7 +185,7 @@ def build_ball_complex(
         distances=distances,
         steps=steps,
         faces=faces,
-        face_boundaries=face_boundaries,
+        cells=Cells(face_boundaries),
     )
     if not all(_is_cycle(window, boundary) for boundary in face_boundaries):
         raise InvariantError("face boundaries are not cycles: d1 o d2 != 0")
@@ -282,18 +289,8 @@ def minimal_filling(
 ) -> FillingResult:
     """A minimal-support 2-chain whose boundary is the given cycle.
 
-    First the cycle is back-substituted through the window's collapse
-    order.  When a face is retired through its free edge e, no live face
-    uses e and every face retired before it has its value already, so the
-    face must take residual(e) / coefficient.  That value is exact: it is
-    forced on every filling, whatever the core faces take, and no other
-    choice exists.  A value that is not an integer or lies outside
-    [-bound, bound] leaves no filling at this bound.
-
-    What is left of the cycle must be filled by core faces alone, and the
-    core is searched exhaustively (``_exact_search``).  So the minimal
-    support is the forced support plus the core's minimal support, and
-    every result is optimal.  ``nodes_explored`` counts the core search's
+    The cycle is filled by the window's faces through ``fill``, so every
+    result is optimal, and ``nodes_explored`` counts the core search's
     nodes, 0 when nothing is left for the core.
 
     Raises ``NoFillingError`` when nothing in the window at this bound has
@@ -304,33 +301,53 @@ def minimal_filling(
     """
     if cycle.complex is not complex_:
         raise SpecParseError("cycle lies in another window")
-    if coefficient_bound < 1:
+    filler, nodes = fill(complex_.cells, cycle.coefficients, coefficient_bound)
+    cycle_norm = cycle.support_norm()   # 0 only for the zero cycle, whose filler is empty
+    return FillingResult(
+        filler, cycle_norm, len(filler), Fraction(len(filler), cycle_norm or 1), nodes
+    )
+
+
+def fill(cells, chain, bound):
+    """(filler, core-search nodes): a minimal-support chain of ``cells``
+    with coefficients in [-bound, bound] whose boundary is ``chain``.
+
+    ``chain`` is {lower cell id: nonzero coefficient}.  First it is
+    back-substituted through the collapse order.  When a cell is retired
+    through its free lower cell e, no live cell uses e and every cell
+    retired before it has its value already, so the cell must take the
+    value that cancels residual(e).  That value is exact: it is forced on
+    every filling, whatever the core cells take, and no other choice
+    exists.  A value that is not an integer or lies outside [-bound,
+    bound] leaves no filling at this bound.
+
+    What is left must be filled by core cells alone, and the core is
+    searched exhaustively (``_exact_search``).  So the minimal support is
+    the forced support plus the core's minimal support.  The filler's
+    boundary is summed again and checked against ``chain``.
+
+    Raises ``NoFillingError`` when no filling exists at this bound,
+    ``BudgetError`` past ``MAX_SEARCH_NODES`` core-search nodes, and
+    ``SpecParseError`` for a bound below 1.
+    """
+    if bound < 1:
         raise SpecParseError("coefficient bound must be >= 1")
-    if not cycle.coefficients:
-        return FillingResult({}, 0, 0, Fraction(0), 0)
-    face_boundaries = complex_.face_boundaries
-    residual = dict(cycle.coefficients)
+    residual = dict(chain)
     filler = {}
-    for face, e, c in complex_.collapse_order:
-        r = residual.get(e)
-        if r is None:
-            continue
-        value, rest = divmod(r, c)
-        if rest or abs(value) > coefficient_bound:
-            raise _no_filling(coefficient_bound)
-        filler[face] = value
-        _subtract(residual, face_boundaries[face], value)
+    for cell, e, c in cells.collapse_order:
+        if e in residual:
+            value = _cancelling(residual[e], c, bound)
+            if value is None:
+                raise _no_filling(bound)
+            filler[cell] = value
+            _subtract(residual, cells.boundaries[cell], value)
     nodes = 0
     if residual:
-        core_filler, nodes = _exact_search(complex_, cycle, residual, coefficient_bound)
+        core_filler, nodes = _exact_search(cells, chain, residual, bound)
         filler.update(core_filler)
     filler = dict(sorted(filler.items()))
-    _verify_filler(complex_, cycle, filler)
-    filler_norm = len(filler)
-    cycle_norm = cycle.support_norm()
-    return FillingResult(
-        filler, cycle_norm, filler_norm, Fraction(filler_norm, cycle_norm), nodes
-    )
+    _verify_filler(cells, chain, filler)
+    return filler, nodes
 
 
 def _no_filling(bound):
@@ -340,8 +357,28 @@ def _no_filling(bound):
     )
 
 
+def _cancelling(r, c, bound):
+    """The v with r - v*c = 0, or None unless it is an integer in [-bound, bound]."""
+    value, rest = divmod(r, c)
+    return None if rest or abs(value) > bound else value
+
+
+def _value_order(cancels, bound):
+    """The values a cell tries, given {value: residual entries it cancels}.
+
+    The values that cancel most come first.  The rest cancel nothing and
+    all leave the same support; they follow lazily.  Ties go in the order
+    1..bound, then -1..-bound.
+    """
+    yield from sorted(cancels, key=lambda v: (-cancels[v], v < 0, abs(v)))
+    for k in (1, -1):
+        for value in range(k, k * (bound + 1), k):
+            if value not in cancels:
+                yield value
+
+
 def _subtract(residual, boundary, value):
-    """residual -= value * boundary, dropping the edges that reach zero."""
+    """residual -= value * boundary, dropping the entries that reach zero."""
     for e, c in boundary.items():
         new = residual.get(e, 0) - value * c
         if new:
@@ -350,62 +387,70 @@ def _subtract(residual, boundary, value):
             residual.pop(e, None)
 
 
-def _verify_filler(complex_, cycle, filler):
+def _verify_filler(cells, chain, filler):
     boundary: dict = {}
     for f, c in filler.items():
-        for e, b in complex_.face_boundaries[f].items():
+        for e, b in cells.boundaries[f].items():
             boundary[e] = boundary.get(e, 0) + c * b
-    if {e: c for e, c in boundary.items() if c} != cycle.coefficients:
+    if {e: c for e, c in boundary.items() if c} != chain:
         raise InvariantError("filler boundary does not match the cycle")
 
 
-def _exact_search(complex_, cycle, residual, bound):
-    """Depth-first branch and bound over the core faces' coefficients.
+def _exact_search(cells, chain, residual, bound):
+    """Depth-first branch and bound over the core cells' coefficients.
 
-    Fills ``residual``, what is left of ``cycle`` after back-substitution,
-    with core faces only; every retired face stays at its forced value.
-    A residual edge with the fewest unassigned incident faces is chosen;
-    one of those faces must be nonzero, and branching on which face is the
-    first nonzero one partitions the space whatever order the faces are
-    tried in.  They are tried best-first: by the smallest residual support
-    any allowed value leaves, then by index.  The lower bound is
-    ceil(residual support / max face length).  Returns (core filler,
-    nodes); raises ``BudgetError`` past ``MAX_SEARCH_NODES`` nodes.
+    Fills ``residual``, what is left of ``chain`` after back-substitution,
+    with core cells only; every retired cell stays at its forced value.
+    A residual entry with the fewest unassigned cofaces is chosen; one of
+    those cells must be nonzero, and branching on which cell is the first
+    nonzero one partitions the space whatever order the cells are tried
+    in.  They are tried best-first: by the smallest residual support any
+    allowed value leaves, then by index.  A value changes the support
+    only where it cancels a residual entry, so the values that cancel
+    some entry are tried first, those that cancel most first; every other
+    value leaves the same support, and they follow lazily, 1..bound then
+    -1..-bound, so a node costs no more at a larger bound.  The lower
+    bound is ceil(residual support / longest boundary).  Returns (core
+    filler, nodes); raises ``BudgetError`` past ``MAX_SEARCH_NODES`` nodes.
     """
-    max_len = max(complex_.max_face_length, 1)
-    edge_faces = complex_.edge_faces
-    face_boundaries = complex_.face_boundaries
+    longest = max(cells.longest, 1)
+    cofaces = cells.cofaces
+    boundaries = cells.boundaries
 
-    # retired faces are not searched: they count as assigned
-    assigned = [0] * complex_.face_count
-    for f in complex_.core:
+    # retired cells are not searched: they count as assigned
+    assigned = [0] * len(boundaries)
+    for f in cells.core:
         assigned[f] = None
     best: dict = {"support": math.inf, "filler": None}
     nodes = 0
-    values = [v for k in range(1, bound + 1) for v in (k, -k)]
 
-    def choose_edge():
-        best_edge, best_free = None, None
+    def choose_entry():
+        best_entry, best_free = None, None
         for e in residual:
             free = 0
-            for f in edge_faces.get(e, ()):
+            for f in cofaces.get(e, ()):
                 if assigned[f] is None:
                     free += 1
             if best_free is None or free < best_free or (
-                free == best_free and e < best_edge
+                free == best_free and e < best_entry
             ):
-                best_edge, best_free = e, free
+                best_entry, best_free = e, free
                 if free == 0:
                     break
-        return best_edge, best_free
+        return best_entry, best_free
 
-    def ranked(face):
-        """(smallest support left, face, values in the order to try them)."""
-        order = sorted(
-            (_support_after(residual, face_boundaries[face], v), v < 0, abs(v), v)
-            for v in values
-        )
-        return order[0][0], face, [v for *_, v in order]
+    def ranked(cell):
+        """(smallest support a value leaves, cell, {value: entries it cancels})."""
+        support = len(residual)
+        cancels: dict = {}
+        for e, c in boundaries[cell].items():
+            if e in residual:
+                value = _cancelling(residual[e], c, bound)
+                if value is not None:
+                    cancels[value] = cancels.get(value, 0) + 1
+            else:
+                support += 1
+        return support - max(cancels.values(), default=0), cell, cancels
 
     def recurse(nonzero_count):
         nonlocal nodes
@@ -413,7 +458,7 @@ def _exact_search(complex_, cycle, residual, bound):
         if nodes > MAX_SEARCH_NODES:
             raise BudgetError(
                 f"filling search exceeded {MAX_SEARCH_NODES} nodes on a cycle "
-                f"of norm {cycle.support_norm()}"
+                f"of norm {len(chain)}"
             )
         if not residual:
             if nonzero_count < best["support"]:
@@ -422,25 +467,25 @@ def _exact_search(complex_, cycle, residual, bound):
                     f: v for f, v in enumerate(assigned) if v
                 }
             return
-        lower = nonzero_count + math.ceil(len(residual) / max_len)
+        lower = nonzero_count + math.ceil(len(residual) / longest)
         if lower >= best["support"]:
             return
-        edge, free = choose_edge()
+        entry, free = choose_entry()
         if free == 0:
             return
         candidates = sorted(
-            ranked(f) for f in edge_faces[edge] if assigned[f] is None
+            ranked(f) for f in cofaces[entry] if assigned[f] is None
         )
-        for pos, (_, face, ordered) in enumerate(candidates):
-            # faces before position pos stay zero on this branch
+        for pos, (_, cell, cancels) in enumerate(candidates):
+            # cells before position pos stay zero on this branch
             for _, earlier, _ in candidates[:pos]:
                 assigned[earlier] = 0
-            for value in ordered:
-                assigned[face] = value
-                _subtract(residual, face_boundaries[face], value)
+            for value in _value_order(cancels, bound):
+                assigned[cell] = value
+                _subtract(residual, boundaries[cell], value)
                 recurse(nonzero_count + 1)
-                _subtract(residual, face_boundaries[face], -value)
-                assigned[face] = None
+                _subtract(residual, boundaries[cell], -value)
+                assigned[cell] = None
             for _, earlier, _ in candidates[:pos]:
                 assigned[earlier] = None
 
@@ -448,18 +493,6 @@ def _exact_search(complex_, cycle, residual, bound):
     if best["filler"] is None:
         raise _no_filling(bound)
     return best["filler"], nodes
-
-
-def _support_after(residual, boundary, value):
-    support = len(residual)
-    for e, c in boundary.items():
-        old = residual.get(e, 0)
-        new = old - value * c
-        if old and not new:
-            support -= 1
-        elif not old and new:
-            support += 1
-    return support
 
 
 @dataclass

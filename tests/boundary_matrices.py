@@ -27,10 +27,10 @@ def boundary1(complex_):
 
 
 def boundary2(complex_):
-    """The faces x edges matrix whose rows are ``face_boundaries``."""
+    """The faces x edges matrix whose rows are the face boundaries."""
     ranks = edge_ranks(complex_)
     rows, cols, vals = [], [], []
-    for f, boundary in enumerate(complex_.face_boundaries):
+    for f, boundary in enumerate(complex_.cells.boundaries):
         for e, c in boundary.items():
             rows.append(f)
             cols.append(ranks[e])

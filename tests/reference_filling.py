@@ -1,9 +1,11 @@
-"""Whole-window branch and bound: the reference for ``minimal_filling``.
+"""Whole-level branch and bound: the reference for ``fill``.
 
-The library solves a cycle by back-substitution through the window's
-collapse order and searches only the core.  This module keeps the older
-solver, which searches every face of the window, so that the two can be
-compared on the same cycles.  It shares no search code with the library.
+The library solves a chain by back-substitution through the collapse
+order of a level of cells and searches only the core.  This module keeps
+the older solver, which searches every cell of the level (every face of
+a window), so that the two can be compared on the same chains.  It
+shares no search code with the library, and lists and sorts every value
+in [-bound, bound] for each ranked cell.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import math
 from pdfill.errors import NoFillingError
 
 
-def reference_filling(complex_, cycle, bound):
-    """(minimal-support filler, search nodes) over every face of the window.
+def reference_filling(cells, chain, bound):
+    """(minimal-support filler, search nodes) over every cell of the level.
 
     Depth-first branch and bound over face coefficients in [-bound, bound].
     A residual edge with the fewest unassigned incident faces is chosen;
@@ -23,14 +25,14 @@ def reference_filling(complex_, cycle, bound):
     the smallest residual support any allowed value leaves, then by index.
     The lower bound is ceil(residual support / max face length).
     """
-    if not cycle.coefficients:
+    if not chain:
         return {}, 0
-    n_faces = complex_.face_count
-    max_len = max(complex_.max_face_length, 1)
-    edge_faces = complex_.edge_faces
-    face_boundaries = complex_.face_boundaries
+    n_faces = len(cells.boundaries)
+    max_len = max(cells.longest, 1)
+    edge_faces = cells.cofaces
+    face_boundaries = cells.boundaries
 
-    residual = dict(cycle.coefficients)
+    residual = dict(chain)
     assigned = [None] * n_faces
     best: dict = {"support": math.inf, "filler": None}
     nodes = 0

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -32,10 +33,12 @@ from pdfill.errors import (
 from pdfill import filling
 from pdfill.filling import (
     WALK_VISITS_PER_BUDGET,
+    Cells,
     OneCycle,
     _closed_cycles,
     _is_cycle,
     _verify_filler,
+    fill,
     letter_automorphisms,
 )
 from pdfill.groups import builtin_group_specs
@@ -108,7 +111,7 @@ def test_face_boundaries_match_relator_walks(spec, radius):
     complex_ = build_ball_complex(make_group(spec), radius)
     faces, boundaries = walked_face_boundaries(complex_)
     assert faces == complex_.faces
-    assert boundaries == complex_.face_boundaries
+    assert boundaries == complex_.cells.boundaries
 
 
 def test_window_forms_each_product_once():
@@ -148,13 +151,13 @@ def test_boundary_matrices_shape_and_composition():
                 expected[row, s] -= 1
             assert np.array_equal(d1[lo:lo + len(block)].toarray(), expected)
         expected = np.zeros((x.face_count, x.edge_count), dtype=np.int64)
-        for f, boundary in enumerate(x.face_boundaries):
+        for f, boundary in enumerate(x.cells.boundaries):
             for e, c in boundary.items():
                 expected[f, ranks[e]] = c
         assert np.array_equal(d2.toarray(), expected)
         # the net-boundary routine accepts every face and rejects a face
         # with one coefficient flipped
-        for boundary in x.face_boundaries:
+        for boundary in x.cells.boundaries:
             assert _is_cycle(x, boundary)
             e = next(iter(boundary))
             assert not _is_cycle(x, {**boundary, e: -boundary[e]})
@@ -250,11 +253,11 @@ def test_verify_filler_rejects_a_wrong_boundary():
     z2 = build_ball_complex(free_abelian(2), 4)
     cycle = word_cycle(z2, square_word(2))
     filler = minimal_filling(z2, cycle).filler
-    _verify_filler(z2, cycle, filler)
+    _verify_filler(z2.cells, cycle.coefficients, filler)
     face = min(filler)
     for wrong in ({**filler, face: -filler[face]}, {f: c for f, c in filler.items() if f != face}):
         with pytest.raises(InvariantError):
-            _verify_filler(z2, cycle, wrong)
+            _verify_filler(z2.cells, cycle.coefficients, wrong)
 
 
 def test_relator_cycle_fills_with_one_face():
@@ -270,7 +273,7 @@ def test_filling_lower_bound_invariant():
     for word in (square_word(1), square_word(2), (1, 1, 2, -1, -1, -2)):
         cycle = word_cycle(z2, word)
         result = minimal_filling(z2, cycle)
-        assert result.filler_norm >= -(-cycle.support_norm() // z2.max_face_length)
+        assert result.filler_norm >= -(-cycle.support_norm() // z2.cells.longest)
 
 
 def test_filling_monotone_in_coefficient_bound():
@@ -378,7 +381,7 @@ def test_doubled_square_tries_every_coefficient_of_a_face():
     corners = {
         z3.vertices[v]
         for f in once.filler
-        for e in z3.face_boundaries[f]
+        for e in z3.cells.boundaries[f]
         for v in (edges[ranks[e]][0], edges[ranks[e]][2])
     }
     spans = [sorted({corner[k] for corner in corners}) for k in range(3)]
@@ -418,6 +421,23 @@ def test_exact_search_node_bound(monkeypatch):
         minimal_filling(z3, cycle)
 
 
+def test_a_large_coefficient_bound_costs_nodes_not_memory(monkeypatch):
+    # the face that fills the square takes 1 first; each other value of
+    # the 2*10**6 in [-10**6, 10**6] is one node, and the values are not
+    # listed, so the node bound stops the search before memory grows
+    z3 = build_ball_complex(free_abelian(3), 3)
+    cycle = word_cycle(z3, square_word(1))
+    monkeypatch.setattr(filling, "MAX_SEARCH_NODES", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="1000 nodes"):
+            minimal_filling(z3, cycle, coefficient_bound=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
 # every builtin one-relator spec on a window that has faces; T11a:3 has none
 # up to radius 4, and its radius-5 window is too large for a unit test
 ONE_RELATOR_WINDOWS = [
@@ -431,28 +451,138 @@ def test_collapse_order_retires_faces_through_free_edges(spec, radius):
     # each retired face's edge is used by no face retired later and by no
     # core face, and every face is retired once or kept in the core
     x = build_ball_complex(make_group(spec), radius)
-    retired = [face for face, _, _ in x.collapse_order]
-    assert sorted(retired + x.core) == list(range(x.face_count))
-    for step, (face, edge, coefficient) in enumerate(x.collapse_order):
-        assert x.face_boundaries[face][edge] == coefficient
-        for later in retired[step + 1:] + x.core:
-            assert edge not in x.face_boundaries[later]
+    retired = [face for face, _, _ in x.cells.collapse_order]
+    assert sorted(retired + x.cells.core) == list(range(x.face_count))
+    for step, (face, edge, coefficient) in enumerate(x.cells.collapse_order):
+        assert x.cells.boundaries[face][edge] == coefficient
+        for later in retired[step + 1:] + x.cells.core:
+            assert edge not in x.cells.boundaries[later]
     # no edge of the core is free: the collapse ran to the end
-    for edge in {e for f in x.core for e in x.face_boundaries[f]}:
-        assert sum(1 for f in x.core if edge in x.face_boundaries[f]) != 1
+    for edge in {e for f in x.cells.core for e in x.cells.boundaries[f]}:
+        assert sum(1 for f in x.cells.core if edge in x.cells.boundaries[f]) != 1
+
+
+@pytest.mark.parametrize("spec, radius", ONE_RELATOR_WINDOWS + [("Z^3", 3), ("Z^3", 4)])
+def test_longest_face_boundary_is_the_longest_relator(spec, radius):
+    # the core search's lower bound divides by the longest boundary
+    x = build_ball_complex(make_group(spec), radius)
+    assert x.cells.longest == max(len(r) for r in x.group.presentation.relators)
 
 
 @pytest.mark.parametrize("spec, radius", ONE_RELATOR_WINDOWS)
 def test_one_relator_windows_collapse_completely(spec, radius):
     x = build_ball_complex(make_group(spec), radius)
     assert x.face_count > 0
-    assert x.core == []
+    assert x.cells.core == []
 
 
 @pytest.mark.parametrize("radius, faces, core", [(3, 60, 36), (4, 168, 132)])
 def test_z3_windows_keep_a_core(radius, faces, core):
     x = build_ball_complex(free_abelian(3), radius)
-    assert (x.face_count, len(x.core)) == (faces, core)
+    assert (x.face_count, len(x.cells.core)) == (faces, core)
+
+
+def cubical_boundary(cube):
+    """The boundary of an elementary cube, a tuple of intervals (lo, hi)
+    with hi - lo in {0, 1}: over its unit directions in turn, with signs
+    +1, -1, +1, ..., the face at hi minus the face at lo."""
+    boundary, sign = {}, 1
+    for k, (lo, hi) in enumerate(cube):
+        if lo < hi:
+            boundary[cube[:k] + ((hi, hi),) + cube[k + 1:]] = sign
+            boundary[cube[:k] + ((lo, lo),) + cube[k + 1:]] = -sign
+            sign = -sign
+    return boundary
+
+
+def unit_cube_levels():
+    """The unit cube's squares over its edges, its edges over its
+    vertices, and its boundary over the squares, all ids numbered."""
+    cube = ((0, 1),) * 3
+    squares = sorted(cubical_boundary(cube))
+    edges = sorted({e for square in squares for e in cubical_boundary(square)})
+    vertices = sorted({v for edge in edges for v in cubical_boundary(edge)})
+
+    def level(cells, lower):
+        index = {c: i for i, c in enumerate(lower)}
+        return [{index[b]: c for b, c in cubical_boundary(cell).items()} for cell in cells]
+
+    return level(squares, edges), level(edges, vertices), level([cube], squares)[0]
+
+
+def test_unit_cube_levels_have_zero_boundary_of_boundary():
+    square_edges, edge_vertices, cube_squares = unit_cube_levels()
+    assert (len(square_edges), len(edge_vertices), len(cube_squares)) == (6, 12, 6)
+    for upper, lower in (([cube_squares], square_edges), (square_edges, edge_vertices)):
+        for boundary in upper:
+            net: dict = {}
+            for cell, c in boundary.items():
+                for below, b in lower[cell].items():
+                    net[below] = net.get(below, 0) + c * b
+            assert not any(net.values())
+
+
+def test_fill_fills_a_cube_boundary_with_the_cube():
+    # one level up from faces over edges: the six squares of one cube
+    # fill with that cube, by back-substitution through a free square
+    cube = unit_cube_levels()[2]
+    cells = Cells([cube])
+    assert cells.core == [] and len(cells.collapse_order) == 1
+    assert fill(cells, cube, 1) == ({0: 1}, 0)
+    with pytest.raises(NoFillingError):
+        fill(cells, {s: 2 * c for s, c in cube.items()}, 1)
+
+
+def test_fill_searches_two_cubes_on_one_boundary():
+    # cubes A and B share all six squares, so no square is free and both
+    # stay in the core: 2·dA needs both at bound 1 and A twice at bound 2,
+    # the doubled square one dimension up
+    cube = unit_cube_levels()[2]
+    cells = Cells([cube, dict(cube)])
+    assert cells.core == [0, 1] and cells.collapse_order == []
+    assert cells.longest == 6
+    filler, nodes = fill(cells, cube, 1)
+    assert filler == {0: 1} and nodes > 0
+    doubled = {s: 2 * c for s, c in cube.items()}
+    assert fill(cells, doubled, 1)[0] == {0: 1, 1: 1}
+    assert fill(cells, doubled, 2)[0] == {0: 2}
+
+
+def random_core_level(rng):
+    """Six cells over eight lower cells with coefficients in {±1, ±2}, every
+    lower cell used by no cell or by two or more, so nothing collapses."""
+    while True:
+        cells = Cells([
+            {e: rng.choice((-2, -1, 1, 2)) for e in rng.sample(range(8), rng.randint(2, 4))}
+            for _ in range(6)
+        ])
+        if not cells.collapse_order:
+            return cells
+
+
+def test_fill_searches_a_core_as_the_reference_does():
+    # with nothing collapsed the library searches the cells the reference
+    # does, so filler and node count must agree.  Coefficients of 2 leave
+    # entries no allowed value cancels and cells whose entries want
+    # different values, where the order of faces and values shows; on the
+    # Z^3 windows every order gives the same nodes
+    rng = random.Random(7)
+    for _ in range(300):
+        cells = random_core_level(rng)
+        chain: dict = {}
+        for cell in rng.sample(range(6), 3):
+            value = rng.choice((-2, -1, 1, 2))
+            for e, c in cells.boundaries[cell].items():
+                chain[e] = chain.get(e, 0) + value * c
+        chain = {e: c for e, c in chain.items() if c}
+        bound = rng.choice((1, 2, 3))
+        found = []
+        for solver in (fill, reference_filling):
+            try:
+                found.append(solver(cells, chain, bound))
+            except NoFillingError:
+                found.append(None)
+        assert found[0] == found[1]
 
 
 @pytest.mark.parametrize("spec, radius", [("Z^2", 4), ("Sigma2", 4), ("Klein", 3), ("Z^3", 2)])
@@ -461,7 +591,7 @@ def test_edge_ids_decode_to_steps_inside_the_ball(spec, radius):
     x = build_ball_complex(make_group(spec), radius)
     m = x.group.generator_count
     steps = step_items(x.steps)
-    ids = {e for boundary in x.face_boundaries for e in boundary}
+    ids = {e for boundary in x.cells.boundaries for e in boundary}
     assert ids
     for e in ids:
         v, g = divmod(e, m)
@@ -481,7 +611,7 @@ def test_word_cycle_reads_the_edge_id_rule():
     assert (z2.vertex_count, z2.edge_count, z2.face_count) == (13, 16, 4)
 
 
-# sha256 of (face_boundaries, collapse_order, core), as built when the
+# sha256 of (boundaries, collapse_order, core) of the cells, as built when the
 # window kept a dict of steps per vertex and a dict of dense edge ids; the
 # test hashes each edge by its rank, which is that dense id
 WINDOW_DIGESTS = {
@@ -494,9 +624,9 @@ WINDOW_DIGESTS = {
 def test_window_matches_pinned_digest(spec, radius):
     x = build_ball_complex(make_group(spec), radius)
     ranks = edge_ranks(x)
-    boundaries = [{ranks[e]: c for e, c in b.items()} for b in x.face_boundaries]
-    order = [(face, ranks[e], c) for face, e, c in x.collapse_order]
-    text = repr((boundaries, order, x.core))
+    boundaries = [{ranks[e]: c for e, c in b.items()} for b in x.cells.boundaries]
+    order = [(face, ranks[e], c) for face, e, c in x.cells.collapse_order]
+    text = repr((boundaries, order, x.cells.core))
     assert hashlib.sha256(text.encode()).hexdigest() == WINDOW_DIGESTS[spec, radius]
 
 
@@ -544,7 +674,7 @@ def sweep_against_reference(spec, radius, cap, bound):
         except NoFillingError:
             ours.append(None)
         try:
-            theirs.append(reference_filling(x, cycle, bound)[0])
+            theirs.append(reference_filling(x.cells, cycle.coefficients, bound)[0])
         except NoFillingError:
             theirs.append(None)
     return ours, theirs
@@ -556,6 +686,16 @@ def test_z3_filler_norms_match_the_whole_window_search(bound):
     assert len(ours) == 3496
     norms = [None if f is None else len(f) for f in ours]
     assert norms == [None if f is None else len(f) for f in theirs]
+
+
+@pytest.mark.parametrize("bound, nodes", [(1, 43_016), (2, 81_776)])
+def test_z3_core_search_visits_the_pinned_nodes(bound, nodes):
+    # every cycle of the corpus fills; the totals pin the order in which
+    # the core search takes edges, faces and values
+    x = build_ball_complex(free_abelian(3), 3)
+    corpus = _closed_cycles(x, 8)
+    assert len(corpus) == 3496
+    assert sum(minimal_filling(x, cycle, bound).nodes_explored for _, cycle in corpus) == nodes
 
 
 @pytest.mark.parametrize(
