@@ -8,8 +8,9 @@ invocations with identical seeds produce byte-identical output.
 Exit codes: 0 success, 2 usage or spec error, 3 budget exceeded,
 4 internal invariant violation.  The PDFILL_BUDGET environment variable,
 a positive integer, overrides the default budget on the ball's size, on
-fill's distinct cycles, and, 25 times over, on fill's walk visits and
-folner's grown sets; any other value is a usage error.
+fill's distinct cycles, and, ``groups.WORK_PER_BUDGET`` (25) times over,
+on fill's walk visits and folner's grown sets; any other value is a
+usage error.
 """
 
 from __future__ import annotations
@@ -72,6 +73,13 @@ def _emit_json(payload: dict, output: str | None):
 def _emit_csv(rows, output: str | None):
     lines = [",".join(str(cell) for cell in row) for row in rows]
     _emit("\n".join(lines) + "\n", output)
+
+
+def _emit_report(report, as_csv: bool, output: str | None):
+    if as_csv:
+        _emit_csv(report.csv_rows(), output)
+    else:
+        _emit_json(report.to_json_dict(), output)
 
 
 def _handle_errors(command):
@@ -164,10 +172,7 @@ def cmd_fill(group_spec, ring_spec, radius, max_word, coeff_bound, as_csv, outpu
     report = _module.isoperimetric_sweep(
         group, radius, max_word, coefficient_bound=coeff_bound, budget=_budget()
     )
-    if as_csv:
-        _emit_csv(report.csv_rows(), output)
-    else:
-        _emit_json(report.to_json_dict(), output)
+    _emit_report(report, as_csv, output)
 
 
 @main.command("folner")
@@ -183,10 +188,7 @@ def cmd_folner(group_spec, family, threshold, as_csv, output):
     group = make_group(group_spec)
     threshold = _module.RATIONALS.parse_value(threshold).payload
     report = _module.folner_sweep(group, family, threshold=threshold, budget=_budget())
-    if as_csv:
-        _emit_csv(report.csv_rows(), output)
-    else:
-        _emit_json(report.to_json_dict(), output)
+    _emit_report(report, as_csv, output)
 
 
 @main.command("slim")
@@ -202,17 +204,21 @@ def cmd_folner(group_spec, family, threshold, as_csv, output):
 def cmd_slim(group_spec, radius, samples, seed, as_csv, output):
     """Worst triangle slimness over a window."""
     group = make_group(group_spec)
+
+    def sweep(r):
+        return _module.slimness_sweep(group, r, sample=samples, seed=seed, budget=_budget())
+
     if as_csv:
         if radius < 0:    # the series below would be empty, not an error
             raise SpecParseError("radius must be >= 0")
         rows = [("radius", "delta_hat")]
         for r in range(radius + 1):
-            report = _module.slimness_sweep(group, r, sample=samples, seed=seed, budget=_budget())
+            if r % 2 == 0:    # radius 2k + 1 reads the same sphere, at k, as 2k
+                report = sweep(r)
             rows.append((r, report.delta_hat))
         _emit_csv(rows, output)
         return
-    report = _module.slimness_sweep(group, radius, sample=samples, seed=seed, budget=_budget())
-    _emit_json(report.to_json_dict(), output)
+    _emit_json(sweep(radius).to_json_dict(), output)
 
 
 @main.command("constants")

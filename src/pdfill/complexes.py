@@ -125,10 +125,8 @@ def fox_jacobian(ring: Ring, group: GroupOracle) -> GroupRingMatrix:
 
 def presentation_complex(group: GroupOracle, ring: Ring) -> ChainComplex:
     """Levels (1, generators, relators) with the standard differentials."""
-    presentation = group.presentation
-    if presentation is None:
-        raise SpecParseError(f"group {group.name} has no presentation")
-    m = presentation.generator_count
+    jacobian = fox_jacobian(ring, group)    # raises for a group with no presentation
+    m = group.generator_count
     one = GroupRingElement.one(ring, group)
     column = GroupRingMatrix.column(
         [
@@ -136,11 +134,10 @@ def presentation_complex(group: GroupOracle, ring: Ring) -> ChainComplex:
             for i in range(1, m + 1)
         ]
     )
-    jacobian = fox_jacobian(ring, group)
     return ChainComplex(
         ring,
         group,
-        (1, m, len(presentation.relators)),
+        (1, m, len(group.presentation.relators)),
         (column, jacobian),
     )
 

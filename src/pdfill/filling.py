@@ -36,9 +36,11 @@ window's faces.  Each retired cell's value is forced by
 back-substitution, and only what is left on the core is searched, by
 exhaustive branch and bound capped at ``MAX_SEARCH_NODES`` nodes per
 chain.  A core cell tries first the values that cancel residual entries
-and then the rest lazily, so ``--coeff-bound`` costs time only through
-the node bound.  All of it is deterministic: cells and lower cells are
-ordered by construction and ties break by index.
+and then the rest lazily.  The rest all leave one support, so one lower
+bound prunes them all or none, and a pruned rest is counted in one step:
+``--coeff-bound`` costs time only through the node bound.  All of it is
+deterministic: cells and lower cells are ordered by construction and
+ties break by index.
 
 The sweep solves one cycle per symmetry orbit.  A signed permutation of
 the generators that reads every relator as a cyclic conjugate of a
@@ -66,12 +68,11 @@ from .errors import (
     OutOfWindowError,
     SpecParseError,
 )
-from .groups import DEFAULT_BALL_BUDGET, GroupOracle, ball
+from .groups import DEFAULT_BALL_BUDGET, WORK_PER_BUDGET, GroupOracle, ball
 from .rings import frac_str
-from .words import invert_word, word_to_string
+from .words import word_to_string
 
 MAX_SEARCH_NODES = 1_000_000
-WALK_VISITS_PER_BUDGET = 25    # closed-walk search: at most this many visits per unit of budget
 
 
 class Cells:
@@ -410,8 +411,13 @@ def _exact_search(cells, chain, residual, bound):
     some entry are tried first, those that cancel most first; every other
     value leaves the same support, and they follow lazily, 1..bound then
     -1..-bound, so a node costs no more at a larger bound.  The lower
-    bound is ceil(residual support / longest boundary).  Returns (core
-    filler, nodes); raises ``BudgetError`` past ``MAX_SEARCH_NODES`` nodes.
+    bound is ceil(residual support / longest boundary).  Since those last
+    values leave one support, the bound prunes all of them or none; once
+    it prunes one, the values left are counted as pruned nodes in one
+    step.  Each cell is zeroed once its own branch is done, for the
+    branches of the cells after it, and all are released together.
+    Returns (core filler, nodes); raises ``BudgetError`` past
+    ``MAX_SEARCH_NODES`` nodes.
     """
     longest = max(cells.longest, 1)
     cofaces = cells.cofaces
@@ -440,7 +446,8 @@ def _exact_search(cells, chain, residual, bound):
         return best_entry, best_free
 
     def ranked(cell):
-        """(smallest support a value leaves, cell, {value: entries it cancels})."""
+        """(smallest support a value leaves, cell, {value: entries it
+        cancels}, the support a value that cancels nothing leaves)."""
         support = len(residual)
         cancels: dict = {}
         for e, c in boundaries[cell].items():
@@ -450,16 +457,19 @@ def _exact_search(cells, chain, residual, bound):
                     cancels[value] = cancels.get(value, 0) + 1
             else:
                 support += 1
-        return support - max(cancels.values(), default=0), cell, cancels
+        return support - max(cancels.values(), default=0), cell, cancels, support
 
-    def recurse(nonzero_count):
+    def count(visited):
         nonlocal nodes
-        nodes += 1
+        nodes += visited
         if nodes > MAX_SEARCH_NODES:
             raise BudgetError(
                 f"filling search exceeded {MAX_SEARCH_NODES} nodes on a cycle "
                 f"of norm {len(chain)}"
             )
+
+    def recurse(nonzero_count):
+        count(1)
         if not residual:
             if nonzero_count < best["support"]:
                 best["support"] = nonzero_count
@@ -476,18 +486,24 @@ def _exact_search(cells, chain, residual, bound):
         candidates = sorted(
             ranked(f) for f in cofaces[entry] if assigned[f] is None
         )
-        for pos, (_, cell, cancels) in enumerate(candidates):
-            # cells before position pos stay zero on this branch
-            for _, earlier, _ in candidates[:pos]:
-                assigned[earlier] = 0
+        for _, cell, cancels, spread in candidates:
+            # the values that cancel nothing come last and all leave
+            # ``spread`` entries: once the lower bound prunes one, it prunes
+            # every value left, each one node
+            spread_lower = nonzero_count + 1 + math.ceil(spread / longest)
+            left = 2 * bound
             for value in _value_order(cancels, bound):
+                if value not in cancels and spread_lower >= best["support"]:
+                    count(left)
+                    break
+                left -= 1
                 assigned[cell] = value
                 _subtract(residual, boundaries[cell], value)
                 recurse(nonzero_count + 1)
                 _subtract(residual, boundaries[cell], -value)
-                assigned[cell] = None
-            for _, earlier, _ in candidates[:pos]:
-                assigned[earlier] = None
+            assigned[cell] = 0    # the cell stays zero on the later branches
+        for _, cell, _, _ in candidates:
+            assigned[cell] = None
 
     recurse(0)
     if best["filler"] is None:
@@ -549,7 +565,7 @@ def isoperimetric_sweep(
     nonzero cycle is filled.  Cycles with no filling at the coefficient
     bound are reported and excluded from the ratio statistics.  ``budget``
     bounds the window's vertices, the distinct cycles and, scaled by
-    ``WALK_VISITS_PER_BUDGET``, the walk search; past any of them,
+    ``WORK_PER_BUDGET``, the walk search; past any of them,
     ``BudgetError`` is raised before any cycle is filled.
 
     Each solved cycle's verdict is kept under the image of its walk by
@@ -637,17 +653,13 @@ def letter_automorphisms(presentation):
     each relator's image among those conjugates, letter by letter,
     consistent with the letters already fixed, so it never lists the
     m!·2^m signed permutations; a generator that appears in no relator is
-    fixed.  The maps are yielded one at a time, so a caller that needs a
+    fixed.  The conjugates are ``presentation.conjugates``, which the Dehn
+    oracle's half-swaps read too.  The maps are yielded one at a time, so a caller that needs a
     few of them pays for those only (Z^n has n!·2^n).  The identity is
     among them.
     """
     relators = presentation.relators
-    images = list(dict.fromkeys(   # a periodic relator repeats its conjugates
-        (r, word[k:] + word[:k])
-        for r, relator in enumerate(relators)
-        for word in (relator, invert_word(relator))
-        for k in range(len(relator))
-    ))
+    images = presentation.conjugates
     starting: dict = {}   # first letter -> the images that start with it
     for r, image in images:
         starting.setdefault(image[0], []).append((r, image))
@@ -695,8 +707,8 @@ def _closed_cycles(complex_, cap, budget=DEFAULT_BALL_BUDGET):
     skipped when its target lies farther from the center than the moves
     left, since no walk from there closes within the cap.  Raises
     ``BudgetError`` once more than ``budget`` distinct cycles are found,
-    or once the search makes more than ``WALK_VISITS_PER_BUDGET * budget``
-    visits.
+    or once the search makes more than ``WORK_PER_BUDGET * budget``
+    visits, the scale folner's grown sets share.
     """
     center = 0   # ``ball`` lists the identity first
     steps = complex_.steps
@@ -705,7 +717,7 @@ def _closed_cycles(complex_, cap, budget=DEFAULT_BALL_BUDGET):
     m = complex_.group.generator_count
     found: dict = {}
     walk: list = []
-    max_visits = WALK_VISITS_PER_BUDGET * budget
+    max_visits = WORK_PER_BUDGET * budget
     visits = 0
 
     def visit(vertex, last_move):
@@ -714,7 +726,7 @@ def _closed_cycles(complex_, cap, budget=DEFAULT_BALL_BUDGET):
         if visits > max_visits:
             raise BudgetError(
                 f"closed walks up to length {cap} exceeded {max_visits} visits "
-                f"({WALK_VISITS_PER_BUDGET} per unit of budget {budget})"
+                f"({WORK_PER_BUDGET} per unit of budget {budget})"
             )
         if walk and vertex == center:
             _, coefficients = _trace(steps, m, center, walk)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import BudgetError, SpecParseError
-from .groups import DEFAULT_BALL_BUDGET, FreeAbelianOracle, GroupOracle, ball
+from .groups import DEFAULT_BALL_BUDGET, WORK_PER_BUDGET, FreeAbelianOracle, GroupOracle, ball
 from .rings import Ring, frac_str
 
 # only the differential needs the group ring, so only it imports it
@@ -30,7 +30,6 @@ if TYPE_CHECKING:
 
 DEFAULT_VANISHING_THRESHOLD = Fraction(1, 10)
 MAX_EXHAUSTIVE_SIZE = 12
-GROWN_SETS_PER_BUDGET = 25    # the enumeration grows at most this many sets per unit of budget
 
 
 def folner_boundary(oracle: GroupOracle, subset) -> set:
@@ -250,9 +249,10 @@ def _connected_series(oracle, size_max, budget):
     of x in S.  So ``gain_cap`` is 1, or 2 when the inverse generators
     name at most one element other than 1.
 
-    Raises ``BudgetError`` once more than ``GROWN_SETS_PER_BUDGET * budget``
-    sets are grown.  The sets a counted subtree would have grown are
-    added first, so the bound counts every set below the last size.
+    Raises ``BudgetError`` once more than ``WORK_PER_BUDGET * budget``
+    sets are grown, the scale fill's walk search shares.  The sets a
+    counted subtree would have grown are added first, so the bound counts
+    every set below the last size.
     """
     # neighbors reach distance size_max - 2, so size_max // 2 from size 3
     # on; below it a vertex at distance 1 closes no cycle of length 2
@@ -275,7 +275,7 @@ def _connected_series(oracle, size_max, budget):
     # interior vertices extends to at the last size and the one before
     bound_last = size_max - 2 * gain_cap
     bound_next = size_max - 1 - gain_cap
-    max_grown = GROWN_SETS_PER_BUDGET * budget
+    max_grown = WORK_PER_BUDGET * budget
     grown = 1    # the root
 
     def grow(v, untried, size, interior):
@@ -313,7 +313,7 @@ def _connected_series(oracle, size_max, budget):
             if grown > max_grown:
                 raise BudgetError(
                     f"connected sets up to size {size_max} exceeded {max_grown} grown sets "
-                    f"({GROWN_SETS_PER_BUDGET} per unit of budget {budget})"
+                    f"({WORK_PER_BUDGET} per unit of budget {budget})"
                 )
             if (
                 size == size_max - 2

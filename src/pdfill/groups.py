@@ -45,11 +45,18 @@ DEFAULT_BALL_BUDGET = 200_000
 # DehnOracle's canonical memo is emptied at this size.  Only the products a
 # ball cannot form by extension enter it, so queries (slim distances) fill it
 CANONICAL_CACHE_LIMIT = 4 * DEFAULT_BALL_BUDGET
+# the searches that outrun a ball (fill's closed walks, folner's grown
+# sets) may do this much work per unit of budget
+WORK_PER_BUDGET = 25
 
 
 @dataclass(frozen=True)
 class Presentation:
-    """A finite presentation: generator count plus freely reduced relators."""
+    """A finite presentation: generator count plus freely reduced relators.
+
+    Relators are stored as a tuple of tuples, whatever sequences they are
+    given as, so presentations compare and hash by their letters.
+    """
 
     generator_count: int
     relators: tuple
@@ -57,14 +64,27 @@ class Presentation:
     def __post_init__(self):
         if self.generator_count < 1:
             raise SpecParseError("need at least one generator")
+        object.__setattr__(self, "relators", tuple(map(tuple, self.relators)))
         for rel in self.relators:
             if not rel:
                 raise SpecParseError("relators must be nonempty")
-            if free_reduce(rel) != tuple(rel):
+            if free_reduce(rel) != rel:
                 raise SpecParseError(f"relator {rel!r} is not freely reduced")
             for letter in rel:
                 if not 1 <= abs(letter) <= self.generator_count:
                     raise SpecParseError(f"letter {letter} out of range in {rel!r}")
+
+    @cached_property
+    def conjugates(self) -> tuple:
+        """(relator index, word) once for each cyclic conjugate of each
+        relator and of its inverse: by relator, the relator before its
+        inverse, each by shift.  A periodic relator repeats none."""
+        return tuple(dict.fromkeys(
+            (r, word[k:] + word[:k])
+            for r, relator in enumerate(self.relators)
+            for word in (relator, invert_word(relator))
+            for k in range(len(relator))
+        ))
 
 
 class GroupOracle:
@@ -356,20 +376,14 @@ class DehnOracle(_WordElementOracle):
             raise SpecParseError(
                 f"Dehn oracle needs even relator length >= 6, got {rel!r}"
             )
-        # all cyclic conjugates of the relator and its inverse
-        rotations = []
-        for base in (tuple(rel), invert_word(rel)):
-            for shift in range(len(base)):
-                rotations.append(base[shift:] + base[:shift])
-        self._rotations = tuple(dict.fromkeys(rotations))
         # probe table: a subword of half the relator's length pins down the
-        # rotations it can start, so swap scans are dict lookups.  It maps
+        # conjugates it can start, so swap scans are dict lookups.  It maps
         # to what each swap puts in its place, the inverse of the second
         # half, reduced already: free reduction ends at the same word
         # whichever cancellations it makes first
         half = len(rel) // 2
         self._swap_probe: dict = {}
-        for rot in self._rotations:
+        for _, rot in presentation.conjugates:
             self._swap_probe.setdefault(rot[:half], []).append(
                 free_reduce(invert_word(rot[half:]))
             )

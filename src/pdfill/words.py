@@ -6,6 +6,8 @@ A word is a tuple of nonzero ints: ``+i`` is the i-th generator (1-based),
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .errors import SpecParseError
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -65,17 +67,10 @@ def word_to_string(word) -> str:
     if not word:
         return "1"
     parts = []
-    i = 0
-    while i < len(word):
-        letter = word[i]
-        j = i
-        while j < len(word) and word[j] == letter:
-            j += 1
-        count = j - i
-        exponent = count if letter > 0 else -count
+    for letter, run in groupby(word):
+        exponent = len(list(run)) * (1 if letter > 0 else -1)
         name = gen_name(abs(letter))
         parts.append(name if exponent == 1 else f"{name}^{exponent}")
-        i = j
     return "*".join(parts)
 
 

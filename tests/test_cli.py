@@ -285,6 +285,28 @@ def test_slim_report_and_series(runner):
     assert lines[-1] == "4,2"
 
 
+@pytest.mark.parametrize("spec, radius", [("Sigma2", 5), ("Z^3", 6), ("Klein", 0)])
+def test_slim_series_sweeps_each_sphere_once(runner, monkeypatch, spec, radius):
+    # a sweep reads only the sphere at half its radius, so radii 2k and
+    # 2k + 1 share one sweep; each row is still that radius's delta_hat
+    deltas = [
+        json.loads(invoke(runner, ["slim", spec, "--radius", str(r)]).output)["delta_hat"]
+        for r in range(radius + 1)
+    ]
+    calls = []
+    real = cli.slimness_sweep
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "slimness_sweep", counting)
+    result = invoke(runner, ["slim", spec, "--radius", str(radius), "--csv"])
+    lines = result.output.strip().splitlines()
+    assert lines == ["radius,delta_hat", *(f"{r},{d}" for r, d in enumerate(deltas))]
+    assert len(calls) == radius // 2 + 1
+
+
 @pytest.mark.parametrize("csv", [[], ["--csv"]])
 def test_slim_rejects_a_negative_radius(runner, csv):
     result = invoke(runner, ["slim", "Z^2", "--radius", "-1", *csv])

@@ -32,7 +32,6 @@ from pdfill.errors import (
 )
 from pdfill import filling
 from pdfill.filling import (
-    WALK_VISITS_PER_BUDGET,
     Cells,
     OneCycle,
     _closed_cycles,
@@ -41,7 +40,12 @@ from pdfill.filling import (
     fill,
     letter_automorphisms,
 )
-from pdfill.groups import builtin_group_specs
+from pdfill.groups import (
+    WORK_PER_BUDGET,
+    Presentation,
+    TwistedPairOracle,
+    builtin_group_specs,
+)
 from pdfill.rings import frac_str
 from pdfill.words import invert_word, word_from_string, word_to_string
 
@@ -560,6 +564,30 @@ def random_core_level(rng):
             return cells
 
 
+def test_a_pruned_tail_of_values_is_counted_not_drawn(monkeypatch):
+    # the unit square of the Z^3 window fills at value 1 in 1 + 6*bound
+    # nodes, as when every value was a node of its own: past the values
+    # that cancel an entry, each cell's first value that cancels nothing
+    # is pruned, and the rest are counted without being drawn
+    z3 = build_ball_complex(free_abelian(3), 3)
+    cycle = word_cycle(z3, square_word(1))
+    drawn = []
+    real = filling._value_order
+
+    def counting(cancels, bound):
+        for value in real(cancels, bound):
+            drawn.append(value not in cancels)
+            yield value
+
+    monkeypatch.setattr(filling, "_value_order", counting)
+    monkeypatch.setattr(filling, "MAX_SEARCH_NODES", 10**7)
+    for bound in (1, 2, 10**6):
+        drawn.clear()
+        result = minimal_filling(z3, cycle, bound)
+        assert result.filler == {0: 1} and result.nodes_explored == 1 + 6 * bound
+        assert len(drawn) == 6 and sum(drawn) == 3    # one value per tail
+
+
 def test_fill_searches_a_core_as_the_reference_does():
     # with nothing collapsed the library searches the cells the reference
     # does, so filler and node count must agree.  Coefficients of 2 leave
@@ -654,9 +682,9 @@ def test_closed_walks_stop_past_the_visit_bound():
     # on the radius-2 window, cap 16 closes 492 distinct cycles in 24,729
     # visits: the budget that just admits the visits passes, one less stops
     x = build_ball_complex(free_abelian(2), 2)
-    budget = math.ceil(24_729 / WALK_VISITS_PER_BUDGET)
+    budget = math.ceil(24_729 / WORK_PER_BUDGET)
     assert len(_closed_cycles(x, 16, budget=budget)) == 492
-    smaller = WALK_VISITS_PER_BUDGET * (budget - 1)
+    smaller = WORK_PER_BUDGET * (budget - 1)
     with pytest.raises(BudgetError, match=f"exceeded {smaller} visits"):
         _closed_cycles(x, 16, budget=budget - 1)
 
@@ -793,6 +821,17 @@ def test_letter_automorphisms_match_a_blind_filter(spec):
         assert len(ours) == 1
         return
     assert ours == {tuple(sorted(s.items())) for s in blind_automorphisms(presentation)}
+
+
+def test_list_relators_are_stored_as_tuples():
+    # a relator given as a list left the presentation unhashable, and the
+    # automorphism search and the sweep raised TypeError on it
+    listed = Presentation(2, ([1, 2, 1, -2],))
+    tupled = Presentation(2, ((1, 2, 1, -2),))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert list(letter_automorphisms(listed)) == list(letter_automorphisms(tupled))
+    twisted = TwistedPairOracle("Klein", listed, [(1, 0), (0, 1)])
+    assert isoperimetric_sweep(twisted, 5, 8) == isoperimetric_sweep(make_group("Klein"), 5, 8)
 
 
 def solve_every_cycle(spec, radius, cap, bound):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,13 +21,13 @@ from pdfill import (
 )
 from pdfill.errors import BudgetError, SpecParseError
 from pdfill.folner import (
-    GROWN_SETS_PER_BUDGET,
     _cayley_graph,
     _gain_cap,
     _has_short_cycle,
 )
 from pdfill.group_ring import GroupRingElement
-from pdfill.groups import ball
+from pdfill import folner
+from pdfill.groups import DEFAULT_BALL_BUDGET, WORK_PER_BUDGET, ball
 
 # connected subsets of the 4-regular tree containing the root, of size at
 # most K: there are (4 / (3k + 4)) * C(3k + 4, k) rooted subtrees with
@@ -237,12 +238,51 @@ def test_sweep_family_validation():
 def test_connected_sets_stop_past_the_grown_set_bound():
     # connected:7 on Z^3 grows the 23,952 sets of size 1 to 6 and counts
     # the rest: the budget that just admits them passes, one less stops
-    budget = math.ceil(23_952 / GROWN_SETS_PER_BUDGET)
+    budget = math.ceil(23_952 / WORK_PER_BUDGET)
     report = folner_sweep(free_abelian(3), "connected:7", budget=budget)
     assert report == folner_sweep(free_abelian(3), "connected:7")
-    smaller = GROWN_SETS_PER_BUDGET * (budget - 1)
+    smaller = WORK_PER_BUDGET * (budget - 1)
     with pytest.raises(BudgetError, match=f"exceeded {smaller} grown sets"):
         folner_sweep(free_abelian(3), "connected:7", budget=budget - 1)
+
+
+def brute_force_series(neighbors, tests, size_max):
+    """(series, sets) over the connected sets holding vertex 0, each listed
+    as a subset of the vertices and checked for connectedness."""
+    best, sets = {}, 0
+    for size in range(1, size_max + 1):
+        for rest in itertools.combinations(range(1, len(neighbors)), size - 1):
+            members = {0, *rest}
+            seen, stack = {0}, [0]
+            while stack:
+                for u in neighbors[stack.pop()]:
+                    if u in members and u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+            if seen != members:
+                continue
+            sets += 1
+            boundary = sum(any(t not in members for t in tests[g]) for g in members)
+            best[size] = min(best.get(size, size), boundary)
+    return [(size, Fraction(b, size)) for size, b in sorted(best.items())], sets
+
+
+def test_connected_series_needs_its_size_k_clause(monkeypatch):
+    # a Schreier graph of two permutations of 7 points, where the counted
+    # last two levels must also leave the size-K minimum alone.  Each
+    # vertex is the test of two, so the gain cap is 3.  Counting the
+    # subtrees whenever they cannot lower the size-(K - 1) minimum alone
+    # gives (5, 2/5); the least boundary of a 5-set is 1
+    neighbors = [[1, 2, 3, 4], [0, 5, 6], [0, 4, 6], [0, 5, 6], [0, 2], [1, 3], [1, 2, 3]]
+    tests = [(1, 3), (6, 5), (4, 0), (5, 6), (0, 4), (3, 1), (2, 2)]
+    distance = [0, 1, 1, 1, 1, 2, 2]
+    monkeypatch.setattr(
+        folner, "_cayley_graph", lambda oracle, radius, budget: (neighbors, tests, distance)
+    )
+    assert _gain_cap(neighbors, tests, distance, 5) == 3
+    series, sets = folner._connected_series(None, 5, DEFAULT_BALL_BUDGET)
+    assert series[-1] == (5, Fraction(1, 5)) and sets == 47
+    assert (series, sets) == brute_force_series(neighbors, tests, 5)
 
 
 @pytest.mark.parametrize("spec", builtin_group_specs()[:6])
