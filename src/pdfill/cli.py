@@ -6,21 +6,21 @@ strings); the two sweep commands can emit CSV instead.  Identical
 invocations with identical seeds produce byte-identical output.
 
 Exit codes: 0 success, 2 usage or spec error, 3 budget exceeded,
-4 internal invariant violation.  The PDFILL_BUDGET environment variable,
-a positive integer, overrides the default budget on the ball's size, on
-fill's distinct cycles, and, ``groups.WORK_PER_BUDGET`` (25) times over,
-on fill's walk visits and folner's grown sets; any other value is a
-usage error.
+4 internal invariant violation.  Arguments are parsed by the standard
+library's argparse, which starts faster than a third-party parser; options
+must be spelled out in full, and ``--help`` lists a command's options.  The
+PDFILL_BUDGET environment variable, a positive integer, overrides the
+default budget on the ball's size, on fill's distinct cycles, and,
+``groups.WORK_PER_BUDGET`` (25) times over, on fill's walk visits and
+folner's grown sets; any other value is a usage error.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import os
 import sys
-
-import click
 
 from .errors import (
     BudgetError,
@@ -63,7 +63,8 @@ def _emit(text: str, output: str | None):
     if output:
         with open(output, "w") as handle:
             handle.write(text)
-    click.echo(text, nl=False)
+    sys.stdout.write(text)
+    sys.stdout.flush()
 
 
 def _emit_json(payload: dict, output: str | None):
@@ -82,38 +83,34 @@ def _emit_report(report, as_csv: bool, output: str | None):
         _emit_json(report.to_json_dict(), output)
 
 
-def _handle_errors(command):
-    @functools.wraps(command)
-    def wrapper(*args, **kwargs):
-        try:
-            return command(*args, **kwargs)
-        except InvariantError as err:
-            click.echo(f"invariant violation: {err}", err=True)
-            sys.exit(4)
-        except BudgetError as err:
-            click.echo(f"budget exceeded: {err}", err=True)
-            sys.exit(3)
-        except PdfillError as err:
-            click.echo(f"error: {err}", err=True)
-            sys.exit(2)
-
-    return wrapper
+def _make_parser(factory, *args, **kwargs):
+    """A parser from ``factory`` that takes options spelled out in full,
+    and ``--help`` but no short option."""
+    parser = factory(*args, allow_abbrev=False, add_help=False, **kwargs)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
 
 
-@click.group()
-def main():
-    """Group-ring chain complexes and isoperimetric probes on Cayley balls."""
+_PARSER = _make_parser(
+    argparse.ArgumentParser,
+    prog="pdfill",
+    description="Group-ring chain complexes and isoperimetric probes on Cayley balls.",
+)
+_COMMANDS = _PARSER.add_subparsers(title="commands", metavar="COMMAND", required=True)
 
 
-@main.command("complex")
-@click.argument("group_spec")
-@click.argument("ring_spec")
-@click.option("--dualize", is_flag=True, help="Reverse and conjugate-transpose.")
-@click.option("--twist", "twist_spec", default=None, help='Character, e.g. "a:-1,b:1".')
-@click.option("--euler", is_flag=True, help="Report the Euler characteristic.")
-@click.option("--homology", "homology_field", default=None, help="Field, e.g. Q or Z/2.")
-@click.option("--output", default=None, type=click.Path(), help="Also write to a file.")
-@_handle_errors
+def _command(name, function):
+    """The parser of one command, which runs ``function`` on its arguments."""
+    parser = _make_parser(
+        _COMMANDS.add_parser,
+        name,
+        help=function.__doc__.splitlines()[0],
+        description=function.__doc__,
+    )
+    parser.set_defaults(command=function)
+    return parser
+
+
 def cmd_complex(group_spec, ring_spec, dualize, twist_spec, euler, homology_field, output):
     """Presentation chain complex of GROUP over RING, with optional transforms."""
     group = make_group(group_spec)
@@ -151,15 +148,16 @@ def cmd_complex(group_spec, ring_spec, dualize, twist_spec, euler, homology_fiel
     _emit_json(payload, output)
 
 
-@main.command("fill")
-@click.argument("group_spec")
-@click.argument("ring_spec")
-@click.option("--radius", required=True, type=int)
-@click.option("--max-word", required=True, type=int)
-@click.option("--coeff-bound", default=1, type=int, show_default=True)
-@click.option("--csv", "as_csv", is_flag=True, help="Emit CSV instead of JSON.")
-@click.option("--output", default=None, type=click.Path())
-@_handle_errors
+_parser = _command("complex", cmd_complex)
+_parser.add_argument("group_spec")
+_parser.add_argument("ring_spec")
+_parser.add_argument("--dualize", action="store_true", help="Reverse and conjugate-transpose.")
+_parser.add_argument("--twist", dest="twist_spec", help='Character, e.g. "a:-1,b:1".')
+_parser.add_argument("--euler", action="store_true", help="Report the Euler characteristic.")
+_parser.add_argument("--homology", dest="homology_field", help="Field, e.g. Q or Z/2.")
+_parser.add_argument("--output", help="Also write to a file.")
+
+
 def cmd_fill(group_spec, ring_spec, radius, max_word, coeff_bound, as_csv, output):
     """Minimal fillings of all closed words up to a length cap in a window.
 
@@ -175,14 +173,16 @@ def cmd_fill(group_spec, ring_spec, radius, max_word, coeff_bound, as_csv, outpu
     _emit_report(report, as_csv, output)
 
 
-@main.command("folner")
-@click.argument("group_spec")
-@click.option("--family", required=True, help="balls:R | boxes:N | connected:K")
-@click.option("--threshold", default="1/10", show_default=True,
-              help="Vanishing threshold for non-exhaustive families.")
-@click.option("--csv", "as_csv", is_flag=True, help="Emit CSV instead of JSON.")
-@click.option("--output", default=None, type=click.Path())
-@_handle_errors
+_parser = _command("fill", cmd_fill)
+_parser.add_argument("group_spec")
+_parser.add_argument("ring_spec")
+_parser.add_argument("--radius", required=True, type=int)
+_parser.add_argument("--max-word", required=True, type=int)
+_parser.add_argument("--coeff-bound", default=1, type=int, help="[default: %(default)s]")
+_parser.add_argument("--csv", dest="as_csv", action="store_true", help="Emit CSV instead of JSON.")
+_parser.add_argument("--output")
+
+
 def cmd_folner(group_spec, family, threshold, as_csv, output):
     """Boundary-to-size ratios over a family of finite sets."""
     group = make_group(group_spec)
@@ -191,16 +191,15 @@ def cmd_folner(group_spec, family, threshold, as_csv, output):
     _emit_report(report, as_csv, output)
 
 
-@main.command("slim")
-@click.argument("group_spec")
-@click.option("--radius", required=True, type=int)
-@click.option("--samples", default=None, type=int,
-              help="Triangle sample size (default: all up to 20000).")
-@click.option("--seed", default=0, type=int, show_default=True)
-@click.option("--csv", "as_csv", is_flag=True,
-              help="Emit a (radius, delta_hat) series up to --radius as CSV.")
-@click.option("--output", default=None, type=click.Path())
-@_handle_errors
+_parser = _command("folner", cmd_folner)
+_parser.add_argument("group_spec")
+_parser.add_argument("--family", required=True, help="balls:R | boxes:N | connected:K")
+_parser.add_argument("--threshold", default="1/10",
+                     help="Vanishing threshold for non-exhaustive families. [default: %(default)s]")
+_parser.add_argument("--csv", dest="as_csv", action="store_true", help="Emit CSV instead of JSON.")
+_parser.add_argument("--output")
+
+
 def cmd_slim(group_spec, radius, samples, seed, as_csv, output):
     """Worst triangle slimness over a window."""
     group = make_group(group_spec)
@@ -221,11 +220,16 @@ def cmd_slim(group_spec, radius, samples, seed, as_csv, output):
     _emit_json(sweep(radius).to_json_dict(), output)
 
 
-@main.command("constants")
-@click.argument("group_spec")
-@click.option("--kappa", required=True, type=int)
-@click.option("--output", default=None, type=click.Path())
-@_handle_errors
+_parser = _command("slim", cmd_slim)
+_parser.add_argument("group_spec")
+_parser.add_argument("--radius", required=True, type=int)
+_parser.add_argument("--samples", type=int, help="Triangle sample size (default: all up to 20000).")
+_parser.add_argument("--seed", default=0, type=int, help="[default: %(default)s]")
+_parser.add_argument("--csv", dest="as_csv", action="store_true",
+                     help="Emit a (radius, delta_hat) series up to --radius as CSV.")
+_parser.add_argument("--output")
+
+
 def cmd_constants(group_spec, kappa, output):
     """Corridor constants derived from the longest relator."""
     group = make_group(group_spec)
@@ -235,18 +239,65 @@ def cmd_constants(group_spec, kappa, output):
     _emit_json(constants.to_json_dict(), output)
 
 
-@main.command("transfer")
-@click.option("--kappa", required=True, help="Filling constant, int or p/q.")
-@click.option("--norm-x", required=True, type=int)
-@click.option("--norm-z", required=True, type=int)
-@click.option("--norm-h", required=True, type=int)
-@click.option("--output", default=None, type=click.Path())
-@_handle_errors
+_parser = _command("constants", cmd_constants)
+_parser.add_argument("group_spec")
+_parser.add_argument("--kappa", required=True, type=int)
+_parser.add_argument("--output")
+
+
 def cmd_transfer(kappa, norm_x, norm_z, norm_h, output):
     """kappa*|X|*|Z| + |H|: carry a filling constant across chain maps."""
     kappa = _module.RATIONALS.parse_value(kappa).payload
     value = _module.transfer_constant(kappa, norm_x, norm_z, norm_h)
     _emit_json({"constant": _module.frac_str(value)}, output)
+
+
+_parser = _command("transfer", cmd_transfer)
+_parser.add_argument("--kappa", required=True, help="Filling constant, int or p/q.")
+_parser.add_argument("--norm-x", required=True, type=int)
+_parser.add_argument("--norm-z", required=True, type=int)
+_parser.add_argument("--norm-h", required=True, type=int)
+_parser.add_argument("--output")
+
+
+def main(args=None, prog_name=None, standalone_mode=True):
+    """Run one command, as ``pdfill ARGS`` does.
+
+    ``args`` defaults to ``sys.argv[1:]``, and ``prog_name``, the program's
+    name in usage and help, to ``pdfill``.  Usage errors exit 2; pdfill
+    errors print one line on stderr and exit 2, 3 or 4.  A command that
+    succeeds exits 0 in standalone mode and returns otherwise.
+    """
+    _PARSER.prog = prog_name or "pdfill"
+    for name, parser in _COMMANDS.choices.items():
+        parser.prog = f"{_PARSER.prog} {name}"
+    arguments = vars(_PARSER.parse_args(args))
+    command = arguments.pop("command")
+    try:
+        command(**arguments)
+    except InvariantError as err:
+        sys.stderr.write(f"invariant violation: {err}\n")
+        sys.exit(4)
+    except BudgetError as err:
+        sys.stderr.write(f"budget exceeded: {err}\n")
+        sys.exit(3)
+    except PdfillError as err:
+        sys.stderr.write(f"error: {err}\n")
+        sys.exit(2)
+    except BrokenPipeError:
+        # the reader closed stdout early (pdfill ... | head): end quietly
+        # with 1, and let the final flush write to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    if standalone_mode:
+        sys.exit(0)
+
+
+# click.testing.CliRunner and perfbench/probe.py call ``main.main(args=...,
+# prog_name=..., standalone_mode=...)`` and name the program ``main.name``,
+# as they would a click command
+main.main = main
+main.name = "pdfill"
 
 
 if __name__ == "__main__":

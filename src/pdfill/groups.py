@@ -64,15 +64,21 @@ class Presentation:
     def __post_init__(self):
         if self.generator_count < 1:
             raise SpecParseError("need at least one generator")
-        object.__setattr__(self, "relators", tuple(map(tuple, self.relators)))
-        for rel in self.relators:
+        try:
+            relators = tuple(map(tuple, self.relators))
+        except TypeError:
+            raise SpecParseError(f"relators must be sequences, got {self.relators!r}") from None
+        object.__setattr__(self, "relators", relators)
+        for rel in relators:
             if not rel:
                 raise SpecParseError("relators must be nonempty")
-            if free_reduce(rel) != rel:
-                raise SpecParseError(f"relator {rel!r} is not freely reduced")
             for letter in rel:
+                if not isinstance(letter, int):
+                    raise SpecParseError(f"letter {letter!r} is not an integer in {rel!r}")
                 if not 1 <= abs(letter) <= self.generator_count:
                     raise SpecParseError(f"letter {letter} out of range in {rel!r}")
+            if free_reduce(rel) != rel:
+                raise SpecParseError(f"relator {rel!r} is not freely reduced")
 
     @cached_property
     def conjugates(self) -> tuple:

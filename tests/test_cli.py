@@ -82,6 +82,20 @@ def test_usage_errors_exit_2(runner):
     # the sweep is serial and takes no worker count
     args = ["fill", "Z^2", "Z", "--radius", "2", "--max-word", "4", "--threads", "1"]
     assert invoke(runner, args).exit_code == 2
+    # no command, an unknown one, an abbreviated option, a missing option
+    # and a malformed number are refused before any command runs
+    fill = ["fill", "Z^2", "Z", "--max-word", "4"]
+    for args in ([], ["nope"], fill + ["--rad", "2"], fill, fill + ["--radius", "x"]):
+        result = invoke(runner, args)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr
+    # --help lists the commands, and each option of a command
+    commands = ["complex", "fill", "folner", "slim", "constants", "transfer"]
+    options = ["--radius", "--max-word", "--coeff-bound", "--csv", "--output"]
+    for args, names in ((["--help"], commands), (["fill", "--help"], options)):
+        result = invoke(runner, args)
+        assert result.exit_code == 0
+        assert all(name in result.stdout for name in names)
 
 
 def test_homology_over_a_large_prime_field(runner):
@@ -549,17 +563,53 @@ def test_bounded_canonical_cache_keeps_fill_stdout(runner, monkeypatch):
     assert max(sizes) <= limit + closures[0]
 
 
+def checkout_env(**extra):
+    """os.environ updated by extra, with this checkout's src/ first on
+    PYTHONPATH."""
+    src = str(Path(pdfill.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""), **extra}
+
+
 def run_python(code, *args):
     """stdout of a fresh interpreter running code, with this checkout's src/
     first on PYTHONPATH."""
-    src = str(Path(pdfill.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     result = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=checkout_env(), timeout=120,
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+def test_console_script_path():
+    # ``python -m pdfill.cli`` calls main() with no arguments, as the
+    # console script does, and exits with its code; CliRunner never does
+    command = [sys.executable, "-m", "pdfill.cli"]
+
+    def run(args, **env):
+        return subprocess.run(
+            command + args, capture_output=True, env=checkout_env(**env), timeout=120
+        )
+
+    args, digest = GOLDEN_STDOUT[0]
+    result = run(args)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
+    result = run(["fill", "Nope", "Z", "--radius", "2", "--max-word", "4"])
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr.startswith(b"error: ")
+    result = run(["fill", "Z^2", "Z", "--radius", "3", "--max-word", "6"], PDFILL_BUDGET="10")
+    assert (result.returncode, result.stdout) == (3, b"")
+    assert result.stderr.startswith(b"budget exceeded: ")
+    # a reader that stops early (pdfill ... | head) ends the command with
+    # exit 1 and nothing on stderr; the 0.4 MB of JSON overfills the pipe
+    process = subprocess.Popen(
+        command + args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=checkout_env()
+    )
+    process.stdout.close()
+    assert process.stderr.read() == b""
+    assert process.wait(timeout=120) == 1
 
 
 # numpy and scipy are test dependencies only (the reference boundary
@@ -588,7 +638,8 @@ def test_commands_load_no_numpy_or_scipy():
 
 # each command imports only its own layer: the benchmark's set-up sample
 # (import pdfill.cli, build the group) loads none of these, and a command
-# loads none but its own
+# loads none but its own.  Neither loads click, which is a test dependency
+# only: the CLI parses with argparse.
 LAYERS = {"complexes", "filling", "folner", "group_ring", "slimness"}
 LOADED_LAYERS_PROBE = """
 import contextlib, io, sys
@@ -599,6 +650,7 @@ if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         pdfill.cli.main(sys.argv[1:], standalone_mode=False)
 print(" ".join(sorted(m.split(".")[1] for m in sys.modules if m.startswith("pdfill."))))
+print("click" in sys.modules)
 """
 
 
@@ -613,9 +665,11 @@ print(" ".join(sorted(m.split(".")[1] for m in sys.modules if m.startswith("pdfi
     ids=["set-up", "slim", "fill", "folner"],
 )
 def test_a_command_loads_only_its_own_layer(args, layer):
-    loaded = set(run_python(LOADED_LAYERS_PROBE, *args).split())
+    modules, click = run_python(LOADED_LAYERS_PROBE, *args).splitlines()
+    loaded = set(modules.split())
     assert {"cli", "errors", "groups"} <= loaded
     assert loaded & LAYERS == ({layer} if layer else set())
+    assert click == "False"
 
 
 # the package's exports, as listed when it imported every module eagerly

@@ -62,6 +62,12 @@ def test_parameter_validation():
         Presentation(2, ((),))        # empty relator
     with pytest.raises(SpecParseError):
         Presentation(1, ((2,),))      # letter out of range
+    with pytest.raises(SpecParseError):
+        Presentation(2, ((1, 1.5, -1),))   # a letter that is not an integer
+    with pytest.raises(SpecParseError):
+        Presentation(2, ((1, "b", -1),))
+    with pytest.raises(SpecParseError):
+        Presentation(2, (5,))              # a relator that is not a sequence
 
 
 def test_free_group_basics():
