@@ -18,9 +18,11 @@ folner's grown sets; any other value is a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from itertools import chain
 
 from .errors import (
     BudgetError,
@@ -68,7 +70,54 @@ def _emit(text: str, output: str | None):
 
 
 def _emit_json(payload: dict, output: str | None):
-    _emit(json.dumps(payload, indent=2) + "\n", output)
+    _emit(_render(payload, "\n") + "\n", output)
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _encoder(pad: str) -> json.JSONEncoder:
+    """A compact encoder whose item separator is a comma and ``pad``.
+
+    Without ``indent`` it runs json's C encoder, several times faster than
+    the pure-Python one that ``indent=2`` runs.
+    """
+    return json.JSONEncoder(separators=("," + pad, ": "))
+
+
+def _scalars_only(values) -> bool:
+    """Whether no value is a dict, list or tuple, tested once per type."""
+    return not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, values)))
+
+
+def _render(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, where ``pad``
+    is a newline and the indentation of the value's own lines."""
+    if not isinstance(value, _CONTAINERS):
+        return json.dumps(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = pad + "  "
+    if _scalars_only(value.values() if isinstance(value, dict) else value):
+        text = _encoder(inner).encode(value)
+        return text[0] + inner + text[1:-1] + pad + text[-1]
+    if isinstance(value, dict):
+        # json's own text for each key is what it writes between "{" and ": 0}"
+        members = (
+            json.dumps({key: 0})[1:-4] + ": " + _render(item, inner) for key, item in value.items()
+        )
+        return "{" + inner + ("," + inner).join(members) + pad + "}"
+    dicts = all(issubclass(kind, dict) for kind in set(map(type, value))) and all(value)
+    if dicts and _scalars_only(chain.from_iterable(map(dict.values, value))):
+        # one encoder call separates the dicts' members at their depth, and
+        # the dicts at the same depth; re-indent each seam between dicts.
+        # JSON strings escape newlines, so "},\n" appears only at a seam
+        deeper = inner + "  "
+        text = _encoder(deeper).encode(value)
+        text = text.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+        return "[" + inner + "{" + deeper + text[2:-2] + inner + "}" + pad + "]"
+    return "[" + inner + ("," + inner).join(_render(item, inner) for item in value) + pad + "]"
 
 
 def _emit_csv(rows, output: str | None):
@@ -83,16 +132,35 @@ def _emit_report(report, as_csv: bool, output: str | None):
         _emit_json(report.to_json_dict(), output)
 
 
-def _make_parser(factory, *args, **kwargs):
-    """A parser from ``factory`` that takes options spelled out in full,
-    and ``--help`` but no short option."""
-    parser = factory(*args, allow_abbrev=False, add_help=False, **kwargs)
-    parser.add_argument("--help", action="help", help="Show this message and exit.")
-    return parser
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes options spelled out in full, and ``--help`` but
+    no short option.  The token after an option that takes a value is that
+    value, even when it starts with ``-`` (``--kappa -1/2``), as in click."""
+
+    def __init__(self, **kwargs):
+        self.value_options = set()
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.option_strings and action.nargs is None:
+            self.value_options.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        tokens = iter(sys.argv[1:] if args is None else args)
+        joined = []
+        for token in tokens:
+            if token in self.value_options:
+                value = next(tokens, None)
+                if value is not None:
+                    token = f"{token}={value}"
+            joined.append(token)
+        return super().parse_known_args(joined, namespace)
 
 
-_PARSER = _make_parser(
-    argparse.ArgumentParser,
+_PARSER = _Parser(
     prog="pdfill",
     description="Group-ring chain complexes and isoperimetric probes on Cayley balls.",
 )
@@ -101,11 +169,8 @@ _COMMANDS = _PARSER.add_subparsers(title="commands", metavar="COMMAND", required
 
 def _command(name, function):
     """The parser of one command, which runs ``function`` on its arguments."""
-    parser = _make_parser(
-        _COMMANDS.add_parser,
-        name,
-        help=function.__doc__.splitlines()[0],
-        description=function.__doc__,
+    parser = _COMMANDS.add_parser(
+        name, help=function.__doc__.splitlines()[0], description=function.__doc__
     )
     parser.set_defaults(command=function)
     return parser

@@ -9,31 +9,27 @@ second differential the Jacobian of free derivatives of the relators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvariantError, NotAFieldError, SpecParseError
 from .group_ring import Character, GroupRingElement, GroupRingMatrix
 from .groups import GroupOracle
 from .rings import INTEGERS, Ring, RingValue
 
 
-@dataclass
 class ChainComplex:
     """ranks[k] is the rank of level k; differentials[k-1] maps level k to k-1."""
 
-    ring: Ring
-    group: GroupOracle
-    ranks: tuple
-    differentials: tuple
-
-    def __post_init__(self):
-        if len(self.differentials) != max(len(self.ranks) - 1, 0):
+    def __init__(self, ring: Ring, group: GroupOracle, ranks: tuple, differentials: tuple):
+        self.ring = ring
+        self.group = group
+        self.ranks = ranks
+        self.differentials = differentials
+        if len(differentials) != max(len(ranks) - 1, 0):
             raise SpecParseError("need one differential per adjacent pair of levels")
-        for k, diff in enumerate(self.differentials, start=1):
-            if diff.rows != self.ranks[k] or diff.cols != self.ranks[k - 1]:
+        for k, diff in enumerate(differentials, start=1):
+            if diff.rows != ranks[k] or diff.cols != ranks[k - 1]:
                 raise SpecParseError(
                     f"differential {k} has shape {diff.rows}x{diff.cols}, "
-                    f"expected {self.ranks[k]}x{self.ranks[k - 1]}"
+                    f"expected {ranks[k]}x{ranks[k - 1]}"
                 )
         self.check_boundary_squares_to_zero()
 

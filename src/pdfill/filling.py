@@ -56,7 +56,6 @@ unfilled verdict are the same at every bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
@@ -117,17 +116,18 @@ class Cells:
         self.core = [f for f, alive in enumerate(live) if alive]
 
 
-@dataclass
 class CayleyBallComplex:
     """A finite window of the Cayley 2-complex of a presentation."""
 
-    group: GroupOracle
-    radius: int
-    vertices: list
-    distances: list
-    steps: dict          # signed letter -> array: index of vertex * letter, -1 outside
-    faces: list          # (base vertex index, relator index)
-    cells: Cells         # the faces over edge ids v*m + g - 1
+    def __init__(self, group: GroupOracle, radius: int, vertices: list, distances: list,
+                 steps: dict, faces: list, cells: Cells):
+        self.group = group
+        self.radius = radius
+        self.vertices = vertices
+        self.distances = distances
+        self.steps = steps      # signed letter -> array: index of vertex * letter, -1 outside
+        self.faces = faces      # (base vertex index, relator index)
+        self.cells = cells      # the faces over edge ids v*m + g - 1
 
     @property
     def vertex_count(self):
@@ -240,15 +240,12 @@ def _is_cycle(complex_, coefficients) -> bool:
     return not any(net.values())
 
 
-@dataclass
 class OneCycle:
     """An integer 1-chain in the kernel of the edge boundary."""
 
-    complex: CayleyBallComplex
-    coefficients: dict
-
-    def __post_init__(self):
-        self.coefficients = {e: c for e, c in self.coefficients.items() if c}
+    def __init__(self, complex: CayleyBallComplex, coefficients: dict):
+        self.complex = complex
+        self.coefficients = {e: c for e, c in coefficients.items() if c}
         if not self.is_cycle():
             raise NotACycleError("chain is not in the kernel of the boundary")
 
@@ -274,13 +271,14 @@ def word_cycle(complex_: CayleyBallComplex, word) -> OneCycle:
     return OneCycle(complex_, coefficients)
 
 
-@dataclass
 class FillingResult:
-    filler: dict
-    cycle_norm: int
-    filler_norm: int
-    ratio: Fraction
-    nodes_explored: int      # core-search nodes; 0 when the core is not searched
+    def __init__(self, filler: dict, cycle_norm: int, filler_norm: int, ratio: Fraction,
+                 nodes_explored: int):
+        self.filler = filler
+        self.cycle_norm = cycle_norm
+        self.filler_norm = filler_norm
+        self.ratio = ratio
+        self.nodes_explored = nodes_explored    # core-search nodes; 0 when the core is not searched
 
 
 def minimal_filling(
@@ -511,17 +509,19 @@ def _exact_search(cells, chain, residual, bound):
     return best["filler"], nodes
 
 
-@dataclass
 class SweepReport:
-    group: str
-    radius: int
-    word_length_cap: int
-    coefficient_bound: int
-    corpus_size: int
-    filled: int
-    unfilled: int
-    max_ratio: Fraction
-    per_cycle: list = field(default_factory=list)
+    def __init__(self, group: str, radius: int, word_length_cap: int, coefficient_bound: int,
+                 corpus_size: int, filled: int, unfilled: int, max_ratio: Fraction,
+                 per_cycle: list | None = None):
+        self.group = group
+        self.radius = radius
+        self.word_length_cap = word_length_cap
+        self.coefficient_bound = coefficient_bound
+        self.corpus_size = corpus_size
+        self.filled = filled
+        self.unfilled = unfilled
+        self.max_ratio = max_ratio
+        self.per_cycle = [] if per_cycle is None else per_cycle
 
     def to_json_dict(self) -> dict:
         return {

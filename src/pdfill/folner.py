@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -39,17 +38,19 @@ def folner_boundary(oracle: GroupOracle, subset) -> set:
     return {g for g in members if any(oracle.multiply(g, s) not in members for s in inverses)}
 
 
-@dataclass
 class FolnerReport:
-    group: str
-    family: str
-    sets_examined: int
-    best_set_size: int
-    best_ratio: Fraction
-    epsilon_hat: Fraction
-    kappa_hat: Fraction | None
-    verdict: str
-    series: list = field(default_factory=list)   # (set size, ratio) pairs
+    def __init__(self, group: str, family: str, sets_examined: int, best_set_size: int,
+                 best_ratio: Fraction, epsilon_hat: Fraction, kappa_hat: Fraction | None,
+                 verdict: str, series: list | None = None):
+        self.group = group
+        self.family = family
+        self.sets_examined = sets_examined
+        self.best_set_size = best_set_size
+        self.best_ratio = best_ratio
+        self.epsilon_hat = epsilon_hat
+        self.kappa_hat = kappa_hat
+        self.verdict = verdict
+        self.series = [] if series is None else series    # (set size, ratio) pairs
 
     def to_json_dict(self) -> dict:
         return {

@@ -9,8 +9,6 @@ left to right: applying A then B is the product ``A @ B``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     GroupMismatchError,
     InvalidCharacterError,
@@ -352,19 +350,29 @@ class GroupRingMatrix:
         return f"<RG matrix {self.rows}x{self.cols}>"
 
 
-@dataclass(frozen=True)
 class Character:
-    """A homomorphism from the group to the units of R, one value per generator."""
+    """A homomorphism from the group to the units of R, one value per
+    generator.  Characters compare and hash by ring and values."""
 
-    ring: Ring
-    values: tuple
-
-    def __post_init__(self):
-        for v in self.values:
-            if v.ring != self.ring:
+    def __init__(self, ring: Ring, values: tuple):
+        for v in values:
+            if v.ring != ring:
                 raise InvalidCharacterError("character value from the wrong ring")
             if not v.is_unit():
                 raise InvalidCharacterError(f"character value {v!r} is not a unit")
+        self.ring = ring
+        self.values = values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ring == other.ring and self.values == other.values
+
+    def __hash__(self):
+        return hash((self.ring, self.values))
+
+    def __repr__(self):
+        return f"Character(ring={self.ring!r}, values={self.values!r})"
 
     @classmethod
     def trivial(cls, ring: Ring, generator_count: int) -> "Character":

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import re
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BudgetError, GroupMismatchError, SpecParseError
@@ -50,7 +49,6 @@ CANONICAL_CACHE_LIMIT = 4 * DEFAULT_BALL_BUDGET
 WORK_PER_BUDGET = 25
 
 
-@dataclass(frozen=True)
 class Presentation:
     """A finite presentation: generator count plus freely reduced relators.
 
@@ -58,27 +56,36 @@ class Presentation:
     given as, so presentations compare and hash by their letters.
     """
 
-    generator_count: int
-    relators: tuple
-
-    def __post_init__(self):
-        if self.generator_count < 1:
+    def __init__(self, generator_count: int, relators):
+        if generator_count < 1:
             raise SpecParseError("need at least one generator")
         try:
-            relators = tuple(map(tuple, self.relators))
+            stored = tuple(map(tuple, relators))
         except TypeError:
-            raise SpecParseError(f"relators must be sequences, got {self.relators!r}") from None
-        object.__setattr__(self, "relators", relators)
-        for rel in relators:
+            raise SpecParseError(f"relators must be sequences, got {relators!r}") from None
+        for rel in stored:
             if not rel:
                 raise SpecParseError("relators must be nonempty")
             for letter in rel:
                 if not isinstance(letter, int):
                     raise SpecParseError(f"letter {letter!r} is not an integer in {rel!r}")
-                if not 1 <= abs(letter) <= self.generator_count:
+                if not 1 <= abs(letter) <= generator_count:
                     raise SpecParseError(f"letter {letter} out of range in {rel!r}")
             if free_reduce(rel) != rel:
                 raise SpecParseError(f"relator {rel!r} is not freely reduced")
+        self.generator_count = generator_count
+        self.relators = stored
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.generator_count, self.relators) == (other.generator_count, other.relators)
+
+    def __hash__(self):
+        return hash((self.generator_count, self.relators))
+
+    def __repr__(self):
+        return f"Presentation(generator_count={self.generator_count!r}, relators={self.relators!r})"
 
     @cached_property
     def conjugates(self) -> tuple:

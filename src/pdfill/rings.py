@@ -21,7 +21,6 @@ All arithmetic is exact, never floats.  Values are immutable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -68,26 +67,35 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Ring:
     """Descriptor for one of the supported coefficient rings.
 
     ``kind`` is one of ``"Z"``, ``"Q"``, ``"Zmod"``, ``"H"``; ``modulus``
     is set only for ``Zmod`` and must be at least 2, so every ring has at
-    least two elements.
+    least two elements.  Rings compare and hash by kind and modulus.
     """
 
-    kind: str
-    modulus: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("Z", "Q", "Zmod", "H"):
-            raise SpecParseError(f"unknown ring kind {self.kind!r}")
-        if self.kind == "Zmod":
-            if self.modulus is None or self.modulus < 2:
+    def __init__(self, kind: str, modulus: int | None = None):
+        if kind not in ("Z", "Q", "Zmod", "H"):
+            raise SpecParseError(f"unknown ring kind {kind!r}")
+        if kind == "Zmod":
+            if modulus is None or modulus < 2:
                 raise SpecParseError("residue ring needs a modulus >= 2")
-        elif self.modulus is not None:
-            raise SpecParseError(f"ring {self.kind!r} takes no modulus")
+        elif modulus is not None:
+            raise SpecParseError(f"ring {kind!r} takes no modulus")
+        self.kind = kind
+        self.modulus = modulus
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.modulus == other.modulus
+
+    def __hash__(self):
+        return hash((self.kind, self.modulus))
+
+    def __repr__(self):
+        return f"Ring(kind={self.kind!r}, modulus={self.modulus!r})"
 
     @property
     def name(self) -> str:

@@ -44,7 +44,6 @@ import bisect
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import SpecParseError
 from .groups import (
@@ -114,16 +113,18 @@ def _unranker(items, r: int):
     return unrank
 
 
-@dataclass
 class SlimnessReport:
-    group: str
-    radius: int
-    triangles_examined: int
-    delta_hat: int
-    witness: tuple | None
-    sampled: bool
-    all_geodesic_delta_hat: int | None = None
-    geodesic_choice_agrees: bool | None = None
+    def __init__(self, group: str, radius: int, triangles_examined: int, delta_hat: int,
+                 witness: tuple | None, sampled: bool, all_geodesic_delta_hat: int | None = None,
+                 geodesic_choice_agrees: bool | None = None):
+        self.group = group
+        self.radius = radius
+        self.triangles_examined = triangles_examined
+        self.delta_hat = delta_hat
+        self.witness = witness
+        self.sampled = sampled
+        self.all_geodesic_delta_hat = all_geodesic_delta_hat
+        self.geodesic_choice_agrees = geodesic_choice_agrees
 
     def to_json_dict(self) -> dict:
         return {
@@ -290,7 +291,6 @@ def slimness_sweep(
     )
 
 
-@dataclass(frozen=True)
 class SlimnessConstants:
     """Derived constants of the filling-versus-slimness comparison.
 
@@ -298,11 +298,23 @@ class SlimnessConstants:
     constant; k = kappa*N^2 + 1 and m = kappa*N are the corridor depth and
     layer count used when a fat triangle is played against the filling
     bound, and the comparison yields a contradiction once the slimness
-    defect exceeds 6k.
+    defect exceeds 6k.  Constants compare and hash by N and kappa.
     """
 
-    N: int
-    kappa: int
+    def __init__(self, N: int, kappa: int):
+        self.N = N
+        self.kappa = kappa
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.N, self.kappa) == (other.N, other.kappa)
+
+    def __hash__(self):
+        return hash((self.N, self.kappa))
+
+    def __repr__(self):
+        return f"SlimnessConstants(N={self.N!r}, kappa={self.kappa!r})"
 
     @property
     def k(self) -> int:

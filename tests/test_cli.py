@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdfill
 from pdfill import cli, cyclic_table, filling, finite_table, groups
@@ -612,6 +616,42 @@ def test_console_script_path():
     assert process.wait(timeout=120) == 1
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ["transfer", "--kappa", "-1/2", "--norm-x", "1", "--norm-z", "1", "--norm-h", "1"],
+            "error: transfer constant inputs must be non-negative\n",
+        ),
+        (
+            ["folner", "Z^2", "--family", "boxes:3", "--threshold", "-1/10"],
+            "error: threshold must lie strictly between 0 and 1, got -1/10\n",
+        ),
+    ],
+    ids=["kappa", "threshold"],
+)
+def test_an_option_value_may_start_with_a_dash(args, message):
+    # the token after an option that takes a value is its value, so these
+    # reach the domain check rather than argparse's "expected one argument"
+    result = subprocess.run(
+        [sys.executable, "-m", "pdfill.cli", *args],
+        capture_output=True, text=True, env=checkout_env(), timeout=120,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", message)
+
+
+def test_an_output_path_may_start_with_a_dash(tmp_path):
+    args = ["transfer", "--kappa", "3/2", "--norm-x", "2", "--norm-z", "1", "--norm-h", "1",
+            "--output", "-x.json"]
+    result = subprocess.run(
+        [sys.executable, "-m", "pdfill.cli", *args],
+        capture_output=True, text=True, env=checkout_env(), cwd=tmp_path, timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == '{\n  "constant": 4\n}\n'
+    assert (tmp_path / "-x.json").read_text() == result.stdout
+
+
 # numpy and scipy are test dependencies only (the reference boundary
 # matrices in tests/boundary_matrices.py); no command may import them
 NO_NUMPY_PROBE = """
@@ -638,9 +678,12 @@ def test_commands_load_no_numpy_or_scipy():
 
 # each command imports only its own layer: the benchmark's set-up sample
 # (import pdfill.cli, build the group) loads none of these, and a command
-# loads none but its own.  Neither loads click, which is a test dependency
-# only: the CLI parses with argparse.
-LAYERS = {"complexes", "filling", "folner", "group_ring", "slimness"}
+# loads none but its own.  None loads click, which is a test dependency
+# only (the CLI parses with argparse), nor dataclasses and the inspect
+# module behind it, which would cost every command's start-up several
+# milliseconds.
+LAYERS = {"complexes", "filling", "folner", "group_ring", "rings", "slimness"}
+UNWANTED = ("click", "dataclasses", "inspect")
 LOADED_LAYERS_PROBE = """
 import contextlib, io, sys
 import pdfill.cli
@@ -650,26 +693,27 @@ if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         pdfill.cli.main(sys.argv[1:], standalone_mode=False)
 print(" ".join(sorted(m.split(".")[1] for m in sys.modules if m.startswith("pdfill."))))
-print("click" in sys.modules)
-"""
+print(" ".join(m for m in %r if m in sys.modules))
+""" % (UNWANTED,)
 
 
 @pytest.mark.parametrize(
-    "args, layer",
+    "args, layers",
     [
-        ([], None),
-        (["slim", "Sigma2", "--radius", "2", "--samples", "10"], "slimness"),
-        (["fill", "Z^2", "Z", "--radius", "2", "--max-word", "4"], "filling"),
-        (["folner", "F2", "--family", "connected:4"], "folner"),
+        ([], set()),
+        (["slim", "Sigma2", "--radius", "2", "--samples", "10"], {"slimness"}),
+        (["fill", "Z^2", "Z", "--radius", "2", "--max-word", "4"], {"filling", "rings"}),
+        (["folner", "F2", "--family", "connected:4"], {"folner", "rings"}),
+        (["complex", "Klein", "Z", "--homology", "Q"], {"complexes", "group_ring", "rings"}),
     ],
-    ids=["set-up", "slim", "fill", "folner"],
+    ids=["set-up", "slim", "fill", "folner", "complex"],
 )
-def test_a_command_loads_only_its_own_layer(args, layer):
-    modules, click = run_python(LOADED_LAYERS_PROBE, *args).splitlines()
+def test_a_command_loads_only_its_own_layer(args, layers):
+    modules, unwanted = run_python(LOADED_LAYERS_PROBE, *args).split("\n")[:2]
     loaded = set(modules.split())
     assert {"cli", "errors", "groups"} <= loaded
-    assert loaded & LAYERS == ({layer} if layer else set())
-    assert click == "False"
+    assert loaded & LAYERS == layers
+    assert unwanted == ""
 
 
 # the package's exports, as listed when it imported every module eagerly
@@ -702,3 +746,43 @@ def test_package_exports_resolve_on_first_use():
     names, unresolved = json.loads(run_python(code))
     assert names == PACKAGE_EXPORTS
     assert unresolved == []
+
+
+# the JSON renderer, against json.dumps(indent=2) as the oracle
+SEAM = '},\n      {'
+TEXT = st.text() | st.sampled_from([SEAM, '"', '\\"},', "}],\n  [", "é", "☃", "\U0001d11e"])
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | TEXT
+FLAT_DICTS = st.lists(st.dictionaries(TEXT, SCALARS, min_size=1, max_size=4), min_size=1, max_size=5)
+PAIRS = st.lists(st.tuples(st.integers(), TEXT) | st.lists(SCALARS, min_size=2, max_size=2), max_size=5)
+JSON_TREES = st.recursive(
+    SCALARS | FLAT_DICTS | PAIRS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(TEXT, children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+def emitted_json(payload):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._emit_json(payload, None)
+    return out.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(JSON_TREES)
+def test_json_renderer_matches_indented_dumps(value):
+    assert emitted_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_json_renderer_keeps_the_fill_payload_and_scalar_keys():
+    payload = filling.isoperimetric_sweep(groups.make_group("Z^2"), 6, 10).to_json_dict()
+    text = emitted_json(payload)
+    assert len(text) == 397_270
+    assert text == json.dumps(payload, indent=2) + "\n"
+    keyed = {1: [{2.5: None}], True: {None: [()]}, "s": {0: []}}
+    assert emitted_json(keyed) == json.dumps(keyed, indent=2) + "\n"
+    with pytest.raises(TypeError, match="keys must be str"):
+        emitted_json({(1,): [1, [2]]})
