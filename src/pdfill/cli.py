@@ -10,9 +10,13 @@ Exit codes: 0 success, 2 usage or spec error, 3 budget exceeded,
 library's argparse, which starts faster than a third-party parser; options
 must be spelled out in full, and ``--help`` lists a command's options.  The
 PDFILL_BUDGET environment variable, a positive integer, overrides the
-default budget on the ball's size, on fill's distinct cycles, and,
-``groups.WORK_PER_BUDGET`` (25) times over, on fill's walk visits and
-folner's grown sets; any other value is a usage error.
+default budget on the ball's size, on fill's distinct cycles and on the
+word table's entries, and, ``groups.WORK_PER_BUDGET`` (25) times over, on
+fill's walk visits, folner's grown sets and the letters of the conjugate
+table a Dehn group builds; any other value is a usage error.  The library
+reads it (``groups.current_budget``) wherever a search spends it, so a
+library call obeys it as a command does.  An ``--output`` file that
+cannot be written is an error too, with nothing printed.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .errors import (
     PdfillError,
     SpecParseError,
 )
-from .groups import DEFAULT_BALL_BUDGET, make_group
+from .groups import make_group
 
 # Every other library name comes from the package, which imports its
 # module on first use, so a command loads only its own layer.  Commands
@@ -48,23 +52,13 @@ def __getattr__(name):
     return value
 
 
-def _budget() -> int:
-    raw = os.environ.get("PDFILL_BUDGET")
-    if raw is None:
-        return DEFAULT_BALL_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise SpecParseError(f"PDFILL_BUDGET must be a positive integer, got {raw!r}")
-    return value
-
-
 def _emit(text: str, output: str | None):
     if output:
-        with open(output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise PdfillError(f"cannot write {output}: {err.strerror}") from None
     sys.stdout.write(text)
     sys.stdout.flush()
 
@@ -232,9 +226,7 @@ def cmd_fill(group_spec, ring_spec, radius, max_word, coeff_bound, as_csv, outpu
     ring = _module.parse_ring(ring_spec)
     if ring.name != "Z":
         raise SpecParseError(f"fill works over Z only, got {ring.name}")
-    report = _module.isoperimetric_sweep(
-        group, radius, max_word, coefficient_bound=coeff_bound, budget=_budget()
-    )
+    report = _module.isoperimetric_sweep(group, radius, max_word, coefficient_bound=coeff_bound)
     _emit_report(report, as_csv, output)
 
 
@@ -252,7 +244,7 @@ def cmd_folner(group_spec, family, threshold, as_csv, output):
     """Boundary-to-size ratios over a family of finite sets."""
     group = make_group(group_spec)
     threshold = _module.RATIONALS.parse_value(threshold).payload
-    report = _module.folner_sweep(group, family, threshold=threshold, budget=_budget())
+    report = _module.folner_sweep(group, family, threshold=threshold)
     _emit_report(report, as_csv, output)
 
 
@@ -270,7 +262,7 @@ def cmd_slim(group_spec, radius, samples, seed, as_csv, output):
     group = make_group(group_spec)
 
     def sweep(r):
-        return _module.slimness_sweep(group, r, sample=samples, seed=seed, budget=_budget())
+        return _module.slimness_sweep(group, r, sample=samples, seed=seed)
 
     if as_csv:
         if radius < 0:    # the series below would be empty, not an error

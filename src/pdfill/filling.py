@@ -67,7 +67,7 @@ from .errors import (
     OutOfWindowError,
     SpecParseError,
 )
-from .groups import DEFAULT_BALL_BUDGET, WORK_PER_BUDGET, GroupOracle, ball
+from .groups import WORK_PER_BUDGET, GroupOracle, ball, current_budget
 from .rings import frac_str
 from .words import word_to_string
 
@@ -142,15 +142,11 @@ class CayleyBallComplex:
         return len(self.faces)
 
 
-def build_ball_complex(
-    group: GroupOracle,
-    radius: int,
-    budget: int = DEFAULT_BALL_BUDGET,
-) -> CayleyBallComplex:
+def build_ball_complex(group: GroupOracle, radius: int) -> CayleyBallComplex:
     presentation = group.presentation
     if presentation is None:
         raise SpecParseError(f"group {group.name} has no presentation")
-    elements = ball(group, radius, budget=budget)
+    elements = ball(group, radius)
     vertices = [g for g, _ in elements]
     distances = [d for _, d in elements]
     steps = elements.steps
@@ -555,7 +551,6 @@ def isoperimetric_sweep(
     radius: int,
     word_length_cap: int,
     coefficient_bound: int = 1,
-    budget: int = DEFAULT_BALL_BUDGET,
 ) -> SweepReport:
     """Fill every null-homotopic word up to the cap whose path fits the window.
 
@@ -563,7 +558,8 @@ def isoperimetric_sweep(
     vertex (a walk is null-homotopic exactly when it returns to the
     center), deduplicated by their signed edge vectors, and each distinct
     nonzero cycle is filled.  Cycles with no filling at the coefficient
-    bound are reported and excluded from the ratio statistics.  ``budget``
+    bound are reported and excluded from the ratio statistics.  The budget,
+    ``PDFILL_BUDGET`` as the command line reads it (``current_budget``),
     bounds the window's vertices, the distinct cycles and, scaled by
     ``WORK_PER_BUDGET``, the walk search; past any of them,
     ``BudgetError`` is raised before any cycle is filled.
@@ -582,8 +578,8 @@ def isoperimetric_sweep(
         raise SpecParseError("coefficient bound must be >= 1")
     if word_length_cap < 0:
         raise SpecParseError("word length cap must be >= 0")
-    complex_ = build_ball_complex(group, radius, budget=budget)
-    cycles = _closed_cycles(complex_, word_length_cap, budget)
+    complex_ = build_ball_complex(group, radius)
+    cycles = _closed_cycles(complex_, word_length_cap)
     # at most one map per cycle, so a group with many symmetries (Z^n has
     # n!·2^n) costs no more than its corpus; a window with no cycle draws
     # none.  Any subset of the maps is sound, each being an automorphism.
@@ -699,16 +695,16 @@ def letter_automorphisms(presentation):
     return extend(0)
 
 
-def _closed_cycles(complex_, cap, budget=DEFAULT_BALL_BUDGET):
+def _closed_cycles(complex_, cap):
     """Distinct nonzero cycles of closed non-backtracking walks at the center.
 
     Depth-first over the window's step arrays, moves ordered by generator
     index then sign, so discovery order is deterministic.  A move is
     skipped when its target lies farther from the center than the moves
     left, since no walk from there closes within the cap.  Raises
-    ``BudgetError`` once more than ``budget`` distinct cycles are found,
-    or once the search makes more than ``WORK_PER_BUDGET * budget``
-    visits, the scale folner's grown sets share.
+    ``BudgetError`` once more than ``current_budget()`` distinct cycles
+    are found, or once the search makes more than ``WORK_PER_BUDGET``
+    times that many visits, the scale folner's grown sets share.
     """
     center = 0   # ``ball`` lists the identity first
     steps = complex_.steps
@@ -717,6 +713,7 @@ def _closed_cycles(complex_, cap, budget=DEFAULT_BALL_BUDGET):
     m = complex_.group.generator_count
     found: dict = {}
     walk: list = []
+    budget = current_budget()
     max_visits = WORK_PER_BUDGET * budget
     visits = 0
 

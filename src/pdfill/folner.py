@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import BudgetError, SpecParseError
-from .groups import DEFAULT_BALL_BUDGET, WORK_PER_BUDGET, FreeAbelianOracle, GroupOracle, ball
+from .groups import WORK_PER_BUDGET, FreeAbelianOracle, GroupOracle, ball, current_budget
 from .rings import Ring, frac_str
 
 # only the differential needs the group ring, so only it imports it
@@ -90,8 +90,13 @@ def folner_sweep(
     oracle: GroupOracle,
     family: str,
     threshold: Fraction = DEFAULT_VANISHING_THRESHOLD,
-    budget: int = DEFAULT_BALL_BUDGET,
 ) -> FolnerReport:
+    """Boundary ratios over a family of sets (``parse_family``) and a verdict.
+
+    The budget, ``PDFILL_BUDGET`` as the command line reads it
+    (``groups.current_budget``), bounds the ball and, ``WORK_PER_BUDGET``
+    times over, the connected sets grown; past either, ``BudgetError``.
+    """
     if not 0 < threshold < 1:
         raise SpecParseError(f"threshold must lie strictly between 0 and 1, got {threshold}")
     name, limit = parse_family(family)
@@ -101,10 +106,10 @@ def folner_sweep(
             raise BudgetError(
                 f"exhaustive connected family capped at size {MAX_EXHAUSTIVE_SIZE}",
             )
-        series, sets_examined = _connected_series(oracle, limit, budget)
+        series, sets_examined = _connected_series(oracle, limit)
     else:
         if name == "balls":
-            elements = ball(oracle, limit, budget=budget)
+            elements = ball(oracle, limit)
             sets = ([g for g, d in elements if d <= r] for r in range(limit + 1))
         else:
             if not isinstance(oracle, FreeAbelianOracle):
@@ -139,7 +144,7 @@ def folner_sweep(
     )
 
 
-def _cayley_graph(oracle, radius, budget=DEFAULT_BALL_BUDGET):
+def _cayley_graph(oracle, radius):
     """The ball of ``radius`` as three lists over its ``ball`` indices.
 
     Per vertex: its tests (the indices of g s_i^-1, -1 if outside) and its
@@ -149,7 +154,7 @@ def _cayley_graph(oracle, radius, budget=DEFAULT_BALL_BUDGET):
     sweep reads them to distance ``radius - 1``, and ``_has_short_cycle``
     to half the cycle length it looks for.
     """
-    elements = ball(oracle, radius, budget=budget)
+    elements = ball(oracle, radius)
     steps = elements.steps
     distance = [d for _, d in elements]
     del elements    # only the distances and the step arrays are read
@@ -201,7 +206,7 @@ def _gain_cap(neighbors, tests, distance, size_max) -> int:
     return 1 + (len(set(tests[0]) - {0}) <= 1)
 
 
-def _connected_series(oracle, size_max, budget):
+def _connected_series(oracle, size_max):
     """Exhaustive minimum boundary ratio over connected sets containing 1.
 
     Boundary ratios are invariant under left translation, so every
@@ -250,14 +255,14 @@ def _connected_series(oracle, size_max, budget):
     of x in S.  So ``gain_cap`` is 1, or 2 when the inverse generators
     name at most one element other than 1.
 
-    Raises ``BudgetError`` once more than ``WORK_PER_BUDGET * budget``
-    sets are grown, the scale fill's walk search shares.  The sets a
-    counted subtree would have grown are added first, so the bound counts
-    every set below the last size.
+    Raises ``BudgetError`` once more than ``WORK_PER_BUDGET`` times
+    ``current_budget()`` sets are grown, the scale fill's walk search
+    shares.  The sets a counted subtree would have grown are added first,
+    so the bound counts every set below the last size.
     """
     # neighbors reach distance size_max - 2, so size_max // 2 from size 3
     # on; below it a vertex at distance 1 closes no cycle of length 2
-    neighbors, test_nbrs, distance = _cayley_graph(oracle, size_max - 1, budget)
+    neighbors, test_nbrs, distance = _cayley_graph(oracle, size_max - 1)
     gain_cap = _gain_cap(neighbors, test_nbrs, distance, size_max)
     del distance
     n = len(test_nbrs)    # neighbors stops short of the outer sphere
@@ -276,6 +281,7 @@ def _connected_series(oracle, size_max, budget):
     # interior vertices extends to at the last size and the one before
     bound_last = size_max - 2 * gain_cap
     bound_next = size_max - 1 - gain_cap
+    budget = current_budget()
     max_grown = WORK_PER_BUDGET * budget
     grown = 1    # the root
 

@@ -25,6 +25,7 @@ series in the tests.
 
 from __future__ import annotations
 
+import os
 import re
 from array import array
 from functools import cached_property
@@ -47,6 +48,27 @@ CANONICAL_CACHE_LIMIT = 4 * DEFAULT_BALL_BUDGET
 # the searches that outrun a ball (fill's closed walks, folner's grown
 # sets) may do this much work per unit of budget
 WORK_PER_BUDGET = 25
+
+
+def current_budget() -> int:
+    """The budget every search reads: ``PDFILL_BUDGET``, a positive
+    integer, or ``DEFAULT_BALL_BUDGET`` when it is unset.
+
+    It bounds the ball's elements, fill's distinct cycles and the word
+    table's entries, and, ``WORK_PER_BUDGET`` times over, fill's walk
+    visits, folner's grown sets and the letters of a conjugate table.  Any
+    other value raises ``SpecParseError``.
+    """
+    raw = os.environ.get("PDFILL_BUDGET")
+    if raw is None:
+        return DEFAULT_BALL_BUDGET
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise SpecParseError(f"PDFILL_BUDGET must be a positive integer, got {raw!r}")
+    return value
 
 
 class Presentation:
@@ -91,7 +113,19 @@ class Presentation:
     def conjugates(self) -> tuple:
         """(relator index, word) once for each cyclic conjugate of each
         relator and of its inverse: by relator, the relator before its
-        inverse, each by shift.  A periodic relator repeats none."""
+        inverse, each by shift.  A periodic relator repeats none.
+
+        The table holds up to 2|r|^2 letters per relator r; past
+        ``WORK_PER_BUDGET`` times the budget it raises ``BudgetError``
+        before building.
+        """
+        letters = sum(2 * len(relator) ** 2 for relator in self.relators)
+        budget = current_budget()
+        if letters > WORK_PER_BUDGET * budget:
+            raise BudgetError(
+                f"conjugate table of {letters} letters exceeded {WORK_PER_BUDGET * budget} "
+                f"({WORK_PER_BUDGET} letters per unit of budget {budget})"
+            )
         return tuple(dict.fromkeys(
             (r, word[k:] + word[:k])
             for r, relator in enumerate(self.relators)
@@ -196,7 +230,7 @@ class _WordTable:
 
     Spheres are read in shortlex order and letters as 1, -1, 2, -2, ...,
     so an element is first reached by its shortlex-least word and the next
-    sphere comes out in shortlex order too.  Past ``DEFAULT_BALL_BUDGET``
+    sphere comes out in shortlex order too.  Past ``current_budget()``
     entries, a lookup that needs another sphere raises ``BudgetError``;
     the table stays whole.
     """
@@ -213,10 +247,10 @@ class _WordTable:
         while g not in entries:
             if not self.frontier:
                 raise GroupMismatchError("element not generated by the chosen generators")
-            if len(entries) > DEFAULT_BALL_BUDGET:
+            if len(entries) > (budget := current_budget()):
                 raise BudgetError(
                     f"word table of {self.oracle.name} exceeded budget "
-                    f"{DEFAULT_BALL_BUDGET} at radius {self.radius}",
+                    f"{budget} at radius {self.radius}",
                     attained_radius=self.radius,
                 )
             self.radius += 1
@@ -540,13 +574,14 @@ class Ball(list):
     """The (element, distance) pairs of ``ball``, with its step table as ``steps``."""
 
 
-def ball(oracle: GroupOracle, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> Ball:
+def ball(oracle: GroupOracle, radius: int) -> Ball:
     """All elements of word length <= radius, as (element, distance) pairs.
 
     The pairs come by distance and, within a sphere, in the order of the
     oracle's canonical key, so the output is deterministic and the
     identity comes first.  Raises ``BudgetError`` naming the last
-    completed radius if the ball outgrows the budget.
+    completed radius if the ball outgrows ``current_budget()``, which
+    reads ``PDFILL_BUDGET`` as the command line does.
 
     ``steps`` holds one integer array per signed letter, keyed 1, -1, 2,
     -2, ...: ``steps[s][i]`` is the index of g_i s, or -1 when g_i s lies
@@ -583,6 +618,7 @@ def ball(oracle: GroupOracle, radius: int, budget: int = DEFAULT_BALL_BUDGET) ->
     """
     if radius < 0:
         raise SpecParseError("radius must be >= 0")
+    budget = current_budget()
     multiply = oracle.multiply
     out = Ball([(oracle.identity(), 0)])
     steps = out.steps = {s: array("i", [-1]) for s in oracle.letters}

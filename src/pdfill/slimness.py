@@ -47,7 +47,6 @@ import random
 
 from .errors import SpecParseError
 from .groups import (
-    DEFAULT_BALL_BUDGET,
     FreeAbelianOracle,
     FreeGroupOracle,
     GroupOracle,
@@ -228,7 +227,6 @@ def slimness_sweep(
     radius: int,
     sample: int | None = None,
     seed: int = 0,
-    budget: int = DEFAULT_BALL_BUDGET,
 ) -> SlimnessReport:
     """Worst slimness over triangles with corners on the half-radius sphere.
 
@@ -238,14 +236,17 @@ def slimness_sweep(
     Free and free abelian groups, where geodesic families are small, also
     get the all-geodesic variant when 1 to 200 triangles are examined;
     otherwise both cross-check fields are None.  Triples are generated
-    one at a time, never listed.
+    one at a time, never listed.  The budget, ``PDFILL_BUDGET`` as the
+    command line reads it (``groups.current_budget``), bounds the ball and
+    the word table that answers distances in a group with no closed-form
+    word length (``T11b:2``, finite tables); past either, ``BudgetError``.
     """
     if radius < 0:
         raise SpecParseError("radius must be >= 0")
     if sample is not None and sample < 0:
         raise SpecParseError("sample must be >= 0")
     sphere_radius = radius // 2
-    elements = ball(oracle, sphere_radius, budget=budget)
+    elements = ball(oracle, sphere_radius)
     corners = [g for g, d in elements if d == sphere_radius]
     limit = DEFAULT_TRIPLE_BUDGET if sample is None else sample
     count = math.comb(len(corners), 3)

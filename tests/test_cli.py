@@ -242,6 +242,34 @@ def test_grown_set_bound_exit_3(runner):
     assert "exceeded 25000 grown sets" in result.stderr
 
 
+def test_word_table_budget_exit_3(runner):
+    # the radius-2 ball of T11b:2 has 13 elements, but the distances
+    # between its corners need the word table to radius 4, 41 entries
+    args = ["slim", "T11b:2", "--radius", "4"]
+    result = invoke(runner, args, env={"PDFILL_BUDGET": "20"})
+    assert (result.exit_code, result.stdout) == (3, "")
+    assert result.stderr == "budget exceeded: word table of T11b:2 exceeded budget 20 at radius 3\n"
+    result = invoke(runner, args)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+        "d7a841affe8193ca13c00a9db45f6279237f4cc2a055ef129795a4a67de4e6f1"
+    )
+
+
+def test_conjugate_table_budget_exit_3(runner):
+    # Sigma30's relator has 120 letters, so its conjugate table 28,800,
+    # past 25 x 1,000; Sigma8's has 2,048
+    env = {"PDFILL_BUDGET": "1000"}
+    result = invoke(runner, ["complex", "Sigma30", "Z", "--euler"], env=env)
+    assert (result.exit_code, result.stdout) == (3, "")
+    assert "conjugate table of 28800 letters exceeded 25000" in result.stderr
+    assert invoke(runner, ["complex", "Sigma8", "Z", "--euler"], env=env).exit_code == 0
+    # a Dehn group reads the budget as it is built
+    result = invoke(runner, ["constants", "Sigma2", "--kappa", "1"], env={"PDFILL_BUDGET": "x"})
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert "PDFILL_BUDGET must be a positive integer" in result.stderr
+
+
 def test_filling_search_bound_exit_3(runner, monkeypatch):
     # Z^3 windows keep a core, which is searched; plane windows never are
     monkeypatch.setattr(filling, "MAX_SEARCH_NODES", 2)
@@ -359,6 +387,19 @@ def test_output_file(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert json.loads(target.read_text())["N"] == 4
+
+
+@pytest.mark.parametrize("args", [
+    ["transfer", "--kappa", "1", "--norm-x", "1", "--norm-z", "1", "--norm-h", "1"],
+    ["folner", "Z^2", "--family", "boxes:3", "--csv"],
+], ids=["json", "csv"])
+@pytest.mark.parametrize("target", [".", "missing/out.txt"], ids=["directory", "missing"])
+def test_an_output_that_cannot_be_written_exits_2(runner, tmp_path, args, target):
+    output = str(tmp_path / target)
+    result = invoke(runner, args + ["--output", output])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.startswith(f"error: cannot write {output}: ")
+    assert result.stderr.count("\n") == 1
 
 
 COMMANDS = [

@@ -671,22 +671,26 @@ def test_surface_sweep_traced_peak():
     assert peak < 11_000_000
 
 
-def test_closed_walks_stop_past_the_budget():
+def test_closed_walks_stop_past_the_budget(monkeypatch):
     x = build_ball_complex(free_abelian(2), 6)
-    assert len(_closed_cycles(x, 10, budget=1978)) == 1978
+    monkeypatch.setenv("PDFILL_BUDGET", "1978")
+    assert len(_closed_cycles(x, 10)) == 1978
+    monkeypatch.setenv("PDFILL_BUDGET", "1977")
     with pytest.raises(BudgetError, match="exceeded budget 1977"):
-        _closed_cycles(x, 10, budget=1977)
+        _closed_cycles(x, 10)
 
 
-def test_closed_walks_stop_past_the_visit_bound():
+def test_closed_walks_stop_past_the_visit_bound(monkeypatch):
     # on the radius-2 window, cap 16 closes 492 distinct cycles in 24,729
     # visits: the budget that just admits the visits passes, one less stops
     x = build_ball_complex(free_abelian(2), 2)
     budget = math.ceil(24_729 / WORK_PER_BUDGET)
-    assert len(_closed_cycles(x, 16, budget=budget)) == 492
+    monkeypatch.setenv("PDFILL_BUDGET", str(budget))
+    assert len(_closed_cycles(x, 16)) == 492
     smaller = WORK_PER_BUDGET * (budget - 1)
+    monkeypatch.setenv("PDFILL_BUDGET", str(budget - 1))
     with pytest.raises(BudgetError, match=f"exceeded {smaller} visits"):
-        _closed_cycles(x, 16, budget=budget - 1)
+        _closed_cycles(x, 16)
 
 
 def sweep_against_reference(spec, radius, cap, bound):

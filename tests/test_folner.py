@@ -27,7 +27,7 @@ from pdfill.folner import (
 )
 from pdfill.group_ring import GroupRingElement
 from pdfill import folner
-from pdfill.groups import DEFAULT_BALL_BUDGET, WORK_PER_BUDGET, ball
+from pdfill.groups import WORK_PER_BUDGET, ball
 
 # connected subsets of the 4-regular tree containing the root, of size at
 # most K: there are (4 / (3k + 4)) * C(3k + 4, k) rooted subtrees with
@@ -235,15 +235,17 @@ def test_sweep_family_validation():
         folner_sweep(free_group(2), "connected:13")
 
 
-def test_connected_sets_stop_past_the_grown_set_bound():
+def test_connected_sets_stop_past_the_grown_set_bound(monkeypatch):
     # connected:7 on Z^3 grows the 23,952 sets of size 1 to 6 and counts
     # the rest: the budget that just admits them passes, one less stops
+    unbounded = folner_sweep(free_abelian(3), "connected:7")
     budget = math.ceil(23_952 / WORK_PER_BUDGET)
-    report = folner_sweep(free_abelian(3), "connected:7", budget=budget)
-    assert vars(report) == vars(folner_sweep(free_abelian(3), "connected:7"))
+    monkeypatch.setenv("PDFILL_BUDGET", str(budget))
+    assert vars(folner_sweep(free_abelian(3), "connected:7")) == vars(unbounded)
     smaller = WORK_PER_BUDGET * (budget - 1)
+    monkeypatch.setenv("PDFILL_BUDGET", str(budget - 1))
     with pytest.raises(BudgetError, match=f"exceeded {smaller} grown sets"):
-        folner_sweep(free_abelian(3), "connected:7", budget=budget - 1)
+        folner_sweep(free_abelian(3), "connected:7")
 
 
 def brute_force_series(neighbors, tests, size_max):
@@ -277,10 +279,10 @@ def test_connected_series_needs_its_size_k_clause(monkeypatch):
     tests = [(1, 3), (6, 5), (4, 0), (5, 6), (0, 4), (3, 1), (2, 2)]
     distance = [0, 1, 1, 1, 1, 2, 2]
     monkeypatch.setattr(
-        folner, "_cayley_graph", lambda oracle, radius, budget: (neighbors, tests, distance)
+        folner, "_cayley_graph", lambda oracle, radius: (neighbors, tests, distance)
     )
     assert _gain_cap(neighbors, tests, distance, 5) == 3
-    series, sets = folner._connected_series(None, 5, DEFAULT_BALL_BUDGET)
+    series, sets = folner._connected_series(None, 5)
     assert series[-1] == (5, Fraction(1, 5)) and sets == 47
     assert (series, sets) == brute_force_series(neighbors, tests, 5)
 

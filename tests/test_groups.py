@@ -1,7 +1,10 @@
+import ast
 import hashlib
 import random
 import time
+import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 from step_tables import counting_multiply, step_items
@@ -24,7 +27,7 @@ from pdfill import (
     surface_group,
 )
 from pdfill.errors import BudgetError, SpecParseError
-from pdfill.groups import DEFAULT_BALL_BUDGET, GroupOracle, Presentation
+from pdfill.groups import DEFAULT_BALL_BUDGET, GroupOracle, Presentation, current_budget
 from pdfill.words import free_reduce, invert_word, join_reduced, word_from_string
 
 
@@ -122,12 +125,13 @@ def test_free_sphere_sizes_formula():
             assert len(sphere) == 2 * n * (2 * n - 1) ** (r - 1)
 
 
-def test_ball_monotone_and_budget():
+def test_ball_monotone_and_budget(monkeypatch):
     z2 = free_abelian(2)
     sizes = [len(ball(z2, r)) for r in range(5)]
     assert sizes == sorted(sizes)
+    monkeypatch.setenv("PDFILL_BUDGET", "100")
     with pytest.raises(BudgetError) as err:
-        ball(free_group(2), 8, budget=100)
+        ball(free_group(2), 8)
     assert err.value.attained_radius is not None
 
 
@@ -490,7 +494,9 @@ BUDGET_MULTIPLY_CALLS = {"Sigma2": 301, "Z^3": 2_474}
     "spec, radius, budget, products, attained",
     [("Sigma2", 7, 30_000, 34_382, 5), ("Z^3", 20, 1_000, 4_189, 8)],
 )
-def test_ball_budget_fires_on_the_first_element_past_it(spec, radius, budget, products, attained):
+def test_ball_budget_fires_on_the_first_element_past_it(
+    monkeypatch, spec, radius, budget, products, attained
+):
     # products: how many products a ball that checks the budget on every
     # new element forms before it raises; BUDGET_MULTIPLY_CALLS: how many of
     # them go through multiply.  Sigma2 extends most words with no product,
@@ -498,8 +504,9 @@ def test_ball_budget_fires_on_the_first_element_past_it(spec, radius, budget, pr
     # still make more calls
     oracle = make_group(spec)
     calls = counting_multiply(oracle)
+    monkeypatch.setenv("PDFILL_BUDGET", str(budget))
     with pytest.raises(BudgetError) as err:
-        ball(oracle, radius, budget=budget)
+        ball(oracle, radius)
     assert calls[0] <= products
     assert calls[0] == BUDGET_MULTIPLY_CALLS[spec]
     assert err.value.attained_radius == attained
@@ -648,3 +655,59 @@ def test_canonical_cache_limit_changes_no_form(monkeypatch):
         assert max(sizes) <= limit + closures[0]
         # emptied more than once along the way
         assert sum(1 for a, b in zip(sizes, sizes[1:]) if b < a) > 1
+
+
+def test_current_budget_reads_the_variable(monkeypatch):
+    assert current_budget() == DEFAULT_BALL_BUDGET
+    monkeypatch.setenv("PDFILL_BUDGET", "12")
+    assert current_budget() == 12
+    for raw in ("abc", "0", "-5", ""):
+        monkeypatch.setenv("PDFILL_BUDGET", raw)
+        with pytest.raises(SpecParseError, match="PDFILL_BUDGET must be a positive integer"):
+            current_budget()
+
+
+def test_conjugate_table_is_bounded_before_it_is_built(monkeypatch):
+    # Sigma1000's relator has 4,000 letters: its table would hold 32M
+    # letters and take about 1 GB; 5M letters is the bound at the default
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="conjugate table of 32000000 letters exceeded 5000000"):
+            make_group("Sigma1000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    # T11b:n holds 8 n^2 letters: 24,200 for n = 55 and 25,088 for n = 56
+    monkeypatch.setenv("PDFILL_BUDGET", "1000")
+    assert len(make_group("T11b:55").presentation.conjugates) == 2 * 110
+    with pytest.raises(BudgetError, match=r"exceeded 25000 \(25 letters per unit of budget 1000\)"):
+        make_group("T11b:56")
+
+
+def scoped_nodes(tree):
+    """Each node of ``tree`` with the names of the functions around it."""
+    stack = [(tree, ())]
+    while stack:
+        node, scope = stack.pop()
+        yield node, scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            scope += (getattr(node, "name", "<lambda>"),)
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+
+
+def test_the_budget_is_read_in_one_place():
+    # no search takes the budget as a parameter; each reads the one
+    # function that reads the environment
+    parameters, reads = [], set()
+    for path in sorted(Path(groups.__file__).parent.glob("*.py")):
+        for node, scope in scoped_nodes(ast.parse(path.read_text())):
+            where = (path.stem, *scope)
+            if isinstance(node, ast.arg) and node.arg == "budget":
+                parameters.append(where)
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv"):
+                reads.add(where)
+            if isinstance(node, ast.alias) and node.name in ("environ", "environb", "getenv"):
+                reads.add(where)
+    assert parameters == []
+    assert reads == {("groups", "current_budget")}
