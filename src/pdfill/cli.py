@@ -12,8 +12,9 @@ must be spelled out in full, and ``--help`` lists a command's options.  The
 PDFILL_BUDGET environment variable, a positive integer, overrides the
 default budget on the ball's size, on fill's distinct cycles and on the
 word table's entries, and, ``groups.WORK_PER_BUDGET`` (25) times over, on
-fill's walk visits, folner's grown sets and the letters of the conjugate
-table a Dehn group builds; any other value is a usage error.  The library
+fill's walk visits, folner's grown sets, the elements of folner's boxes
+and the letters of the conjugate table a Dehn group builds; any other
+value is a usage error.  The library
 reads it (``groups.current_budget``) wherever a search spends it, so a
 library call obeys it as a command does.  An ``--output`` file that
 cannot be written is an error too, with nothing printed.

@@ -13,10 +13,12 @@ window and its step table together: one integer array per signed letter,
 generator g (of m) has the id ``v*m + g - 1`` and exists where
 ``steps[g][v] >= 0``; its target is ``steps[g][v]``.  So the window keeps
 no edge table, and its ids, though not dense, increase in (vertex,
-generator) order.  Every walk (attaching paths, ``word_cycle``, the
-closed-walk enumeration) is an array lookup through one tracer,
-``_trace``, which also sums the walk's signed edge coefficients.  Each
-face's boundary is summed once, when the face is traced.
+generator) order.  A step is an array lookup.  Attaching paths and
+``word_cycle`` are read through one tracer, ``_trace``, which also sums
+the walk's signed edge coefficients; each face's boundary is summed once,
+when the face is traced.  The closed-walk search retraces no walk: it
+keeps the chain of its walk up to the last closure, adds the steps taken
+since at each closure, and takes a step back off as it backs out of it.
 
 The exact solver reads one level of cells, ``Cells``: each cell's
 boundary as a dict over the level below, here faces over edges.  It never
@@ -222,17 +224,18 @@ def _is_cycle(complex_, coefficients) -> bool:
     window, makes no cycle.
     """
     m, steps = complex_.group.generator_count, complex_.steps
-    ids = coefficients.keys()
-    if ids and not 0 <= min(ids) <= max(ids) < complex_.vertex_count * m:
-        return False
+    id_count = complex_.vertex_count * m
     net: dict = {}
+    get = net.get
     for e, c in coefficients.items():
+        if not 0 <= e < id_count:
+            return False
         s, g = divmod(e, m)
         t = steps[g + 1][s]
         if t < 0:
             return False
-        net[t] = net.get(t, 0) + c
-        net[s] = net.get(s, 0) - c
+        net[t] = get(t, 0) + c
+        net[s] = get(s, 0) - c
     return not any(net.values())
 
 
@@ -603,6 +606,9 @@ def isoperimetric_sweep(
             except NoFillingError as err:
                 verdict = norm, None, {"status": "unfilled", "reason": str(err)}
             else:
+                # the cycles that take this verdict over share its ratio
+                if result.ratio > max_ratio:
+                    max_ratio = result.ratio
                 verdict = norm, result.ratio, {
                     "status": "filled",
                     "filler_norm": result.filler_norm,
@@ -624,8 +630,6 @@ def isoperimetric_sweep(
             unfilled += 1
         else:
             filled += 1
-            if ratio > max_ratio:
-                max_ratio = ratio
     return SweepReport(
         group=group.name,
         radius=radius,
@@ -705,6 +709,14 @@ def _closed_cycles(complex_, cap):
     ``BudgetError`` once more than ``current_budget()`` distinct cycles
     are found, or once the search makes more than ``WORK_PER_BUDGET``
     times that many visits, the scale folner's grown sets share.
+
+    A closing walk's chain is not summed from the center.  The search
+    keeps one chain, the signed edge sum of the walk up to its last
+    closure, and the vertex where that part ends.  A closure adds the
+    steps taken since, each with the sign ``_trace`` gives it.  Backing
+    out of a step that the chain holds takes that one edge back off: the
+    step ``-move`` from the part's end crosses the same edge the other
+    way.  So a step that closes no walk costs one comparison.
     """
     center = 0   # ``ball`` lists the identity first
     steps = complex_.steps
@@ -713,40 +725,70 @@ def _closed_cycles(complex_, cap):
     m = complex_.group.generator_count
     found: dict = {}
     walk: list = []
+    chain: dict = {}    # {edge id: nonzero coefficient} of walk[:synced]
+    synced = 0
+    synced_end = center
     budget = current_budget()
     max_visits = WORK_PER_BUDGET * budget
-    visits = 0
+    visits = 1          # the center
 
-    def visit(vertex, last_move):
-        nonlocal visits
-        visits += 1
-        if visits > max_visits:
-            raise BudgetError(
-                f"closed walks up to length {cap} exceeded {max_visits} visits "
-                f"({WORK_PER_BUDGET} per unit of budget {budget})"
-            )
-        if walk and vertex == center:
-            _, coefficients = _trace(steps, m, center, walk)
-            key = tuple(sorted(coefficients.items()))
-            if key and key not in found:
-                if len(found) == budget:
-                    raise BudgetError(
-                        f"closed walks up to length {cap} exceeded budget "
-                        f"{budget} distinct cycles"
-                    )
-                found[key] = (tuple(walk), OneCycle(complex_, coefficients))
-        left = cap - len(walk) - 1     # moves left after the next one
-        if left < 0:
+    def add(source, letter):
+        """Add the step by ``letter`` from ``source`` to the chain; its target."""
+        target = steps[letter][source]
+        if letter > 0:
+            e = source * m + letter - 1
+            c = chain.get(e, 0) + 1
+        else:
+            e = target * m - letter - 1
+            c = chain.get(e, 0) - 1
+        if c:
+            chain[e] = c
+        else:
+            del chain[e]
+        return target
+
+    def close():
+        nonlocal synced, synced_end
+        end = synced_end
+        for move in walk[synced:]:
+            end = add(end, move)
+        synced, synced_end = len(walk), end
+        if not chain:
             return
+        key = tuple(sorted(chain.items()))
+        if key not in found:
+            if len(found) == budget:
+                raise BudgetError(
+                    f"closed walks up to length {cap} exceeded budget "
+                    f"{budget} distinct cycles"
+                )
+            found[key] = (tuple(walk), OneCycle(complex_, chain))
+
+    def extend(vertex, last_move):
+        nonlocal visits, synced, synced_end
+        depth = len(walk)
+        left = cap - depth - 1     # moves left after the next one
         for move, column in moves:
             target = column[vertex]
             if target < 0 or move == -last_move or distances[target] > left:
                 continue
+            visits += 1
+            if visits > max_visits:
+                raise BudgetError(
+                    f"closed walks up to length {cap} exceeded {max_visits} visits "
+                    f"({WORK_PER_BUDGET} per unit of budget {budget})"
+                )
             walk.append(move)
-            visit(target, move)
+            if target == center:
+                close()
+            if left:
+                extend(target, move)
+            if synced > depth:
+                # the chain holds this step, its last: step back over it
+                synced, synced_end = depth, add(synced_end, -move)
             walk.pop()
 
-    visit(center, 0)
+    extend(center, 0)
     return list(found.values())
 
 

@@ -95,7 +95,9 @@ def folner_sweep(
 
     The budget, ``PDFILL_BUDGET`` as the command line reads it
     (``groups.current_budget``), bounds the ball and, ``WORK_PER_BUDGET``
-    times over, the connected sets grown; past either, ``BudgetError``.
+    times over, the connected sets grown and the elements the boxes list
+    (the sum of n^rank over the sides n); past any of them,
+    ``BudgetError``, raised for the boxes before any is listed.
     """
     if not 0 < threshold < 1:
         raise SpecParseError(f"threshold must lie strictly between 0 and 1, got {threshold}")
@@ -116,6 +118,16 @@ def folner_sweep(
                 raise SpecParseError("the box family is defined for free abelian groups")
             rank = oracle.generator_count
             boxes = range(1, limit + 1)
+            budget = current_budget()
+            max_elements = WORK_PER_BUDGET * budget
+            listed = 0
+            for n in boxes:     # stops once past the bound, however large the side
+                listed += n**rank
+                if listed > max_elements:
+                    raise BudgetError(
+                        f"boxes up to side {limit} exceeded {max_elements} elements "
+                        f"({WORK_PER_BUDGET} per unit of budget {budget})"
+                    )
             sets = (list(itertools.product(range(n), repeat=rank)) for n in boxes)
         series = [
             (len(members), Fraction(len(folner_boundary(oracle, members)), len(members)))

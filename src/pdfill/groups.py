@@ -46,7 +46,7 @@ DEFAULT_BALL_BUDGET = 200_000
 # ball cannot form by extension enter it, so queries (slim distances) fill it
 CANONICAL_CACHE_LIMIT = 4 * DEFAULT_BALL_BUDGET
 # the searches that outrun a ball (fill's closed walks, folner's grown
-# sets) may do this much work per unit of budget
+# sets and boxes) may do this much work per unit of budget
 WORK_PER_BUDGET = 25
 
 
@@ -56,8 +56,8 @@ def current_budget() -> int:
 
     It bounds the ball's elements, fill's distinct cycles and the word
     table's entries, and, ``WORK_PER_BUDGET`` times over, fill's walk
-    visits, folner's grown sets and the letters of a conjugate table.  Any
-    other value raises ``SpecParseError``.
+    visits, folner's grown sets and box elements, and the letters of a
+    conjugate table.  Any other value raises ``SpecParseError``.
     """
     raw = os.environ.get("PDFILL_BUDGET")
     if raw is None:

@@ -6,8 +6,6 @@ A word is a tuple of nonzero ints: ``+i`` is the i-th generator (1-based),
 
 from __future__ import annotations
 
-from itertools import groupby
-
 from .errors import SpecParseError
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -64,13 +62,20 @@ def shortlex_key(word):
 
 
 def word_to_string(word) -> str:
+    """``"a^2*b^-1"``: each run of one letter as its generator's name, with
+    the run's signed length as exponent unless that is 1; ``"1"`` when empty."""
     if not word:
         return "1"
     parts = []
-    for letter, run in groupby(word):
-        exponent = len(list(run)) * (1 if letter > 0 else -1)
-        name = gen_name(abs(letter))
+    last, run = word[0], 0
+    for letter in (*word, None):    # None ends the last run
+        if letter == last:
+            run += 1
+            continue
+        name = gen_name(last if last > 0 else -last)
+        exponent = run if last > 0 else -run
         parts.append(name if exponent == 1 else f"{name}^{exponent}")
+        last, run = letter, 1
     return "*".join(parts)
 
 

@@ -242,6 +242,19 @@ def test_grown_set_bound_exit_3(runner):
     assert "exceeded 25000 grown sets" in result.stderr
 
 
+def test_box_element_bound_exit_3(runner):
+    # boxes:40 on Z^3 lists 672,400 elements, boxes:2 nine, against a
+    # bound of 25 x 10; a malformed budget is read by the box family too
+    env = {"PDFILL_BUDGET": "10"}
+    assert invoke(runner, ["folner", "Z^3", "--family", "boxes:2"], env=env).exit_code == 0
+    result = invoke(runner, ["folner", "Z^3", "--family", "boxes:40"], env=env)
+    assert (result.exit_code, result.stdout) == (3, "")
+    assert "boxes up to side 40 exceeded 250 elements" in result.stderr
+    result = invoke(runner, ["folner", "Z^2", "--family", "boxes:3"], env={"PDFILL_BUDGET": "abc"})
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert "PDFILL_BUDGET must be a positive integer" in result.stderr
+
+
 def test_word_table_budget_exit_3(runner):
     # the radius-2 ball of T11b:2 has 13 elements, but the distances
     # between its corners need the word table to radius 4, 41 entries

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from boundary_matrices import boundary1, boundary2, cycle_vector
 from reference_filling import reference_filling
+from reference_walks import reference_closed_walks
 from step_tables import counting_multiply, edge_list, edge_ranks, step_items
 
 from pdfill import (
@@ -691,6 +692,21 @@ def test_closed_walks_stop_past_the_visit_bound(monkeypatch):
     monkeypatch.setenv("PDFILL_BUDGET", str(budget - 1))
     with pytest.raises(BudgetError, match=f"exceeded {smaller} visits"):
         _closed_cycles(x, 16)
+
+
+@pytest.mark.parametrize(
+    "spec, radius, cap",
+    [("Z^2", 3, 8), ("Klein", 3, 8), ("Z^3", 2, 6), ("T11b:3", 3, 6), ("Sigma2", 4, 8)],
+)
+def test_closed_walks_match_the_brute_force_listing(spec, radius, cap):
+    # the search sums each closing walk from the last closure and takes
+    # steps back off the chain as it backs out; the brute force sums every
+    # closed word from the center.  Sigma2 closes no walk shorter than its
+    # relator, 8 letters, which needs the radius-4 window
+    x = build_ball_complex(make_group(spec), radius)
+    expected = reference_closed_walks(x, cap)
+    assert expected
+    assert [(word, cycle.coefficients) for word, cycle in _closed_cycles(x, cap)] == expected
 
 
 def sweep_against_reference(spec, radius, cap, bound):

@@ -248,6 +248,25 @@ def test_connected_sets_stop_past_the_grown_set_bound(monkeypatch):
         folner_sweep(free_abelian(3), "connected:7")
 
 
+@pytest.mark.parametrize("rank, side, listed", [(2, 20, 2870), (3, 8, 1296)])
+def test_boxes_stop_past_the_element_bound(monkeypatch, rank, side, listed):
+    # boxes:N on Z^k lists the sum of n^k over n <= N elements: the budget
+    # that just admits them passes, one less stops before any box is tested
+    group, family = free_abelian(rank), f"boxes:{side}"
+    unbounded = folner_sweep(group, family)
+    assert sum(size for size, _ in unbounded.series) == listed
+    budget = math.ceil(listed / WORK_PER_BUDGET)
+    monkeypatch.setenv("PDFILL_BUDGET", str(budget))
+    assert vars(folner_sweep(group, family)) == vars(unbounded)
+    smaller = WORK_PER_BUDGET * (budget - 1)
+    monkeypatch.setenv("PDFILL_BUDGET", str(budget - 1))
+    tested = []
+    monkeypatch.setattr(folner, "folner_boundary", lambda oracle, members: tested.append(members))
+    with pytest.raises(BudgetError, match=f"boxes up to side {side} exceeded {smaller} elements"):
+        folner_sweep(group, family)
+    assert tested == []
+
+
 def brute_force_series(neighbors, tests, size_max):
     """(series, sets) over the connected sets holding vertex 0, each listed
     as a subset of the vertices and checked for connectedness."""
