@@ -43,6 +43,7 @@ class GroupRingElement:
     __slots__ = ("ring", "group", "terms")
 
     def __init__(self, ring: Ring, group: GroupOracle, terms=()):
+        terms = tuple(terms)    # read once, so a generator is both checked and summed
         for _, coeff in terms:
             if not isinstance(coeff, RingValue):
                 raise RingMismatchError(f"expected a ring value, got {coeff!r}")
@@ -354,14 +355,14 @@ class Character:
     """A homomorphism from the group to the units of R, one value per
     generator.  Characters compare and hash by ring and values."""
 
-    def __init__(self, ring: Ring, values: tuple):
+    def __init__(self, ring: Ring, values):
+        self.ring = ring
+        self.values = values = tuple(values)    # hashable, and an iterator is read once
         for v in values:
             if v.ring != ring:
                 raise InvalidCharacterError("character value from the wrong ring")
             if not v.is_unit():
                 raise InvalidCharacterError(f"character value {v!r} is not a unit")
-        self.ring = ring
-        self.values = values
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

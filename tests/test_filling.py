@@ -660,16 +660,27 @@ def test_window_matches_pinned_digest(spec, radius):
 
 
 def test_surface_sweep_traced_peak():
-    # the 22,289-vertex window with step dicts per vertex and a
-    # tuple-keyed edge dict peaked at 16 MB; its step arrays at about 7.2
-    group = surface_group(2)
-    tracemalloc.start()
-    try:
-        isoperimetric_sweep(group, 5, 8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 11_000_000
+    # Sigma2 radius 5: the 22,289-vertex window with step dicts per vertex
+    # and a tuple-keyed edge dict peaked at 16 MB; its step arrays at about
+    # 7.2.  Z^3 radius 3, cap 8: 3,496 cycles, kept as a OneCycle each
+    # beside the walk search's dedupe dict, peaked at 5.8 MB; the dict
+    # alone, from chain key to first walk, at 4.0
+    for group, radius, cap, limit in (
+        (surface_group(2), 5, 8, 11_000_000),
+        (free_abelian(3), 3, 8, 5_000_000),
+    ):
+        tracemalloc.start()
+        try:
+            isoperimetric_sweep(group, radius, cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, group.name
+
+
+def closed_cycles(x, cap):
+    """(first walk, OneCycle) of each distinct cycle the walk search finds."""
+    return [(word, OneCycle(x, dict(key))) for key, word in _closed_cycles(x, cap).items()]
 
 
 def test_closed_walks_stop_past_the_budget(monkeypatch):
@@ -706,14 +717,14 @@ def test_closed_walks_match_the_brute_force_listing(spec, radius, cap):
     x = build_ball_complex(make_group(spec), radius)
     expected = reference_closed_walks(x, cap)
     assert expected
-    assert [(word, cycle.coefficients) for word, cycle in _closed_cycles(x, cap)] == expected
+    assert [(word, cycle.coefficients) for word, cycle in closed_cycles(x, cap)] == expected
 
 
 def sweep_against_reference(spec, radius, cap, bound):
     """(fillers, reference fillers) of every cycle in the sweep's corpus,
     None for a cycle with no filling."""
     x = build_ball_complex(make_group(spec), radius)
-    corpus = _closed_cycles(x, cap)
+    corpus = closed_cycles(x, cap)
     assert corpus
     ours, theirs = [], []
     for _, cycle in corpus:
@@ -741,7 +752,7 @@ def test_z3_core_search_visits_the_pinned_nodes(bound, nodes):
     # every cycle of the corpus fills; the totals pin the order in which
     # the core search takes edges, faces and values
     x = build_ball_complex(free_abelian(3), 3)
-    corpus = _closed_cycles(x, 8)
+    corpus = closed_cycles(x, 8)
     assert len(corpus) == 3496
     assert sum(minimal_filling(x, cycle, bound).nodes_explored for _, cycle in corpus) == nodes
 
@@ -759,7 +770,7 @@ def test_collapsed_fillers_match_the_whole_window_search(spec, radius, cap):
 def test_exact_search_matches_brute_force_on_sweep_corpus():
     # every distinct cycle of closed words up to length 6 in a small window
     z2 = build_ball_complex(free_abelian(2), 3)
-    corpus = _closed_cycles(z2, 6)
+    corpus = closed_cycles(z2, 6)
     assert corpus
     for _, cycle in corpus:
         result = minimal_filling(z2, cycle)
@@ -861,7 +872,7 @@ def solve_every_cycle(spec, radius, cap, bound):
     distinct cycle rather than once per orbit."""
     x = build_ball_complex(make_group(spec), radius)
     entries = []
-    for word, cycle in _closed_cycles(x, cap):
+    for word, cycle in closed_cycles(x, cap):
         entry = {
             "word": word_to_string(word),
             "word_length": len(word),

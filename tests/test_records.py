@@ -54,6 +54,19 @@ def test_characters_compare_and_hash_by_ring_and_values():
     assert c == d and hash(c) == hash(d) and len({c, d}) == 1
     assert c != Character.trivial(ring, 2)
     assert c != Character.parse("a:-1", parse_ring("Z"), 2)
+    # values given as a list or an iterator are stored as a tuple
+    for given in (list(c.values), iter(c.values)):
+        e = Character(ring, given)
+        assert e == c and hash(e) == hash(c)
+        assert e.value_of_word((1, 2, -1)) == c.value_of_word((1, 2, -1))
+
+
+def test_group_ring_elements_read_their_terms_once():
+    group = free_group(2)
+    pairs = [(group.letter(1), INTEGERS.one), (group.identity(), INTEGERS.one)]
+    listed = GroupRingElement(INTEGERS, group, pairs)
+    assert listed.support_norm() == 2
+    assert GroupRingElement(INTEGERS, group, (p for p in pairs)).terms == listed.terms
 
 
 def test_slimness_constants_compare_and_hash_by_n_and_kappa():
