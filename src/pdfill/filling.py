@@ -63,6 +63,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import islice
+from operator import itemgetter
 
 from .errors import (
     BudgetError,
@@ -158,27 +159,27 @@ def build_ball_complex(group: GroupOracle, radius: int) -> CayleyBallComplex:
     del elements    # the (element, distance) pairs: vertices and distances hold them
     m = group.generator_count
 
-    faces = []
-    face_boundaries = []
-    # a face's path leaves its base vertex by its first letter and comes
-    # back by its last, so both steps must exist there (the table holds
-    # each step both ways)
-    ends = [
-        (r, rel, steps[rel[0]], steps[-rel[-1]])
-        for r, rel in enumerate(presentation.relators)
-    ]
-    for i in range(len(vertices)):
-        for r, relator, first, last in ends:
-            if first[i] < 0 or last[i] < 0:
+    # a face's path is walked through its letters' step columns, and only
+    # a path that stays in the window is traced for its boundary.  It
+    # leaves its base vertex by its first letter and comes back by its
+    # last, so both steps must exist there (the table holds each step both
+    # ways).  Faces are kept by (base vertex, relator index)
+    found = []
+    for r, relator in enumerate(presentation.relators):
+        first, *rest = (steps[s] for s in relator)
+        for i, (end, back) in enumerate(zip(first, steps[-relator[-1]])):
+            if end < 0 or back < 0:
                 continue
-            traced = _trace(steps, m, i, relator)
-            if traced is None:
-                continue
-            end, boundary = traced
-            if end != i:
-                raise InvariantError("attaching path of a relator did not close up")
-            faces.append((i, r))
-            face_boundaries.append(boundary)
+            for column in rest:
+                if (end := column[end]) < 0:
+                    break
+            else:
+                if end != i:
+                    raise InvariantError("attaching path of a relator did not close up")
+                found.append((i, r, _trace(steps, m, i, relator)[1]))
+    found.sort(key=itemgetter(0, 1))
+    faces = [(i, r) for i, r, _ in found]
+    face_boundaries = [boundary for _, _, boundary in found]
 
     window = CayleyBallComplex(
         group=group,
@@ -243,11 +244,24 @@ def _is_cycle(complex_, coefficients) -> bool:
 
 
 class OneCycle:
-    """An integer 1-chain in the kernel of the edge boundary."""
+    """An integer 1-chain in the kernel of the edge boundary.
+
+    It keeps a copy of the chain's nonzero entries; ``_of`` keeps a dict
+    of its own that holds no zero as it is.  Either way it is checked.
+    """
 
     def __init__(self, complex: CayleyBallComplex, coefficients: dict):
-        self.complex = complex
-        self.coefficients = {e: c for e, c in coefficients.items() if c}
+        self._hold(complex, {e: c for e, c in coefficients.items() if c})
+
+    @classmethod
+    def _of(cls, complex_: CayleyBallComplex, coefficients: dict) -> OneCycle:
+        cycle = cls.__new__(cls)
+        cycle._hold(complex_, coefficients)
+        return cycle
+
+    def _hold(self, complex_, coefficients):
+        self.complex = complex_
+        self.coefficients = coefficients
         if not self.is_cycle():
             raise NotACycleError("chain is not in the kernel of the boundary")
 
@@ -270,7 +284,7 @@ def word_cycle(complex_: CayleyBallComplex, word) -> OneCycle:
     end, coefficients = traced
     if end != center:
         raise NotACycleError("word does not evaluate to the identity")
-    return OneCycle(complex_, coefficients)
+    return OneCycle._of(complex_, coefficients)
 
 
 class FillingResult:
@@ -605,7 +619,7 @@ def isoperimetric_sweep(
     unfilled = 0
     for key, word in cycles.items():
         norm = len(key)
-        cycle = OneCycle(complex_, dict(key))   # checks every cycle, kept for this entry only
+        cycle = OneCycle._of(complex_, dict(key))   # checks every cycle, kept for this entry only
         # a walk is the first of one cycle only, so its verdict is read once
         verdict = verdicts.pop(word, None)
         if verdict is None:

@@ -29,6 +29,7 @@ import os
 import re
 from array import array
 from functools import cached_property
+from itertools import repeat
 
 from .errors import BudgetError, GroupMismatchError, SpecParseError
 from .words import (
@@ -275,16 +276,94 @@ class _WordTable:
         return tuple(reversed(letters))
 
 
+class _HalfAutomaton:
+    """Reads a word letter by letter and stops where it completes a half.
+
+    The halves are words of one length, ``half``.  A state is the longest
+    suffix of the word read so far that is a proper prefix of a half;
+    states are numbered as they are first reached, 0 being the empty
+    suffix, and ``suffixes[q]`` spells state q.  So a word holds a half
+    exactly when some letter completes one (Aho and Corasick, 1975): the
+    half's first ``half - 1`` letters are then the state before it.  With
+    no halves there is one state, which every letter keeps.
+
+    ``rows[q]`` is None until state q's row is first read through ``row``.
+    A row has one entry per signed letter, read by the letter itself (a
+    list of 2m + 1, so -s falls at 2m + 1 - s): the next state, or -1 when
+    the letter completes a half.  ``fails[q]`` is the state of the longest
+    proper suffix of state q that starts a half; a letter that does not
+    extend q to a prefix of a half goes where it goes from there.  Rows
+    are built only as words reach them, each after its fail state's.
+    There are at most 1 + (number of halves) × (half - 1) states, and the
+    budget bounds the conjugate table the halves come from.
+    """
+
+    def __init__(self, halves, generator_count):
+        self.halves = halves
+        self.half = len(next(iter(halves), ()))
+        self.letters = [s for g in range(1, generator_count + 1) for s in (g, -g)]
+        self.prefixes = {h[:k] for h in halves for k in range(self.half)}
+        self.states = {(): 0}
+        self.suffixes = [()]
+        self.fails = [0]
+        self.rows: list = [None]
+
+    def row(self, state) -> list:
+        """State ``state``'s transitions, built on first read."""
+        rows, fails = self.rows, self.fails
+        if rows[state] is None:
+            # fail states are shorter: build the chain's unbuilt rows
+            # shortest first, with no recursion as deep as a half
+            chain = [state]
+            while chain[-1] and rows[fails[chain[-1]]] is None:
+                chain.append(fails[chain[-1]])
+            for q in reversed(chain):
+                self._build(q)
+        return rows[state]
+
+    def _build(self, state):
+        suffix = self.suffixes[state]
+        fallback = self.rows[self.fails[state]] if suffix else None
+        row = self.rows[state] = [0] * (len(self.letters) + 1)
+        for s in self.letters:
+            word = suffix + (s,)
+            if word in self.halves:
+                row[s] = -1
+            elif word in self.prefixes:
+                target = row[s] = self.states.setdefault(word, len(self.states))
+                if target == len(self.suffixes):
+                    self.suffixes.append(word)
+                    self.fails.append(fallback[s] if suffix else 0)
+                    self.rows.append(None)
+            elif suffix:
+                # shorter than a half, so the fail state's letter completes none
+                row[s] = fallback[s]
+
+    def holds_half(self, word) -> bool:
+        """Whether a half is among the word's subwords."""
+        rows = self.rows
+        state = 0
+        for s in word:
+            state = (rows[state] or self.row(state))[s]
+            if state < 0:
+                return True
+        return False
+
+
 class _WordElementOracle(GroupOracle):
     """Elements are their own shortlex-least geodesic words (free and Dehn).
 
-    ``halves`` is (keys, half): the first halves of the relator conjugates,
-    of length ``half``, the only subwords a half-swap rewrites.  A free
-    group has none, so ``ball`` extends its words with no product.
+    ``automaton`` reads the halves, the first halves of the relator
+    conjugates, all of one length, the only subwords a half-swap rewrites:
+    one table lookup per letter.  A free group has none, so ``ball``
+    extends its words with no product.  Each subclass sets it in
+    ``__init__``, before any word is read: an attribute added later, as a
+    ``cached_property`` adds it, takes CPython's instance dict off its fast
+    path, and every attribute read on the oracle after it is slower.
     """
 
     shortlex_spheres = True
-    halves = (frozenset(), 1)
+    automaton: _HalfAutomaton
 
     def identity(self):
         return ()
@@ -305,6 +384,7 @@ class FreeGroupOracle(_WordElementOracle):
             raise SpecParseError("free group rank must be >= 1")
         self.name = f"F{rank}"
         self.presentation = Presentation(rank, ())
+        self.automaton = _HalfAutomaton(frozenset(), rank)
         self._set_generators([(i,) for i in range(1, rank + 1)])
 
     def multiply(self, g, h):
@@ -434,7 +514,9 @@ class DehnOracle(_WordElementOracle):
             self._swap_probe.setdefault(rot[:half], []).append(
                 free_reduce(invert_word(rot[half:]))
             )
-        self.halves = (self._swap_probe.keys(), half)
+        self.automaton = _HalfAutomaton(
+            self._swap_probe.keys(), presentation.generator_count
+        )
         self._canonical_cache: dict = {}
         self._set_generators(
             [(i,) for i in range(1, presentation.generator_count + 1)]
@@ -457,21 +539,17 @@ class DehnOracle(_WordElementOracle):
     def _canonical_miss(self, word) -> Word:
         """The canonical form of a freely reduced word the cache lacks.
 
-        A word with none of ``halves`` among its subwords of that length
-        admits no swap, so it is its own closure and its own canonical form;
-        only a word holding one runs the closure.  ``ball`` forms most such
-        words by extension and never comes here.  Every cache entry is made
-        here, after the size check, so the cache never holds more than the
-        limit plus one closure and its input.
+        A word with none of the halves among its subwords admits no swap,
+        so it is its own closure and its own canonical form; only a word
+        holding one runs the closure.  ``automaton`` reads the word to tell,
+        as ``ball`` reads the words it extends, which never come here.
+        Every cache entry is made here, after the size check, so the cache
+        never holds more than the limit plus one closure and its input.
         """
         cache = self._canonical_cache
         if len(cache) >= CANONICAL_CACHE_LIMIT:
             cache.clear()    # a pure memo: no answer changes
-        keys, half = self.halves
-        for start in range(len(word) - half + 1):
-            if word[start:start + half] in keys:
-                break
-        else:
+        if not self.automaton.holds_half(word):
             cache[word] = word
             return word
         current = word
@@ -500,7 +578,7 @@ class DehnOracle(_WordElementOracle):
         here is freely reduced, so a swap cancels only at its two seams.
         """
         probe = self._swap_probe
-        half = self.halves[1]
+        half = self.automaton.half
         seen = {start_word}
         queue = [start_word]
         while queue:
@@ -610,11 +688,12 @@ def ball(oracle: GroupOracle, radius: int) -> Ball:
 
     There most steps need no product.  The step that cancels the last
     letter of g's word was written when g was formed from its prefix.  A
-    word is clean when it holds none of the oracle's ``halves``.  A clean
-    g times any other letter s is clean and its own canonical form when
-    the last window of g s is no half, since its other windows lie in g.
-    The remaining steps call ``multiply``, and the elements they form are
-    not clean.
+    word is clean when it holds none of the oracle's halves, and each
+    clean element keeps the state its word leaves the oracle's
+    ``automaton`` in.  A clean g times any other letter s is clean and its
+    own canonical form when s leads that state to another, not -1: then
+    g s is appended after one table lookup.  The remaining steps call
+    ``multiply``, and the elements they form are not clean.
     """
     if radius < 0:
         raise SpecParseError("radius must be >= 0")
@@ -623,12 +702,17 @@ def ball(oracle: GroupOracle, radius: int) -> Ball:
     out = Ball([(oracle.identity(), 0)])
     steps = out.steps = {s: array("i", [-1]) for s in oracle.letters}
     extensions = [
-        ((s,), image, steps[s], steps[-s]) for s, image in oracle.letters.items()
+        (s, (s,), image, steps[s], steps[-s]) for s, image in oracle.letters.items()
     ]
     index = {oracle.identity(): 0}
+    count = 1    # the elements formed: all of index
     shortlex = oracle.shortlex_spheres
-    clean = bytearray([shortlex])    # per element: its word holds no half
-    halves, half = oracle.halves if shortlex else ((), 1)
+    automaton = oracle.automaton if shortlex else None
+    rows = automaton.rows if shortlex else ()
+    # per element: its automaton state, -1 when it is not clean or no word.
+    # Each state spells a prefix of a half, so few automata need more than a byte
+    wide = shortlex and len(automaton.prefixes) > 127
+    states = array("i" if wide else "b", [0 if shortlex else -1])
     presentation = oracle.presentation
     odd = presentation is None or any(len(rel) % 2 for rel in presentation.relators)
     start = 0
@@ -639,34 +723,36 @@ def ball(oracle: GroupOracle, radius: int) -> Ball:
         room = (first - start) * (len(extensions) - 1) + 1
         for step in steps.values():
             step.extend(array("i", [-1]) * room)
+        grow = r <= radius    # the odd pass forms no element
         nxt = []
         for i, (g, _) in enumerate(out[start:], start):
-            is_clean = clean[i]
-            for suffix, image, step, back in extensions:
+            if (state := states[i]) >= 0:
+                row = rows[state] or automaton.row(state)
+            for s, suffix, image, step, back in extensions:
                 if step[i] >= 0:
                     continue
-                # a word shorter than half is no half, and its slice is all of it
-                if is_clean and (h := g + suffix)[-half:] not in halves:
-                    h_clean = 1
+                if state >= 0 and (next_state := row[s]) >= 0:
+                    h = g + suffix
                 else:
-                    # not clean: a product is never scanned, and a canonical
+                    # not clean: a product is never read, and a canonical
                     # word may hold a half that a swap of its length keeps
-                    h, h_clean = multiply(g, image), 0
-                k = index.setdefault(h, len(index))
-                if k >= first + len(nxt):
-                    if r > radius:
-                        # the odd pass forms no element; index past out is unread
-                        continue
-                    nxt.append(h)
-                    clean.append(h_clean)
-                    if k >= budget:
-                        raise BudgetError(
-                            f"ball of {oracle.name} exceeded budget {budget} "
-                            f"at radius {r} (previous radius {r - 1} complete)",
-                            attained_radius=r - 1,
-                        )
+                    h, next_state = multiply(g, image), -1
+                if grow:
+                    k = index.setdefault(h, count)
+                    if k == count:
+                        count += 1
+                        nxt.append(h)
+                        states.append(next_state)
+                        if k >= budget:
+                            raise BudgetError(
+                                f"ball of {oracle.name} exceeded budget {budget} "
+                                f"at radius {r} (previous radius {r - 1} complete)",
+                                attained_radius=r - 1,
+                            )
+                elif (k := index.get(h)) is None:
+                    continue
                 step[i], back[k] = k, i
-        out.extend((h, r) for h in nxt)
+        out.extend(zip(nxt, repeat(r)))
         for step in steps.values():
             del step[len(out):]
         start = first

@@ -7,6 +7,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from step_tables import counting_multiply, step_items
 
 from pdfill import (
@@ -533,12 +535,13 @@ def ball_of_products(oracle, radius):
     """``ball``'s (element, distance) pairs and step rows, with every
     element and step formed by ``multiply`` and each sphere sorted here."""
     letters = list(oracle.letters)
+    key = shortlex if oracle.shortlex_spheres else oracle.sort_key
     elements = [(oracle.identity(), 0)]
     index = {oracle.identity(): 0}
     sphere = [oracle.identity()]
     for r in range(1, radius + 1):
         products = {oracle.multiply(g, oracle.letter(s)) for g in sphere for s in letters}
-        sphere = sorted(products - index.keys(), key=shortlex)
+        sphere = sorted(products - index.keys(), key=key)
         for g in sphere:
             index[g] = len(elements)
             elements.append((g, r))
@@ -559,6 +562,108 @@ def test_ball_extensions_match_a_ball_of_products(spec, radius):
     elements = ball(make_group(spec), radius)
     expected = ball_of_products(make_group(spec), radius)
     assert (list(elements), step_items(elements.steps)) == expected
+
+
+@pytest.mark.parametrize("generators", [None, [2, 3], [1], [3]])
+def test_ball_without_a_presentation_matches_a_ball_of_products(generators):
+    # no presentation, so one more pass over the outer sphere writes the
+    # steps that stay in it: it looks each product up and forms no element
+    for radius in range(4):
+        elements = ball(finite_table(cyclic_table(6), generators), radius)
+        expected = ball_of_products(finite_table(cyclic_table(6), generators), radius)
+        assert (list(elements), step_items(elements.steps)) == expected
+
+
+AUTOMATON_SPECS = ["Sigma2", "Sigma3", "T11a:3", "T11b:3", "T11b:4"]
+
+
+def half_rich_words(oracle):
+    """Words of single letters and pieces of relator conjugates, so halves
+    and their prefixes turn up often, and next to each other."""
+    conjugates = [word for _, word in oracle.presentation.conjugates]
+    length = len(conjugates[0])
+    piece = st.one_of(
+        st.sampled_from(list(oracle.letters)).map(lambda s: (s,)),
+        st.tuples(
+            st.sampled_from(conjugates), st.integers(0, length), st.integers(0, length)
+        ).map(lambda drawn: drawn[0][drawn[1]:drawn[2]]),
+    )
+    return st.lists(piece, max_size=8).map(lambda pieces: sum(pieces, ()))
+
+
+@pytest.mark.parametrize("spec", AUTOMATON_SPECS)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_half_automaton_matches_the_sliced_scan(spec, data):
+    # written out apart from the automaton: the halves are the first
+    # halves of the relator conjugates, and a state spells the longest
+    # suffix of the letters read that is a proper prefix of one of them
+    oracle = make_group(spec)
+    (relator,) = oracle.presentation.relators
+    half = len(relator) // 2
+    halves = {word[:half] for _, word in oracle.presentation.conjugates}
+    prefixes = {h[:k] for h in halves for k in range(half)}
+    automaton = oracle.automaton
+    word = data.draw(half_rich_words(oracle))
+    state = 0
+    for end in range(1, len(word) + 1):
+        state = automaton.row(state)[word[end - 1]]
+        read = word[:end]
+        # -1 exactly where the last window of the letters read is a half
+        assert (state < 0) == (read[-half:] in halves)
+        if state < 0:
+            break
+        longest = next(read[k:] for k in range(end + 1) if read[k:] in prefixes)
+        assert automaton.suffixes[state] == longest
+    windows = [word[k:k + half] for k in range(len(word) - half + 1)]
+    assert automaton.holds_half(word) == any(w in halves for w in windows)
+
+
+def rows_built(automaton):
+    return [state for state, row in enumerate(automaton.rows) if row is not None]
+
+
+def test_half_automaton_builds_rows_as_they_are_read():
+    # make_group inverts each generator, a one-letter word that reads the
+    # row of the empty suffix only; its 8 letters each start a half
+    s2 = make_group("Sigma2")
+    assert rows_built(s2.automaton) == [0]
+    assert len(s2.automaton.states) == 9
+    ball(s2, 2)
+    assert (len(rows_built(s2.automaton)), len(s2.automaton.states)) == (9, 25)
+    ball(s2, 5)
+    assert (len(rows_built(s2.automaton)), len(s2.automaton.states)) == (41, 41)
+    s6 = make_group("Sigma6")
+    assert rows_built(s6.automaton) == [0]
+    # a free group has no halves: one state, which every letter keeps
+    f2 = make_group("F2")
+    ball(f2, 3)
+    assert f2.automaton.rows == [[0] * 5]
+
+
+@pytest.mark.parametrize("spec", AUTOMATON_SPECS + ["Sigma6"])
+def test_half_automaton_states_stay_within_the_bound(spec):
+    # every row built: each state is a proper prefix of some conjugate's
+    # first half, so there are at most 1 + conjugates × (half - 1)
+    oracle = make_group(spec)
+    automaton = oracle.automaton
+    while None in automaton.rows:
+        automaton.row(automaton.rows.index(None))
+    bound = 1 + len(oracle.presentation.conjugates) * (automaton.half - 1)
+    assert len(automaton.states) == len(automaton.suffixes) <= bound
+
+
+def test_ball_keeps_automaton_states_past_a_byte():
+    # Sigma10's halves have 20 letters, so its automaton outgrows a byte and
+    # radius 3 reaches more than 127 states.  No word that short holds a
+    # half, so the ball is F20's, steps included
+    oracle = make_group("Sigma10")
+    assert len(oracle.automaton.prefixes) > 127
+    elements = ball(oracle, 3)
+    assert len(oracle.automaton.states) > 127
+    tree = ball(free_group(20), 3)
+    assert list(elements) == list(tree)
+    assert elements.steps == tree.steps
 
 
 def closure_canonical(oracle, word):
