@@ -246,21 +246,15 @@ def _is_cycle(complex_, coefficients) -> bool:
 class OneCycle:
     """An integer 1-chain in the kernel of the edge boundary.
 
-    It keeps a copy of the chain's nonzero entries; ``_of`` keeps a dict
-    of its own that holds no zero as it is.  Either way it is checked.
+    It keeps the chain's nonzero entries: the dict it is given when that
+    holds no zero, as the ones the sweep and ``word_cycle`` build for it
+    do, and a copy without the zeros otherwise.
     """
 
     def __init__(self, complex: CayleyBallComplex, coefficients: dict):
-        self._hold(complex, {e: c for e, c in coefficients.items() if c})
-
-    @classmethod
-    def _of(cls, complex_: CayleyBallComplex, coefficients: dict) -> OneCycle:
-        cycle = cls.__new__(cls)
-        cycle._hold(complex_, coefficients)
-        return cycle
-
-    def _hold(self, complex_, coefficients):
-        self.complex = complex_
+        self.complex = complex
+        if 0 in coefficients.values():
+            coefficients = {e: c for e, c in coefficients.items() if c}
         self.coefficients = coefficients
         if not self.is_cycle():
             raise NotACycleError("chain is not in the kernel of the boundary")
@@ -284,7 +278,7 @@ def word_cycle(complex_: CayleyBallComplex, word) -> OneCycle:
     end, coefficients = traced
     if end != center:
         raise NotACycleError("word does not evaluate to the identity")
-    return OneCycle._of(complex_, coefficients)
+    return OneCycle(complex_, coefficients)
 
 
 class FillingResult:
@@ -619,7 +613,7 @@ def isoperimetric_sweep(
     unfilled = 0
     for key, word in cycles.items():
         norm = len(key)
-        cycle = OneCycle._of(complex_, dict(key))   # checks every cycle, kept for this entry only
+        cycle = OneCycle(complex_, dict(key))   # checks every cycle, kept for this entry only
         # a walk is the first of one cycle only, so its verdict is read once
         verdict = verdicts.pop(word, None)
         if verdict is None:

@@ -276,7 +276,7 @@ class _WordTable:
         return tuple(reversed(letters))
 
 
-class _HalfAutomaton:
+class _HalfAutomaton(dict):
     """Reads a word letter by letter and stops where it completes a half.
 
     The halves are words of one length, ``half``.  A state is the longest
@@ -287,67 +287,64 @@ class _HalfAutomaton:
     half's first ``half - 1`` letters are then the state before it.  With
     no halves there is one state, which every letter keeps.
 
-    ``rows[q]`` is None until state q's row is first read through ``row``.
-    A row has one entry per signed letter, read by the letter itself (a
-    list of 2m + 1, so -s falls at 2m + 1 - s): the next state, or -1 when
-    the letter completes a half.  ``fails[q]`` is the state of the longest
-    proper suffix of state q that starts a half; a letter that does not
-    extend q to a prefix of a half goes where it goes from there.  Rows
-    are built only as words reach them, each after its fail state's.
-    There are at most 1 + (number of halves) × (half - 1) states, and the
-    budget bounds the conjugate table the halves come from.
+    The automaton maps each state to its row, built the first time the
+    state is read.  A row has one entry per signed letter, read by the
+    letter itself (a list of 2m + 1, so -s falls at 2m + 1 - s): the next
+    state, or -1 when the letter completes a half.  ``fails[q]`` is the
+    state of the longest proper suffix of state q that starts a half; a
+    letter that does not extend q to a prefix of a half goes where it goes
+    from there.  There are at most 1 + (number of halves) × (half - 1)
+    states, and the budget bounds the conjugate table the halves come
+    from, but a full table has 2m entries a state, about 64 g^3 on
+    Sigma_g, so only the states words reach get rows.  For the same
+    reason no set of prefixes is kept: it would hold about (number of
+    halves) × half^2 / 2 letters.  ``spans[q]`` is the range of the
+    sorted halves that start with state q's suffix instead.
     """
 
     def __init__(self, halves, generator_count):
-        self.halves = halves
+        super().__init__()
         self.half = len(next(iter(halves), ()))
-        self.letters = [s for g in range(1, generator_count + 1) for s in (g, -g)]
-        self.prefixes = {h[:k] for h in halves for k in range(self.half)}
-        self.states = {(): 0}
+        self.width = 2 * generator_count + 1
+        self.sorted_halves = sorted(halves)
         self.suffixes = [()]
         self.fails = [0]
-        self.rows: list = [None]
+        self.spans = [(0, len(self.sorted_halves))]
 
-    def row(self, state) -> list:
-        """State ``state``'s transitions, built on first read."""
-        rows, fails = self.rows, self.fails
-        if rows[state] is None:
-            # fail states are shorter: build the chain's unbuilt rows
-            # shortest first, with no recursion as deep as a half
-            chain = [state]
-            while chain[-1] and rows[fails[chain[-1]]] is None:
-                chain.append(fails[chain[-1]])
-            for q in reversed(chain):
-                self._build(q)
-        return rows[state]
+    def __missing__(self, state) -> list:
+        # fail states are shorter: build the chain's unbuilt rows shortest
+        # first, with no recursion as deep as a half
+        chain = [state]
+        while chain[-1] and self.fails[chain[-1]] not in self:
+            chain.append(self.fails[chain[-1]])
+        for q in reversed(chain):
+            row = self[q] = self._row(q)
+        return row
 
-    def _build(self, state):
+    def _row(self, state) -> list:
         suffix = self.suffixes[state]
-        fallback = self.rows[self.fails[state]] if suffix else None
-        row = self.rows[state] = [0] * (len(self.letters) + 1)
-        for s in self.letters:
-            word = suffix + (s,)
-            if word in self.halves:
+        depth = len(suffix)
+        # a letter that extends no prefix of a half goes where it goes from
+        # the fail state, which is shorter than a half, so completes none
+        row = self[self.fails[state]].copy() if suffix else [0] * self.width
+        # the sorted halves that start with the suffix: those that share
+        # the next letter lie together, and each run is one letter's child
+        halves = self.sorted_halves
+        start, stop = self.spans[state]
+        while start < stop:
+            s = halves[start][depth]
+            end = start + 1
+            while end < stop and halves[end][depth] == s:
+                end += 1
+            if depth + 1 == self.half:
                 row[s] = -1
-            elif word in self.prefixes:
-                target = row[s] = self.states.setdefault(word, len(self.states))
-                if target == len(self.suffixes):
-                    self.suffixes.append(word)
-                    self.fails.append(fallback[s] if suffix else 0)
-                    self.rows.append(None)
-            elif suffix:
-                # shorter than a half, so the fail state's letter completes none
-                row[s] = fallback[s]
-
-    def holds_half(self, word) -> bool:
-        """Whether a half is among the word's subwords."""
-        rows = self.rows
-        state = 0
-        for s in word:
-            state = (rows[state] or self.row(state))[s]
-            if state < 0:
-                return True
-        return False
+            else:
+                self.fails.append(row[s])    # the fail state's entry, 0 from state 0
+                row[s] = len(self.suffixes)
+                self.suffixes.append(suffix + (s,))
+                self.spans.append((start, end))
+            start = end
+        return row
 
 
 class _WordElementOracle(GroupOracle):
@@ -356,10 +353,12 @@ class _WordElementOracle(GroupOracle):
     ``automaton`` reads the halves, the first halves of the relator
     conjugates, all of one length, the only subwords a half-swap rewrites:
     one table lookup per letter.  A free group has none, so ``ball``
-    extends its words with no product.  Each subclass sets it in
-    ``__init__``, before any word is read: an attribute added later, as a
-    ``cached_property`` adds it, takes CPython's instance dict off its fast
-    path, and every attribute read on the oracle after it is slower.
+    extends its words with no product.  A Dehn oracle also keeps
+    ``halves``, (keys, half), for the words it reads one at a time.  Each
+    subclass sets ``automaton`` in ``__init__``, before any word is read:
+    an attribute added later, as a ``cached_property`` adds it, takes
+    CPython's instance dict off its fast path, and every attribute read on
+    the oracle after it is slower.
     """
 
     shortlex_spheres = True
@@ -514,9 +513,11 @@ class DehnOracle(_WordElementOracle):
             self._swap_probe.setdefault(rot[:half], []).append(
                 free_reduce(invert_word(rot[half:]))
             )
-        self.automaton = _HalfAutomaton(
-            self._swap_probe.keys(), presentation.generator_count
-        )
+        # a word's windows are looked up in halves, which reads no row of
+        # the automaton: on a surface relator each state fails to its own
+        # suffix, so one word of n letters would build about n × half rows
+        self.halves = (self._swap_probe.keys(), half)
+        self.automaton = _HalfAutomaton(self.halves[0], presentation.generator_count)
         self._canonical_cache: dict = {}
         self._set_generators(
             [(i,) for i in range(1, presentation.generator_count + 1)]
@@ -539,17 +540,21 @@ class DehnOracle(_WordElementOracle):
     def _canonical_miss(self, word) -> Word:
         """The canonical form of a freely reduced word the cache lacks.
 
-        A word with none of the halves among its subwords admits no swap,
-        so it is its own closure and its own canonical form; only a word
-        holding one runs the closure.  ``automaton`` reads the word to tell,
-        as ``ball`` reads the words it extends, which never come here.
-        Every cache entry is made here, after the size check, so the cache
-        never holds more than the limit plus one closure and its input.
+        A word with none of ``halves`` among its subwords of that length
+        admits no swap, so it is its own closure and its own canonical form;
+        only a word holding one runs the closure.  ``ball`` forms most such
+        words by extension and never comes here.  Every cache entry is made
+        here, after the size check, so the cache never holds more than the
+        limit plus one closure and its input.
         """
         cache = self._canonical_cache
         if len(cache) >= CANONICAL_CACHE_LIMIT:
             cache.clear()    # a pure memo: no answer changes
-        if not self.automaton.holds_half(word):
+        keys, half = self.halves
+        for start in range(len(word) - half + 1):
+            if word[start:start + half] in keys:
+                break
+        else:
             cache[word] = word
             return word
         current = word
@@ -578,7 +583,7 @@ class DehnOracle(_WordElementOracle):
         here is freely reduced, so a swap cancels only at its two seams.
         """
         probe = self._swap_probe
-        half = self.automaton.half
+        half = self.halves[1]
         seen = {start_word}
         queue = [start_word]
         while queue:
@@ -707,12 +712,9 @@ def ball(oracle: GroupOracle, radius: int) -> Ball:
     index = {oracle.identity(): 0}
     count = 1    # the elements formed: all of index
     shortlex = oracle.shortlex_spheres
-    automaton = oracle.automaton if shortlex else None
-    rows = automaton.rows if shortlex else ()
-    # per element: its automaton state, -1 when it is not clean or no word.
-    # Each state spells a prefix of a half, so few automata need more than a byte
-    wide = shortlex and len(automaton.prefixes) > 127
-    states = array("i" if wide else "b", [0 if shortlex else -1])
+    rows = oracle.automaton if shortlex else None
+    # per element: its automaton state, -1 when it is not clean or no word
+    states = array("i", [0 if shortlex else -1])
     presentation = oracle.presentation
     odd = presentation is None or any(len(rel) % 2 for rel in presentation.relators)
     start = 0
@@ -727,7 +729,7 @@ def ball(oracle: GroupOracle, radius: int) -> Ball:
         nxt = []
         for i, (g, _) in enumerate(out[start:], start):
             if (state := states[i]) >= 0:
-                row = rows[state] or automaton.row(state)
+                row = rows[state]
             for s, suffix, image, step, back in extensions:
                 if step[i] >= 0:
                     continue

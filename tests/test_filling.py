@@ -190,6 +190,13 @@ def test_word_cycle_examples():
     z2 = build_ball_complex(free_abelian(2), 3)
     square = word_cycle(z2, (1, 2, -1, -2))
     assert square.support_norm() == 4
+    # a chain with no zero is kept as given; one with a zero is copied without it
+    chain = square.coefficients
+    assert OneCycle(z2, chain).coefficients is chain
+    spare = next(e for e in range(len(chain) + 1) if e not in chain)
+    padded = {**chain, spare: 0}
+    assert OneCycle(z2, padded).coefficients == chain
+    assert padded[spare] == 0
     cancel = word_cycle(z2, (1, -1))
     assert cancel.support_norm() == 0
     s2 = build_ball_complex(surface_group(2), 4)

@@ -607,7 +607,7 @@ def test_half_automaton_matches_the_sliced_scan(spec, data):
     word = data.draw(half_rich_words(oracle))
     state = 0
     for end in range(1, len(word) + 1):
-        state = automaton.row(state)[word[end - 1]]
+        state = automaton[state][word[end - 1]]
         read = word[:end]
         # -1 exactly where the last window of the letters read is a half
         assert (state < 0) == (read[-half:] in halves)
@@ -615,30 +615,21 @@ def test_half_automaton_matches_the_sliced_scan(spec, data):
             break
         longest = next(read[k:] for k in range(end + 1) if read[k:] in prefixes)
         assert automaton.suffixes[state] == longest
-    windows = [word[k:k + half] for k in range(len(word) - half + 1)]
-    assert automaton.holds_half(word) == any(w in halves for w in windows)
-
-
-def rows_built(automaton):
-    return [state for state, row in enumerate(automaton.rows) if row is not None]
 
 
 def test_half_automaton_builds_rows_as_they_are_read():
-    # make_group inverts each generator, a one-letter word that reads the
-    # row of the empty suffix only; its 8 letters each start a half
+    # make_group builds no row and knows only the empty suffix
     s2 = make_group("Sigma2")
-    assert rows_built(s2.automaton) == [0]
-    assert len(s2.automaton.states) == 9
+    assert (len(s2.automaton), s2.automaton.suffixes) == (0, [()])
     ball(s2, 2)
-    assert (len(rows_built(s2.automaton)), len(s2.automaton.states)) == (9, 25)
+    assert (len(s2.automaton), len(s2.automaton.suffixes)) == (9, 25)
     ball(s2, 5)
-    assert (len(rows_built(s2.automaton)), len(s2.automaton.states)) == (41, 41)
-    s6 = make_group("Sigma6")
-    assert rows_built(s6.automaton) == [0]
+    assert (len(s2.automaton), len(s2.automaton.suffixes)) == (41, 41)
+    assert not make_group("Sigma6").automaton
     # a free group has no halves: one state, which every letter keeps
     f2 = make_group("F2")
     ball(f2, 3)
-    assert f2.automaton.rows == [[0] * 5]
+    assert f2.automaton == {0: [0] * 5}
 
 
 @pytest.mark.parametrize("spec", AUTOMATON_SPECS + ["Sigma6"])
@@ -647,23 +638,28 @@ def test_half_automaton_states_stay_within_the_bound(spec):
     # first half, so there are at most 1 + conjugates × (half - 1)
     oracle = make_group(spec)
     automaton = oracle.automaton
-    while None in automaton.rows:
-        automaton.row(automaton.rows.index(None))
+    for state, _ in enumerate(automaton.suffixes):    # grows as rows are built
+        automaton[state]
     bound = 1 + len(oracle.presentation.conjugates) * (automaton.half - 1)
-    assert len(automaton.states) == len(automaton.suffixes) <= bound
+    assert len(automaton) == len(automaton.suffixes) <= bound
 
 
-def test_ball_keeps_automaton_states_past_a_byte():
-    # Sigma10's halves have 20 letters, so its automaton outgrows a byte and
-    # radius 3 reaches more than 127 states.  No word that short holds a
-    # half, so the ball is F20's, steps included
-    oracle = make_group("Sigma10")
-    assert len(oracle.automaton.prefixes) > 127
-    elements = ball(oracle, 3)
-    assert len(oracle.automaton.states) > 127
-    tree = ball(free_group(20), 3)
-    assert list(elements) == list(tree)
-    assert elements.steps == tree.steps
+def test_high_genus_group_builds_rows_for_balls_only():
+    # Sigma80's halves are 640 words of 160 letters: their proper prefixes
+    # would spell about 8M letters, 64 MB of references, where the
+    # conjugate table holds 204,800.  Read through the rows, the first 200
+    # letters of its relator would build about 160^2 / 2 of them, each of
+    # 321 entries, as each state fails to its own suffix
+    tracemalloc.start()
+    try:
+        oracle = make_group("Sigma80")
+        relator = oracle.presentation.relators[0]
+        assert oracle.canonical(relator[:200]) != relator[:200]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+    assert not oracle.automaton
 
 
 def closure_canonical(oracle, word):
