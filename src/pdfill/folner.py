@@ -14,7 +14,9 @@ Nothing here claims amenability or non-amenability of the group itself.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from bisect import bisect_left
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -207,9 +209,10 @@ def _has_short_cycle(neighbors, distance, length) -> bool:
     return False
 
 
-def _gain_cap(neighbors, tests, distance, size_max) -> int:
-    """The most vertices one candidate turns interior in a set below ``size_max``."""
-    if _has_short_cycle(neighbors, distance, size_max):
+def _gain_cap(tests, tree) -> int:
+    """The most vertices one candidate turns interior in a set below the
+    size whose cycles ``tree`` rules out (``_has_short_cycle``)."""
+    if not tree:
         # the candidate, and each vertex whose test points at it; the
         # identity's tests are the inverse generators
         return 1 + sum(t != 0 for t in tests[0])
@@ -245,27 +248,38 @@ def _connected_series(oracle, size_max):
     gain of ``gain_cap`` cannot lower the size-``size_max`` minimum the
     gains are skipped; the skipped sets could not have changed it.
 
-    The last two levels are counted whenever they cannot lower either
-    minimum.  Interior vertices stay interior as a set grows, so a set
-    of size ``size_max - 2`` with I interior vertices has extensions with
-    boundary at least ``size_max - 1 - I - gain_cap`` and ``size_max - I
-    - 2 gain_cap``.  If neither is below its size's minimum so far, its
-    L candidates are not grown.  The candidate at position i of the list
+    A subtree is counted, not grown, when it cannot lower a minimum.
+    Interior vertices stay interior as a set grows, so the extensions of
+    a set of size s with I interior vertices by i vertices have boundary
+    at least s - I - i (gain_cap - 1).  When that is no less than the
+    size-(s + i) minimum so far for every i up to ``size_max - s``, the
+    set's W candidates are not grown.  Without a simple cycle of
+    ``size_max`` vertices or fewer (``_has_short_cycle``), any size may be
+    counted so: each extension by j vertices is a forest of disjoint
+    branches, each rooted at a candidate, whose other vertices are
+    unreached, since a branch that met another or came back next to the
+    set would close such a cycle.  So each branch vertex has d - 1
+    children, d being the number of distinct neighbors of a vertex, and
+    with B = 1 + x B^(d - 1) the subtree holds [x^j] B^W =
+    W / ((d - 1) j + W) C((d - 1) j + W, j) sets at depth j (Lagrange
+    inversion).  With a short cycle only size ``size_max - 2`` is
+    counted, and explicitly: the candidate at position i of the list
     would be grown with the i - 1 before it still untried, plus its own
     unreached neighbors, which backtracking unflags before the next.  So
-    the subtree holds L + L(L - 1)/2 sets plus, for each candidate, its
-    neighbors not reached.
+    the subtree holds W + W(W - 1)/2 sets plus, for each candidate, its
+    neighbors not reached; below the girth that is the forest count at
+    j = 1, 2.
 
     ``gain_cap`` is one plus the number of tests pointing at a vertex,
     unless the Cayley graph has no simple cycle of length ``size_max``
-    or less (``_has_short_cycle``).  Then a candidate x touches a
-    connected set S of size below ``size_max`` at one vertex, since two
-    would close a cycle of length at most |S| + 1 through a path in S.
-    A member that x turns interior has x as a test, so it is a neighbor
-    of x; there is one.  x turns interior only if all its tests lie in S
-    or are x, and two distinct tests other than x would be two neighbors
-    of x in S.  So ``gain_cap`` is 1, or 2 when the inverse generators
-    name at most one element other than 1.
+    or less.  Then a candidate x touches a connected set S of size below
+    ``size_max`` at one vertex, since two would close a cycle of length
+    at most |S| + 1 through a path in S.  A member that x turns interior
+    has x as a test, so it is a neighbor of x; there is one.  x turns
+    interior only if all its tests lie in S or are x, and two distinct
+    tests other than x would be two neighbors of x in S.  So
+    ``gain_cap`` is 1, or 2 when the inverse generators name at most one
+    element other than 1.
 
     Raises ``BudgetError`` once more than ``WORK_PER_BUDGET`` times
     ``current_budget()`` sets are grown, the scale fill's walk search
@@ -275,7 +289,8 @@ def _connected_series(oracle, size_max):
     # neighbors reach distance size_max - 2, so size_max // 2 from size 3
     # on; below it a vertex at distance 1 closes no cycle of length 2
     neighbors, test_nbrs, distance = _cayley_graph(oracle, size_max - 1)
-    gain_cap = _gain_cap(neighbors, test_nbrs, distance, size_max)
+    tree = not _has_short_cycle(neighbors, distance, size_max)
+    gain_cap = _gain_cap(test_nbrs, tree)
     del distance
     n = len(test_nbrs)    # neighbors stops short of the outer sphere
     rev_test = [[] for _ in range(n)]       # vertices whose test points here
@@ -289,20 +304,41 @@ def _connected_series(oracle, size_max):
     missing = [0] * n        # per member: how many of its test points are absent
     # size + 1 stays only for sizes no connected set reaches (finite groups)
     best_boundary = [size + 1 for size in range(size_max + 1)]
-    # plus I, the least boundary that a set of size size_max - 2 with I
-    # interior vertices extends to at the last size and the one before
-    bound_last = size_max - 2 * gain_cap
-    bound_next = size_max - 1 - gain_cap
+    # a set of size s with I interior vertices has its subtree counted
+    # once s - I >= need[s], the most over i of the size-(s + i) minimum
+    # plus i (gain_cap - 1).  ``lower`` keeps it at the sizes that may be
+    # counted; elsewhere it stays size_max, above any s - I
+    need = [size_max] * size_max
+    counted_sizes = range(1 if tree else max(1, size_max - 2), size_max - 1)
+    branching = len(neighbors[0]) - 1 if neighbors else 0    # d - 1
     budget = current_budget()
     max_grown = WORK_PER_BUDGET * budget
     grown = 1    # the root
+
+    def lower(size, boundary):
+        """Record a new least boundary at ``size``, and the ``need`` it sets."""
+        best_boundary[size] = boundary
+        for s in counted_sizes:
+            need[s] = max(
+                best_boundary[s + i] + i * (gain_cap - 1) for i in range(1, size_max - s + 1)
+            )
+
+    @functools.cache
+    def forest(width, depth):
+        """The sets with 1 to depth - 1, and with 1 to depth, members more
+        than a set with ``width`` candidates has, below the girth."""
+        layers = [
+            width * math.comb(branching * j + width, j) // (branching * j + width)
+            for j in range(1, depth + 1)
+        ]
+        return sum(layers) - layers[-1], sum(layers)
 
     def grow(v, untried, size, interior):
         """Add v as the size-th member, record the set, extend it; count sets.
 
         A set one short of ``size_max`` is not extended: its extensions are
         counted, and their best boundary is read off the candidates' gains.
-        A set two short is not extended when its subtree cannot lower a
+        A smaller set is not extended when its subtree cannot lower a
         minimum: its subtree is counted from its candidates.
         """
         nonlocal grown
@@ -320,32 +356,35 @@ def _connected_series(oracle, size_max):
                 if missing[w] == 0:
                     interior += 1
         if size - interior < best_boundary[size]:
-            best_boundary[size] = size - interior
+            lower(size, size - interior)
         count = 1
         if size < size_max - 1:
             new = [u for u in neighbors[v] if not reached[u]]
             for u in new:
                 reached[u] = True
             untried = untried + new
-            # each counts as grown, also when the subtree is counted below
-            grown += len(untried)
-            if grown > max_grown:
-                raise BudgetError(
-                    f"connected sets up to size {size_max} exceeded {max_grown} grown sets "
-                    f"({WORK_PER_BUDGET} per unit of budget {budget})"
-                )
-            if (
-                size == size_max - 2
-                and bound_next - interior >= best_boundary[size_max - 1]
-                and bound_last - interior >= best_boundary[size_max]
-            ):
-                width = len(untried)
+            width = len(untried)
+            # the sets a counted subtree would grow count as grown too
+            counted = size - interior >= need[size]
+            if not counted:
+                grown += width
+            elif tree:
+                below, sets = forest(width, size_max - size)
+                grown += below
+                count += sets
+            else:
+                grown += width
                 count += width * (width + 1) // 2
                 for u in untried:
                     for w in neighbors[u]:
                         if not reached[w]:
                             count += 1
-            else:
+            if grown > max_grown:
+                raise BudgetError(
+                    f"connected sets up to size {size_max} exceeded {max_grown} grown sets "
+                    f"({WORK_PER_BUDGET} per unit of budget {budget})"
+                )
+            if not counted:
                 while untried:
                     count += grow(untried.pop(), untried, size + 1, interior)
             for u in new:
@@ -373,7 +412,7 @@ def _connected_series(oracle, size_max):
                     if gain > best_gain:
                         best_gain = gain
                 if size_max - interior - best_gain < best_boundary[size_max]:
-                    best_boundary[size_max] = size_max - interior - best_gain
+                    lower(size_max, size_max - interior - best_gain)
         for w in rev_test[v]:
             if in_set[w]:
                 missing[w] += 1

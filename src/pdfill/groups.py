@@ -155,14 +155,19 @@ class GroupOracle:
     generator_count: int
     presentation: Presentation | None
     letters: dict
+    _words: _WordTable
 
     def _set_generators(self, images):
-        """Fill ``letters`` from the generator images, inverses by ``invert``."""
+        """Fill ``letters`` from the generator images, inverses by ``invert``,
+        and start the word table, which grows only when read.  Set here, in
+        construction, it adds no attribute later: one added after
+        ``__init__`` takes CPython's instance dict off its fast path."""
         self.generator_count = len(images)
         self.letters = {}
         for index, image in enumerate(images, start=1):
             self.letters[index] = image
             self.letters[-index] = self.invert(image)
+        self._words = _WordTable(self)
 
     def identity(self):
         raise NotImplementedError
@@ -186,10 +191,6 @@ class GroupOracle:
 
     def is_identity(self, g) -> bool:
         return g == self.identity()
-
-    @cached_property
-    def _words(self) -> _WordTable:
-        return _WordTable(self)
 
     def as_word(self, g) -> Word:
         """The shortlex-least geodesic word evaluating to g.

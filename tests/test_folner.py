@@ -32,11 +32,11 @@ from pdfill.groups import WORK_PER_BUDGET, ball
 # connected subsets of the 4-regular tree containing the root, of size at
 # most K: there are (4 / (3k + 4)) * C(3k + 4, k) rooted subtrees with
 # k + 1 vertices
-TREE_SUBSET_COUNTS = {7: 16580, 9: 537507, 10: 3138807}
+TREE_SUBSET_COUNTS = {7: 16580, 8: 93492, 9: 537507, 10: 3138807, 11: 18565647}
 
 # fixed polyominoes with n cells (OEIS A001168); each has n translates
 # with a cell at the origin
-FIXED_POLYOMINOES = [1, 2, 6, 19, 63, 216, 760, 2725]
+FIXED_POLYOMINOES = [1, 2, 6, 19, 63, 216, 760, 2725, 9910, 36446]
 
 
 def naive_connected_series(oracle, size_max):
@@ -52,6 +52,14 @@ def naive_connected_series(oracle, size_max):
     layer = {frozenset([oracle.identity()])}
     series, count = [], 0
     for size in range(1, size_max + 1):
+        if size > 1:
+            layer = {
+                s | {h}
+                for s in layer
+                for g in s
+                for h in (oracle.multiply(g, oracle.letter(x)) for x in letters)
+                if h not in s
+            }
         if not layer:
             break
         count += len(layer)
@@ -60,13 +68,6 @@ def naive_connected_series(oracle, size_max):
             for s in layer
         )
         series.append((size, Fraction(best, size)))
-        layer = {
-            s | {h}
-            for s in layer
-            for g in s
-            for h in (oracle.multiply(g, oracle.letter(x)) for x in letters)
-            if h not in s
-        }
     return series, count
 
 
@@ -134,8 +135,13 @@ def test_tree_subset_counts_match_formula():
 
 def test_connected_count_z2_rooted_polyominoes():
     report = folner_sweep(free_abelian(2), "connected:8")
-    rooted = sum(n * a for n, a in enumerate(FIXED_POLYOMINOES, start=1))
+    rooted = sum(n * a for n, a in enumerate(FIXED_POLYOMINOES[:8], start=1))
     assert report.sets_examined == rooted == 28830
+    # at size 10 some sets two short of it are counted, not grown, and the
+    # plane's short cycles make that count explicit
+    report = folner_sweep(free_abelian(2), "connected:10")
+    rooted = sum(n * a for n, a in enumerate(FIXED_POLYOMINOES, start=1))
+    assert report.sets_examined == rooted == 482480
 
 
 # cyclic groups by (order, generators): the identity as a generator, an
@@ -154,8 +160,8 @@ CYCLIC_CASES = {
 @pytest.mark.parametrize(
     "spec, size_max",
     [
-        ("F2", 1), ("F2", 2), ("F2", 3), ("F2", 7), ("F1", 6), ("Z^2", 3),
-        ("Z^2", 6), ("Z^3", 5), ("F3", 5), ("Sigma2", 4), ("Klein", 6),
+        ("F2", 1), ("F2", 2), ("F2", 3), ("F2", 6), ("F2", 7), ("F2", 8), ("F1", 6),
+        ("Z^2", 3), ("Z^2", 6), ("Z^3", 5), ("F3", 5), ("Sigma2", 4), ("Klein", 6),
         ("T11b:3", 5), ("T11b:3", 6), ("C6", 6), ("C6", 8), ("C5-identity", 5),
         ("C5-identity-and-1", 5), ("C6-involution", 6), ("C6-involution", 7),
         ("C6-repeated", 6), ("C6-repeated", 7), ("C4-repeated", 4),
@@ -177,8 +183,9 @@ def test_connected_series_matches_naive_closure(spec, size_max):
 def test_connected_f2_series_is_the_tree_minimum():
     # a subtree of the 4-regular tree with n vertices has at least n//2 + 1
     # boundary vertices, and the sweep reaches that minimum at every size
-    report = folner_sweep(free_group(2), "connected:9")
-    assert report.series == [(n, Fraction(n // 2 + 1, n)) for n in range(1, 10)]
+    report = folner_sweep(free_group(2), "connected:11")
+    assert report.series == [(n, Fraction(n // 2 + 1, n)) for n in range(1, 12)]
+    assert report.sets_examined == TREE_SUBSET_COUNTS[11]
 
 
 @pytest.mark.parametrize(
@@ -205,17 +212,22 @@ def test_free_groups_have_no_short_cycle():
         assert not _has_short_cycle(neighbors, distance, 12)
 
 
+def gain_cap(oracle, radius, size_max):
+    neighbors, tests, distance = _cayley_graph(oracle, radius)
+    return _gain_cap(tests, not _has_short_cycle(neighbors, distance, size_max))
+
+
 def test_gain_cap_below_the_girth():
     # below the girth a candidate touches the set at one vertex; on F1 it
     # can also turn interior itself, as its one test may lie in the set
     # (the girth check reads neighbors to distance size_max // 2, and the
     # graph lists them inside its outer sphere only)
-    assert _gain_cap(*_cayley_graph(free_group(1), 5), 9) == 2
-    assert _gain_cap(*_cayley_graph(free_group(2), 5), 9) == 1
-    assert _gain_cap(*_cayley_graph(make_group("Sigma2"), 4), 7) == 1
+    assert gain_cap(free_group(1), 5, 9) == 2
+    assert gain_cap(free_group(2), 5, 9) == 1
+    assert gain_cap(make_group("Sigma2"), 4, 7) == 1
     # at or past it, one plus the tests pointing at a vertex
-    assert _gain_cap(*_cayley_graph(free_abelian(2), 4), 6) == 3
-    assert _gain_cap(*_cayley_graph(make_group("Sigma2"), 5), 8) == 5
+    assert gain_cap(free_abelian(2), 4, 6) == 3
+    assert gain_cap(make_group("Sigma2"), 5, 8) == 5
 
 
 def test_sweep_connected_finite_group_reaches_zero():
@@ -246,6 +258,19 @@ def test_connected_sets_stop_past_the_grown_set_bound(monkeypatch):
     monkeypatch.setenv("PDFILL_BUDGET", str(budget - 1))
     with pytest.raises(BudgetError, match=f"exceeded {smaller} grown sets"):
         folner_sweep(free_abelian(3), "connected:7")
+
+
+def test_counted_subtrees_spend_the_grown_set_bound(monkeypatch):
+    # connected:9 on F2 counts most subtrees rather than growing them, but
+    # the bound still counts every set of size 1 to 8: the budget that just
+    # admits them passes, one less stops
+    unbounded = folner_sweep(free_group(2), "connected:9")
+    monkeypatch.setattr(folner, "WORK_PER_BUDGET", 1)
+    monkeypatch.setenv("PDFILL_BUDGET", str(TREE_SUBSET_COUNTS[8]))
+    assert vars(folner_sweep(free_group(2), "connected:9")) == vars(unbounded)
+    monkeypatch.setenv("PDFILL_BUDGET", str(TREE_SUBSET_COUNTS[8] - 1))
+    with pytest.raises(BudgetError, match="exceeded 93491 grown sets"):
+        folner_sweep(free_group(2), "connected:9")
 
 
 @pytest.mark.parametrize("rank, side, listed", [(2, 20, 2870), (3, 8, 1296)])
@@ -300,9 +325,27 @@ def test_connected_series_needs_its_size_k_clause(monkeypatch):
     monkeypatch.setattr(
         folner, "_cayley_graph", lambda oracle, radius: (neighbors, tests, distance)
     )
-    assert _gain_cap(neighbors, tests, distance, 5) == 3
+    assert _has_short_cycle(neighbors, distance, 5) and _gain_cap(tests, False) == 3
     series, sets = folner._connected_series(None, 5)
     assert series[-1] == (5, Fraction(1, 5)) and sets == 47
+    assert (series, sets) == brute_force_series(neighbors, tests, 5)
+
+
+def test_connected_series_counts_deeper_subtrees_only_below_the_girth(monkeypatch):
+    # a 5-cycle whose every vertex is its own test point: no set has a
+    # boundary and the gain cap is 1, so from the first set of each size on
+    # no subtree can lower a minimum.  Counting {0, 1}'s subtree as a
+    # branch of a tree gives three sets, but {0, 1, 3, 4, 2} came with 2,
+    # tried before 1: only {0, 1, 3} and {0, 1, 3, 4} are new
+    neighbors = [[1, 2], [0, 3], [0, 4], [1, 4], [2, 3]]
+    tests = [(v,) for v in range(5)]
+    distance = [0, 1, 1, 2, 2]
+    monkeypatch.setattr(
+        folner, "_cayley_graph", lambda oracle, radius: (neighbors, tests, distance)
+    )
+    assert _has_short_cycle(neighbors, distance, 5) and _gain_cap(tests, False) == 1
+    series, sets = folner._connected_series(None, 5)
+    assert (series, sets) == ([(n, Fraction(0)) for n in range(1, 6)], 11)
     assert (series, sets) == brute_force_series(neighbors, tests, 5)
 
 

@@ -358,6 +358,27 @@ def test_klein_closed_form_matches_word_table():
         assert k.word_length(g) == GroupOracle.word_length(k, g)
 
 
+@pytest.mark.parametrize(
+    "spec, words",
+    [
+        ("T11b:2", {
+            (0, 0): (), (0, -1): (2,), (0, 1): (-2,), (1, -1): (-1,), (1, 1): (1,),
+            (-1, -2): (2, -1), (-1, 0): (2, 1), (-1, 2): (-2, 1), (0, -2): (-1, -1),
+            (0, 2): (1, 1), (1, -2): (-1, 2), (1, 0): (1, 2), (1, 2): (1, -2),
+        }),
+        ("C6", {0: (), 1: (1,), 5: (-1,), 2: (1, 1), 4: (-1, -1)}),
+    ],
+)
+def test_word_table_adds_no_attribute_once_read(spec, words):
+    # an attribute added after construction takes CPython's instance dict
+    # off its fast path, so the oracle makes its word table as it is made
+    oracle = c6_oracles()[0] if spec == "C6" else make_group(spec)
+    attributes = set(vars(oracle))
+    assert {g: oracle.as_word(g) for g, _ in ball(oracle, 2)} == words
+    assert [oracle.word_length(g) for g in words] == [len(w) for w in words.values()]
+    assert set(vars(oracle)) == attributes
+
+
 @pytest.mark.parametrize("spec", builtin_group_specs())
 def test_group_axioms_randomized(spec):
     oracle = make_group(spec)
