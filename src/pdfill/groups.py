@@ -31,7 +31,7 @@ from array import array
 from functools import cached_property
 from itertools import repeat
 
-from .errors import BudgetError, GroupMismatchError, SpecParseError
+from .errors import BudgetError, GroupMismatchError, InvariantError, SpecParseError
 from .words import (
     Word,
     commutator_word,
@@ -354,7 +354,9 @@ class _WordElementOracle(GroupOracle):
     ``automaton`` reads the halves, the first halves of the relator
     conjugates, all of one length, the only subwords a half-swap rewrites:
     one table lookup per letter.  A free group has none, so ``ball``
-    extends its words with no product.  A Dehn oracle also keeps
+    extends its words with no product.  Since the words are prefix-closed,
+    ``ball`` keeps no element index for these oracles: a product is found
+    by reading its word through the steps.  A Dehn oracle also keeps
     ``halves``, (keys, half), for the words it reads one at a time.  Each
     subclass sets ``automaton`` in ``__init__``, before any word is read:
     an attribute added later, as a ``cached_property`` adds it, takes
@@ -672,10 +674,10 @@ def ball(oracle: GroupOracle, radius: int) -> Ball:
     outside the ball.  One rule grows it.  Sphere r is grown by walking
     sphere r - 1 element by element and letter by letter, and each step
     g s is formed once, from whichever end the walk reaches first: it is
-    looked up in the index then and written both ways, as ``steps[s]`` at
-    g and ``steps[-s]`` at g s.  A step already written is skipped; its
-    far end is indexed already.  A new element takes the next index and
-    is checked against the budget at once.  With even relators, letter ->
+    found then and written both ways, as ``steps[s]`` at g and
+    ``steps[-s]`` at g s.  A step already written is skipped; its far end
+    is found already.  A new element takes the next index and is checked
+    against the budget at once.  With even relators, letter ->
     1 extends to G -> Z/2, so no step stays in a sphere, and the outer
     sphere's steps inside the ball are all written from the sphere inside
     it.  Without a presentation or with an odd relator, one more pass of
@@ -688,9 +690,14 @@ def ball(oracle: GroupOracle, radius: int) -> Ball:
     element spells a word no smaller, so g comes after w in its sphere, or
     g = w and t comes after s.  Spheres are walked in order and letters as
     1, -1, 2, -2, ..., the shortlex letter order, so each element is first
-    reached as w s and the new sphere comes out in shortlex order.  Other
-    oracles index each sphere in order of discovery, and the whole ball is
-    sorted once at the end.
+    reached as w s and the new sphere comes out in shortlex order.  So
+    these balls keep no element index: a product that spells g s is new,
+    and any other was formed already, from its own prefix.  Its word, read
+    from the identity through ``steps``, ends at its index, as every step
+    below sphere r is written.  Only g s itself could leave them, at its
+    last letter, so a word that does is no canonical form and raises
+    ``InvariantError``.  Other oracles index each sphere in a dict in
+    order of discovery, and the whole ball is sorted once at the end.
 
     There most steps need no product.  The step that cancels the last
     letter of g's word was written when g was formed from its prefix.  A
@@ -698,7 +705,7 @@ def ball(oracle: GroupOracle, radius: int) -> Ball:
     clean element keeps the state its word leaves the oracle's
     ``automaton`` in.  A clean g times any other letter s is clean and its
     own canonical form when s leads that state to another, not -1: then
-    g s is appended after one table lookup.  The remaining steps call
+    g s is a new element after one table lookup.  The remaining steps call
     ``multiply``, and the elements they form are not clean.
     """
     if radius < 0:
@@ -710,12 +717,12 @@ def ball(oracle: GroupOracle, radius: int) -> Ball:
     extensions = [
         (s, (s,), image, steps[s], steps[-s]) for s, image in oracle.letters.items()
     ]
-    index = {oracle.identity(): 0}
-    count = 1    # the elements formed: all of index
+    index = {oracle.identity(): 0}    # not grown when shortlex
+    count = 1    # the elements formed
     shortlex = oracle.shortlex_spheres
     rows = oracle.automaton if shortlex else None
     # per element: its automaton state, -1 when it is not clean or no word
-    states = array("i", [0 if shortlex else -1])
+    states = [0 if shortlex else -1]
     presentation = oracle.presentation
     odd = presentation is None or any(len(rel) % 2 for rel in presentation.relators)
     start = 0
@@ -727,6 +734,8 @@ def ball(oracle: GroupOracle, radius: int) -> Ball:
         for step in steps.values():
             step.extend(array("i", [-1]) * room)
         grow = r <= radius    # the odd pass forms no element
+        # k == count: h is new, or outside the ball on the odd pass
+        lookup = None if shortlex else index.setdefault if grow else index.get
         nxt = []
         for i, (g, _) in enumerate(out[start:], start):
             if (state := states[i]) >= 0:
@@ -735,25 +744,31 @@ def ball(oracle: GroupOracle, radius: int) -> Ball:
                 if step[i] >= 0:
                     continue
                 if state >= 0 and (next_state := row[s]) >= 0:
-                    h = g + suffix
-                else:
+                    h, k = g + suffix, count
+                elif lookup is not None:
+                    h, next_state = multiply(g, image), -1
+                    k = lookup(h, count)
+                elif (h := multiply(g, image)) == g + suffix:
                     # not clean: a product is never read, and a canonical
                     # word may hold a half that a swap of its length keeps
-                    h, next_state = multiply(g, image), -1
-                if grow:
-                    k = index.setdefault(h, count)
-                    if k == count:
-                        count += 1
-                        nxt.append(h)
-                        states.append(next_state)
-                        if k >= budget:
-                            raise BudgetError(
-                                f"ball of {oracle.name} exceeded budget {budget} "
-                                f"at radius {r} (previous radius {r - 1} complete)",
-                                attained_radius=r - 1,
-                            )
-                elif (k := index.get(h)) is None:
-                    continue
+                    k, next_state = count, -1
+                else:
+                    k = 0
+                    for letter in h:
+                        if (k := steps[letter][k]) < 0:
+                            raise InvariantError(f"{h!r} is not the canonical word of its element")
+                if k == count:
+                    if not grow:
+                        continue
+                    count += 1
+                    nxt.append(h)
+                    states.append(next_state)
+                    if k >= budget:
+                        raise BudgetError(
+                            f"ball of {oracle.name} exceeded budget {budget} "
+                            f"at radius {r} (previous radius {r - 1} complete)",
+                            attained_radius=r - 1,
+                        )
                 step[i], back[k] = k, i
         out.extend(zip(nxt, repeat(r)))
         for step in steps.values():

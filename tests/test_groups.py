@@ -28,7 +28,7 @@ from pdfill import (
     parse_element,
     surface_group,
 )
-from pdfill.errors import BudgetError, SpecParseError
+from pdfill.errors import BudgetError, InvariantError, SpecParseError
 from pdfill.groups import DEFAULT_BALL_BUDGET, GroupOracle, Presentation, current_budget
 from pdfill.words import free_reduce, invert_word, join_reduced, word_from_string
 
@@ -509,13 +509,18 @@ def test_ball_and_steps_match_pinned_digest(spec, radius):
 
 
 # each step is formed from one end only, so these fell from 312 and 4,189
-# when a step already written from its far end stopped being formed again
-BUDGET_MULTIPLY_CALLS = {"Sigma2": 301, "Z^3": 2_474}
+# when a step already written from its far end stopped being formed again.
+# F2 forms every element by extension, with no product
+BUDGET_MULTIPLY_CALLS = {"Sigma2": 301, "Z^3": 2_474, "F2": 0}
 
 
 @pytest.mark.parametrize(
     "spec, radius, budget, products, attained",
-    [("Sigma2", 7, 30_000, 34_382, 5), ("Z^3", 20, 1_000, 4_189, 8)],
+    [
+        ("Sigma2", 7, 30_000, 34_382, 5),
+        ("Z^3", 20, 1_000, 4_189, 8),
+        ("F2", 10, 30_000, 30_000, 8),
+    ],
 )
 def test_ball_budget_fires_on_the_first_element_past_it(
     monkeypatch, spec, radius, budget, products, attained
@@ -583,6 +588,61 @@ def test_ball_extensions_match_a_ball_of_products(spec, radius):
     elements = ball(make_group(spec), radius)
     expected = ball_of_products(make_group(spec), radius)
     assert (list(elements), step_items(elements.steps)) == expected
+
+
+class NoCleanStep(dict):
+    """An automaton whose every row sends every letter to -1."""
+
+    def __init__(self, width):
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, state):
+        return [-1] * self.width
+
+
+@pytest.mark.parametrize("spec, radius", [("F2", 7), ("Sigma2", 4), ("T11b:3", 5)])
+def test_ball_reads_every_product_through_the_steps(spec, radius):
+    # with no clean step, every step goes through multiply, and each
+    # product that is not g s itself is found by reading its word
+    oracle = make_group(spec)
+    oracle.automaton = NoCleanStep(2 * oracle.generator_count + 1)
+    calls = counting_multiply(oracle)
+    elements = ball(oracle, radius)
+    assert (list(elements), step_items(elements.steps)) == ball_of_products(
+        make_group(spec), radius
+    )
+    assert calls[0] == build_ball_complex(make_group(spec), radius).edge_count
+
+
+@pytest.mark.parametrize("spec, radius", [("Sigma2", 4), ("T11b:3", 4)])
+def test_ball_rejects_a_product_that_is_not_shortlex_least(spec, radius):
+    # the greatest word of the product's swap closure: a geodesic of the
+    # same element, so the ball is whole only if the read catches it
+    oracle = make_group(spec)
+    multiply = oracle.multiply
+
+    def greatest(g, h):
+        seen, _ = oracle._swap_closure(multiply(g, h))
+        return max(seen, key=shortlex)
+
+    oracle.multiply = greatest
+    with pytest.raises(InvariantError, match="is not the canonical word of its element"):
+        ball(oracle, radius)
+
+
+def test_ball_keeps_no_element_index_for_a_dehn_group():
+    # an index of the 22,289 words took 2.2 MB on top of what the ball
+    # keeps; reading products through the steps needs about 0.35 MB
+    oracle = make_group("Sigma2")
+    tracemalloc.start()
+    try:
+        elements = ball(oracle, 5)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(elements) == 22_289
+    assert peak - kept < 500_000
 
 
 @pytest.mark.parametrize("generators", [None, [2, 3], [1], [3]])
