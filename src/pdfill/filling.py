@@ -13,15 +13,16 @@ window and its step table together: one integer array per signed letter,
 generator g (of m) has the id ``v*m + g - 1`` and exists where
 ``steps[g][v] >= 0``; its target is ``steps[g][v]``.  So the window keeps
 no edge table, and its ids, though not dense, increase in (vertex,
-generator) order.  A step is an array lookup.  Attaching paths and
-``word_cycle`` are read through one tracer, ``_trace``, which also sums
-the walk's signed edge coefficients; each face's boundary is summed once,
-when the face is traced.  The closed-walk search retraces no walk: it
-keeps the chain of its walk up to the last closure, adds the steps taken
-since at each closure, and takes a step back off as it backs out of it.
-It returns one dict, {sorted chain key: first walk}, and builds no
-``OneCycle``; the sweep builds each cycle from its key, which checks it,
-as it reads the entry, and drops it once the entry is written.
+generator) order.  A step is an array lookup.  Attaching paths,
+``word_cycle`` and the closed-walk search are read through one tracer,
+``_trace``, which adds a walk's signed edge coefficients to a chain it is
+given; each face's boundary is summed once, when the face is traced.
+The closed-walk search keeps the chain of its walk at the last closure;
+a closure traces back the summed steps backed out of since, in the order
+they were backed out, then the steps walked since.  It returns one dict,
+{sorted chain key: first walk}, and builds no ``OneCycle``; the sweep
+builds each cycle from its key, which checks it, as it reads the entry,
+and drops it once the entry is written.
 
 The exact solver reads one level of cells, ``Cells``: each cell's
 boundary as a dict over the level below, here faces over edges.  It never
@@ -176,7 +177,9 @@ def build_ball_complex(group: GroupOracle, radius: int) -> CayleyBallComplex:
             else:
                 if end != i:
                     raise InvariantError("attaching path of a relator did not close up")
-                found.append((i, r, _trace(steps, m, i, relator)[1]))
+                boundary: dict = {}
+                _trace(steps, m, i, relator, boundary)
+                found.append((i, r, boundary))
     found.sort(key=itemgetter(0, 1))
     faces = [(i, r) for i, r, _ in found]
     face_boundaries = [boundary for _, _, boundary in found]
@@ -195,28 +198,33 @@ def build_ball_complex(group: GroupOracle, radius: int) -> CayleyBallComplex:
     return window
 
 
-def _trace(steps, m, start, word):
-    """Read a word from a start vertex through the step arrays.
+def _trace(steps, m, start, word, chain):
+    """Read a word from a start vertex through the step arrays, adding
+    its path to ``chain``, {edge id: nonzero coefficient}.
 
-    Returns (end vertex, {edge id: nonzero coefficient}), where a letter
-    s adds +1 on the s-edge it crosses forwards and s^-1 adds -1 on the
-    s-edge it crosses backwards; None when the path leaves the window.
-    The s-edge leaving v has the id v*m + s - 1, for m generators.
+    A letter s adds +1 on the s-edge it crosses forwards and s^-1 adds -1
+    on the s-edge it crosses backwards; an entry that reaches zero is
+    dropped.  The s-edge leaving v has the id v*m + s - 1, for m
+    generators.  Returns the end vertex; None when the path leaves the
+    window, with the steps before that added.
     """
     current = start
-    coefficients: dict = {}
     for letter in word:
         target = steps[letter][current]
         if target < 0:
             return None
         if letter > 0:
             e = current * m + letter - 1
-            coefficients[e] = coefficients.get(e, 0) + 1
+            c = chain.get(e, 0) + 1
         else:
             e = target * m - letter - 1
-            coefficients[e] = coefficients.get(e, 0) - 1
+            c = chain.get(e, 0) - 1
+        if c:
+            chain[e] = c
+        else:
+            del chain[e]
         current = target
-    return current, {e: c for e, c in coefficients.items() if c}
+    return current
 
 
 def _is_cycle(complex_, coefficients) -> bool:
@@ -272,10 +280,10 @@ def word_cycle(complex_: CayleyBallComplex, word) -> OneCycle:
         if not 1 <= abs(letter) <= complex_.group.generator_count:
             raise SpecParseError(f"letter {letter} out of range")
     center = 0   # ``ball`` lists the identity first
-    traced = _trace(complex_.steps, complex_.group.generator_count, center, word)
-    if traced is None:
+    coefficients: dict = {}
+    end = _trace(complex_.steps, complex_.group.generator_count, center, word, coefficients)
+    if end is None:
         raise OutOfWindowError(f"path leaves the radius-{complex_.radius} window")
-    end, coefficients = traced
     if end != center:
         raise NotACycleError("word does not evaluate to the identity")
     return OneCycle(complex_, coefficients)
@@ -730,12 +738,13 @@ def _closed_cycles(complex_, cap):
     here; the caller builds a ``OneCycle`` from the key, which checks it.
 
     A closing walk's chain is not summed from the center.  The search
-    keeps one chain, the signed edge sum of the walk up to its last
-    closure, and the vertex where that part ends.  A closure adds the
-    steps taken since, each with the sign ``_trace`` gives it.  Backing
-    out of a step that the chain holds takes that one edge back off: the
-    step ``-move`` from the part's end crosses the same edge the other
-    way.  So a step that closes no walk costs one comparison.
+    keeps one chain, the signed edge sum of the walk at its last closure,
+    which ends at the center.  Backing out of a step that the chain holds
+    only records ``-move``, the step back over the same edge; the steps
+    recorded retrace that walk back to the part it shares with the
+    current one, deepest first.  A closure traces them from the center,
+    then the steps walked since, both through ``_trace``.  So a step that
+    closes no walk costs one comparison.
     """
     center = 0   # ``ball`` lists the identity first
     steps = complex_.steps
@@ -744,34 +753,19 @@ def _closed_cycles(complex_, cap):
     m = complex_.group.generator_count
     found: dict = {}
     walk: list = []
-    chain: dict = {}    # {edge id: nonzero coefficient} of walk[:synced]
+    chain: dict = {}    # {edge id: nonzero coefficient} of the walk at the last closure
+    undo: list = []     # the steps from that walk's end, the center, back to walk[:synced]
     synced = 0
-    synced_end = center
     budget = current_budget()
     max_visits = WORK_PER_BUDGET * budget
     visits = 1          # the center
 
-    def add(source, letter):
-        """Add the step by ``letter`` from ``source`` to the chain; its target."""
-        target = steps[letter][source]
-        if letter > 0:
-            e = source * m + letter - 1
-            c = chain.get(e, 0) + 1
-        else:
-            e = target * m - letter - 1
-            c = chain.get(e, 0) - 1
-        if c:
-            chain[e] = c
-        else:
-            del chain[e]
-        return target
-
     def close():
-        nonlocal synced, synced_end
-        end = synced_end
-        for move in walk[synced:]:
-            end = add(end, move)
-        synced, synced_end = len(walk), end
+        nonlocal synced
+        end = _trace(steps, m, center, undo, chain)
+        _trace(steps, m, end, walk[synced:], chain)
+        undo.clear()
+        synced = len(walk)
         if not chain:
             return
         key = tuple(sorted(chain.items()))
@@ -784,7 +778,7 @@ def _closed_cycles(complex_, cap):
             found[key] = tuple(walk)
 
     def extend(vertex, last_move):
-        nonlocal visits, synced, synced_end
+        nonlocal visits, synced
         depth = len(walk)
         left = cap - depth - 1     # moves left after the next one
         for move, column in moves:
@@ -803,8 +797,9 @@ def _closed_cycles(complex_, cap):
             if left:
                 extend(target, move)
             if synced > depth:
-                # the chain holds this step, its last: step back over it
-                synced, synced_end = depth, add(synced_end, -move)
+                # the chain holds this step, its last: a closure steps back
+                undo.append(-move)
+                synced = depth
             walk.pop()
 
     extend(center, 0)

@@ -173,6 +173,9 @@ def _cayley_graph(oracle, radius):
     distance = [d for _, d in elements]
     del elements    # only the distances and the step arrays are read
     inside = bisect_left(distance, radius)    # the ball lists vertices by distance
+    if not steps:
+        # no column to zip into rows: each vertex has an empty row
+        return [[] for _ in range(inside)], [()] * len(distance), distance
     inverse_letters = range(-1, -oracle.generator_count - 1, -1)
     neighbors = [
         sorted({j for j in row if j >= 0 and j != i})

@@ -1,7 +1,8 @@
 """Words over a generating set.
 
 A word is a tuple of nonzero ints: ``+i`` is the i-th generator (1-based),
-``-i`` its inverse.  Generators print as letters ``a``, ``b``, ``c``, ...
+``-i`` its inverse.  Generators print as letters ``a``, ``b``, ``c``, ...,
+and those past ``z`` as ``g27``, ``g28``, ...; both names read back.
 """
 
 from __future__ import annotations
@@ -89,26 +90,38 @@ def word_from_string(text: str) -> Word:
         chunk = chunk.strip()
         if not chunk:
             raise SpecParseError(f"empty factor in word {text!r}")
-        if "^" in chunk:
-            name, _, exp = chunk.partition("^")
+        name, caret, exp = chunk.partition("^")
+        if caret:
             try:
                 exponent = int(exp)
             except ValueError:
                 raise SpecParseError(f"bad exponent in {chunk!r}") from None
             letters.extend(_letters_of(name, exponent, text))
+        elif _generator_index(chunk):
+            letters.extend(_letters_of(chunk, 1, text))
         else:
             for ch in chunk:
                 letters.extend(_letters_of(ch, 1, text))
     return tuple(letters)
 
 
+def _generator_index(name: str):
+    """The index that ``gen_name`` prints as ``name``, or None."""
+    if len(name) == 1:
+        return _LETTERS.index(name) + 1 if name in _LETTERS else None
+    digits = name[1:]
+    if name[:1] == "g" and digits.isdecimal() and gen_name(int(digits)) == name:
+        return int(digits)
+    return None
+
+
 def _letters_of(name: str, exponent: int, context: str):
-    if name.isupper():
-        name = name.lower()
+    index = _generator_index(name)
+    if index is None and len(name) == 1 and name.isupper():    # a capital is an inverse
+        index = _generator_index(name.lower())
         exponent = -exponent
-    if name not in _LETTERS:
+    if index is None:
         raise SpecParseError(f"unknown generator {name!r} in {context!r}")
-    index = _LETTERS.index(name) + 1
     if exponent == 0:
         return []
     sign = 1 if exponent > 0 else -1

@@ -51,6 +51,15 @@ def test_complex_twist_klein(runner):
     assert payload["differentials"][0] == [["1 + a"], ["1 - b"]]
 
 
+def test_twist_reads_a_generator_past_z(runner):
+    # Sigma14 has 28 generators; the 27th prints as g27 and reads back
+    result = invoke(runner, ["complex", "Sigma14", "Z", "--twist", "g27:-1"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["twist"].endswith(",z:1,g27:-1,g28:1")
+    assert payload["differentials"][0][26:] == [["1 + g27"], ["1 - g28"]]
+
+
 def test_squares_group_prints_geodesic_words(runner):
     # T11b:2 = <a, b | a a b b>.  By hand: the edge boundaries are 1 - a
     # and 1 - b; d/da of a a b b is 1 + a, and d/db is a^2 + a^2 b, where

@@ -173,13 +173,12 @@ def test_build_rejects_face_boundaries_that_are_not_cycles(monkeypatch):
     # flip one coefficient of every traced face: the d1 o d2 check must trip
     real_trace = filling._trace
 
-    def flipped_trace(steps, m, start, word):
-        traced = real_trace(steps, m, start, word)
-        if traced is None:
-            return None
-        end, boundary = traced
-        first = next(iter(boundary))
-        return end, {**boundary, first: -boundary[first]}
+    def flipped_trace(steps, m, start, word, chain):
+        end = real_trace(steps, m, start, word, chain)
+        if end is not None:
+            first = next(iter(chain))
+            chain[first] = -chain[first]
+        return end
 
     monkeypatch.setattr(filling, "_trace", flipped_trace)
     with pytest.raises(InvariantError, match="d1 o d2"):
@@ -714,13 +713,19 @@ def test_closed_walks_stop_past_the_visit_bound(monkeypatch):
 
 @pytest.mark.parametrize(
     "spec, radius, cap",
-    [("Z^2", 3, 8), ("Klein", 3, 8), ("Z^3", 2, 6), ("T11b:3", 3, 6), ("Sigma2", 4, 8)],
+    [
+        ("Z^2", 3, 8), ("Klein", 3, 8), ("Z^3", 2, 6), ("T11b:3", 3, 6), ("Sigma2", 4, 8),
+        ("Z^2", 4, 10), ("Z^3", 3, 8),
+    ],
 )
 def test_closed_walks_match_the_brute_force_listing(spec, radius, cap):
-    # the search sums each closing walk from the last closure and takes
-    # steps back off the chain as it backs out; the brute force sums every
-    # closed word from the center.  Sigma2 closes no walk shorter than its
-    # relator, 8 letters, which needs the radius-4 window
+    # the search keeps the chain of the walk at its last closure, and a
+    # closure first steps back over the steps backed out of since, then
+    # adds the steps walked since; the brute force sums every closed word
+    # from the center.  In the Z^2 r4 and Z^3 r3 windows the search backs
+    # out over several summed steps before its next closure.  Sigma2
+    # closes no walk shorter than its relator, 8 letters, which needs the
+    # radius-4 window
     x = build_ball_complex(make_group(spec), radius)
     expected = reference_closed_walks(x, cap)
     assert expected

@@ -154,6 +154,8 @@ CYCLIC_CASES = {
     "C6-involution": (6, [3, 2]),
     "C6-repeated": (6, [1, 1]),
     "C4-repeated": (4, [2, 2, 1]),
+    "C1": (1, []),
+    "C3-no-generators": (3, []),
 }
 
 
@@ -165,7 +167,8 @@ CYCLIC_CASES = {
         ("T11b:3", 5), ("T11b:3", 6), ("C6", 6), ("C6", 8), ("C5-identity", 5),
         ("C5-identity-and-1", 5), ("C6-involution", 6), ("C6-involution", 7),
         ("C6-repeated", 6), ("C6-repeated", 7), ("C4-repeated", 4),
-        ("C4-repeated", 5),
+        ("C4-repeated", 5), ("C1", 1), ("C1", 3), ("C3-no-generators", 1),
+        ("C3-no-generators", 2), ("C3-no-generators", 4),
     ],
 )
 def test_connected_series_matches_naive_closure(spec, size_max):

@@ -42,7 +42,7 @@ def test_word_to_string_matches_the_run_length_rendering(word):
 
 
 @properties
-@given(words(26))
+@given(words(30))
 def test_word_to_string_round_trips(word):
     assert word_from_string(word_to_string(word)) == word
 
